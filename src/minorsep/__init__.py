@@ -35,13 +35,10 @@ from .minor_model import (
     trim,
     validate_clique_minor,
     witness_from_json,
-    witness_to_json,
 )
 from .rng import SplitMix64, derive_seed, stream
 from .separator import (
     BalancedSeparator,
-    DriverState,
-    LayeredView,
     MinorWitness,
     SeparatorOutcome,
     balanced_separator,

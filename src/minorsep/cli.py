@@ -37,7 +37,6 @@ from .separator import (
     MinorWitness,
     balanced_separator,
     ceil_log2,
-    default_ell,
 )
 from .verify import verify_balanced, verify_witness
 
@@ -92,37 +91,30 @@ def _canonical_json(payload: dict) -> str:
 
 
 def _report(g: Graph, source: str, args, outcome) -> dict:
-    params = {
-        "h": args.h,
-        "ell": args.ell if args.ell is not None else default_ell(max(g.n, 1), args.h),
-        "delta": (args.ell if args.ell is not None else default_ell(max(g.n, 1), args.h))
-        * ceil_log2(args.h),
-        "seed": args.seed,
-        "fast": bool(args.fast),
-    }
-    body = {
-        "schema": "v1",
-        "input": {"digest": _digest(g), "n": g.n, "m": g.m, "source": source},
-        "params": params,
-        "stats": outcome.stats,
-        "verification": outcome.verification.to_dict(),
-    }
+    ell = outcome.stats["ell"]
+    outcome_body = _certificate(outcome)
+    outcome_body["kind"] = outcome_body.pop("type")
     if isinstance(outcome, BalancedSeparator):
-        body["outcome"] = {
-            "kind": "separator",
+        outcome_body.update({
             "separator_size": outcome.separator.size,
             "size_breakdown": outcome.size_breakdown,
             "largest_component": outcome.verification.worst_component,
             "component_count": len(outcome.component_sizes),
-            "vertices": outcome.separator.ids().tolist(),
-        }
-    else:
-        body["outcome"] = {
-            "kind": "witness",
-            "h": outcome.h,
-            "branches": [b.tolist() for b in outcome.model.branches],
-        }
-    return body
+        })
+    return {
+        "schema": "v1",
+        "input": {"digest": _digest(g), "n": g.n, "m": g.m, "source": source},
+        "params": {
+            "h": args.h,
+            "ell": ell,
+            "delta": ell * ceil_log2(args.h),
+            "seed": args.seed,
+            "fast": bool(args.fast),
+        },
+        "stats": outcome.stats,
+        "verification": outcome.verification.to_dict(),
+        "outcome": outcome_body,
+    }
 
 
 def _certificate(outcome) -> dict:

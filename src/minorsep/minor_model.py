@@ -30,7 +30,6 @@ __all__ = [
     "f_selector",
     "branch_neighbors",
     "validate_clique_minor",
-    "witness_to_json",
     "witness_from_json",
 ]
 
@@ -199,13 +198,9 @@ def validate_clique_minor(m: MinorModel, g: Graph, h: int):
     return all(ok for _, ok, _ in checks), checks
 
 
-def witness_to_json(m: MinorModel, h: int) -> str:
-    payload = {"h": h, "branches": [ids.tolist() for ids in m.branches]}
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 def witness_from_json(n: int, text: str) -> tuple:
-    """Parse {"h":int,"branches":[[...]]} into (MinorModel, h)."""
+    """Parse a witness certificate {"h":int,"branches":[[...]],...} into
+    (MinorModel, h); keys other than h and branches are ignored."""
     from .errors import InputError
 
     try:

@@ -58,15 +58,9 @@ __all__ = [
     "SeparatorOutcome",
     "BalancedSeparator",
     "MinorWitness",
-    "DriverState",
-    "LayeredView",
     "default_ell",
     "ceil_log2",
     "balanced_separator",
-    "step1_decompose",
-    "step2_grow_model",
-    "step3_grow_branch",
-    "step4_cut_layer",
 ]
 
 EXACT_CENTER_LIMIT = 512
@@ -132,7 +126,6 @@ class DriverState:
     n: int
     h: int
     ell: int
-    seed: int
     model: MinorModel
     x_set: VertexMask
     live: VertexMask
@@ -145,7 +138,6 @@ class DriverState:
     ell_star: int = 0
     base_max: int = 0
     branch_budget: int = 0
-    exact_center_limit: int = EXACT_CENTER_LIMIT
     debug: bool = False
     rng_ldd: object = None
     rng_fast: object = None
@@ -229,14 +221,14 @@ def step1_decompose(st: DriverState):
     direct scan may still find a vertex whose base-radius ball holds 2n/3
     of the graph (dense instances collapse to singleton partitions whose
     boundary hides them); the scan keeps the branch-growing path reachable
-    there and is skipped above exact_center_limit.
+    there and is skipped above EXACT_CENTER_LIMIT.
     """
     res = ldd(st.g, st.live, float(st.delta), st.rng_ldd)
     st.stats["ldd_calls"] += 1
     comps = connected_components(st.g, st.live.minus(res.boundary))
     if comps and 3 * len(comps[0]) > 2 * st.n:
         return _layered_view(st, int(comps[0][0]), st.delta)
-    if st.live.size <= st.exact_center_limit:
+    if st.live.size <= EXACT_CENTER_LIMIT:
         for v in st.live.ids().tolist():
             if 3 * ball(st.g, st.live, v, st.delta).size >= 2 * st.n:
                 st.stats["exact_center_used"] += 1
@@ -329,6 +321,30 @@ def _breakdown(st: DriverState, f_mask: VertexMask, s_mask) -> dict:
     }
 
 
+def _verified_separator(g: Graph, sep: VertexMask, size_breakdown: dict, stats: dict):
+    """The BalancedSeparator for `sep`, or None if `sep` fails balance."""
+    report = verify_balanced(g, sep)
+    if not report.ok:
+        return None
+    comps = connected_components(g, VertexMask.full(g.n).minus(sep))
+    return BalancedSeparator(
+        separator=sep,
+        component_sizes=[len(c) for c in comps],
+        size_breakdown=size_breakdown,
+        stats=stats,
+        verification=report,
+    )
+
+
+def _degenerate_separator(g: Graph, sep: VertexMask, stats: dict) -> BalancedSeparator:
+    out = _verified_separator(
+        g, sep, {"x": 0, "step1_s": 0, "f_selector": sep.size}, stats
+    )
+    if out is None:
+        raise SelfVerificationError("degenerate-case separator failed verification")
+    return out
+
+
 def _finish_separator(st: DriverState) -> BalancedSeparator:
     g = st.g
     f_mask = f_selector(st.model, g, st.live)
@@ -349,35 +365,15 @@ def _finish_separator(st: DriverState) -> BalancedSeparator:
         (2, flipped.union(retired_mask), st.model.member_mask().union(retired_mask)),
     ]
     for level, sep, branch_side in attempts:
-        report = verify_balanced(g, sep)
-        if report.ok:
-            st.stats["fallback_level"] = level
-            comps = connected_components(g, VertexMask.full(g.n).minus(sep))
-            return BalancedSeparator(
-                separator=sep,
-                component_sizes=[len(c) for c in comps],
-                size_breakdown=_breakdown(st, branch_side, s_mask),
-                stats=dict(st.stats),
-                verification=report,
-            )
+        out = _verified_separator(
+            g, sep, _breakdown(st, branch_side, s_mask), {**st.stats, "fallback_level": level}
+        )
+        if out is not None:
+            return out
     raise SelfVerificationError(
         f"no separator attempt balanced: n={st.n}, |X|={st.x_set.size}, "
         f"|live|={st.live.size}, model={[len(b) for b in st.model.branches]}, "
         f"retired={[len(b) for b in st.retired]}"
-    )
-
-
-def _trivial_separator(g: Graph, sep: VertexMask, stats: dict) -> BalancedSeparator:
-    report = verify_balanced(g, sep)
-    if not report.ok:
-        raise SelfVerificationError("degenerate-case separator failed verification")
-    comps = connected_components(g, VertexMask.full(g.n).minus(sep))
-    return BalancedSeparator(
-        separator=sep,
-        component_sizes=[len(c) for c in comps],
-        size_breakdown={"x": 0, "step1_s": 0, "f_selector": sep.size},
-        stats=stats,
-        verification=report,
     )
 
 
@@ -388,7 +384,6 @@ def balanced_separator(
     seed: int = 0,
     fast_center: bool = False,
     debug: bool = False,
-    exact_center_limit: int = EXACT_CENTER_LIMIT,
 ) -> SeparatorOutcome:
     """Run the driver to a verified balanced separator or K_h witness."""
     if h < 3:
@@ -404,7 +399,7 @@ def balanced_separator(
     comps = connected_components(g)
     if not comps or 3 * len(comps[0]) <= 2 * n:
         # already balanced without removing anything
-        return _trivial_separator(g, VertexMask.empty(n), stats)
+        return _degenerate_separator(g, VertexMask.empty(n), stats)
 
     comp0 = comps[0]
     x = int(comp0[0])
@@ -413,7 +408,7 @@ def balanced_separator(
 
     log_h = ceil_log2(h)
     st = DriverState(
-        g=g, n=n, h=h, ell=ell, seed=seed,
+        g=g, n=n, h=h, ell=ell,
         model=new_model(n, x),
         x_set=VertexMask.empty(n),
         live=live,
@@ -421,7 +416,6 @@ def balanced_separator(
         charged=np.zeros(n, dtype=bool),
         delta=ell * log_h,
         ell_star=(log_h + 1) * ell,
-        exact_center_limit=exact_center_limit,
         debug=debug,
         rng_ldd=stream(seed, "ldd"),
         rng_fast=stream(seed, "fast_center"),
@@ -503,7 +497,7 @@ def balanced_separator(
     if st.iteration == 0:
         # the loop never ran: removing x alone already balances the graph,
         # whereas the selector could legally pick an unbalancing neighbor
-        return _trivial_separator(g, VertexMask.from_ids(n, [x]), dict(st.stats))
+        return _degenerate_separator(g, VertexMask.from_ids(n, [x]), dict(st.stats))
 
     if st.ell * st.x_set.size > st.stats["charged"]:
         raise SelfVerificationError(

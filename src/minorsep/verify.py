@@ -81,7 +81,8 @@ def check_invariants(st) -> VerificationReport:
         "disjoint" if overlap.size == 0 else f"overlap at {overlap.ids()[:5].tolist()}",
     ))
 
-    dead = [i for i in range(m.size) if branch_neighbors(m, g, live, i).size == 0]
+    nbr_counts = [branch_neighbors(m, g, live, i).size for i in range(m.size)]
+    dead = [i for i, nb in enumerate(nbr_counts) if nb == 0]
     checks.append((
         "every_branch_touches_live", not dead,
         "all touch" if not dead else f"branches without live neighbor: {dead}",
@@ -89,8 +90,7 @@ def check_invariants(st) -> VerificationReport:
 
     budget = st.branch_budget
     bad4 = []
-    for i, ids in enumerate(m.branches):
-        nb = branch_neighbors(m, g, live, i).size
+    for i, (ids, nb) in enumerate(zip(m.branches, nbr_counts)):
         if ids.size > budget and h * ell * nb > n:
             bad4.append((i, int(ids.size), int(nb)))
     checks.append((

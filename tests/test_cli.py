@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -80,6 +81,33 @@ def test_separate_reports_are_byte_identical(tmp_path):
             "--json", str(p))
         outs.append(p.read_bytes())
     assert outs[0] == outs[1]
+
+
+# sha256 of (report, certificate) for the criterion-10 jobs, recorded when
+# the schema-v1 report was frozen; a refactor must reproduce them exactly.
+FROZEN_DIGESTS = [
+    (["--gen", "grid:20,20", "--h", "5"],
+     "04945905475b860712bf80d7cba36ae6968e9b0004f241ebada40d870371de2d",
+     "4ba5b5866c7727826997d213856cd0f6c41d2e58b9bbfe9e13b3d6ffb39b41a8"),
+    (["--gen", "gnp:200,0.015", "--h", "5", "--seed", "3", "--fast"],
+     "d8c1b42663c0c99beb2578787af814746c70d15ba259df9eaf6cf20efd47477b",
+     "930de78334884078b45ef02084939e20dfed4d7cadbe583d10bec9f948fafa0a"),
+    (["--gen", "complete:9", "--h", "4"],
+     "c59a66c31b519c0d997ee6aea61c8d28d0b40b1d98441533e9cfc9b17ffffb2d",
+     "aa15305caf54161f51fddee99a921fd96731f41a8863bc35de19bfc188245295"),
+    (["--gen", "tree:300", "--h", "4", "--seed", "2", "--debug"],
+     "cc62b3b5039c96b23c180399ae5a3f0dbcc9051efad8efd919f642363a700982",
+     "68a2441062347dcc52290a7e43186411e713c19560123f60a910c1fce68cb01e"),
+]
+
+
+def test_separate_reports_match_frozen_digests(tmp_path):
+    rep, cert = tmp_path / "r.json", tmp_path / "c.json"
+    for argv, rep_sha, cert_sha in FROZEN_DIGESTS:
+        code = run("separate", *argv, "--json", str(rep), "--certificate", str(cert))
+        assert code in (EXIT_SEPARATOR, EXIT_WITNESS)
+        assert hashlib.sha256(rep.read_bytes()).hexdigest() == rep_sha, argv
+        assert hashlib.sha256(cert.read_bytes()).hexdigest() == cert_sha, argv
 
 
 def test_separate_witness_exit_code(tmp_path, capsys):

@@ -15,7 +15,6 @@ from minorsep.minor_model import (
     trim,
     validate_clique_minor,
     witness_from_json,
-    witness_to_json,
 )
 
 from helpers import petersen
@@ -200,12 +199,11 @@ def test_petersen_spokes_are_a_k5_model():
 # -- witness JSON ----------------------------------------------------------------
 
 def test_witness_json_roundtrip():
-    m = MinorModelFrom([[0], [1], [2, 3]], 4)
-    text = witness_to_json(m, 3)
-    assert text == '{"branches":[[0],[1],[2,3]],"h":3}\n'
-    m2, h = witness_from_json(4, text)
+    """The parser reads the CLI's witness certificate, `type` key included."""
+    text = '{"branches":[[0],[1],[3,2]],"h":3,"type":"witness"}\n'
+    m, h = witness_from_json(4, text)
     assert h == 3
-    assert [b.tolist() for b in m2.branches] == [[0], [1], [2, 3]]
+    assert [b.tolist() for b in m.branches] == [[0], [1], [2, 3]]
 
 
 def test_witness_json_rejects_malformed():
