@@ -183,7 +183,7 @@ def cmd_verify(args) -> int:
         sep = VertexMask.from_ids(g.n, ids)
         report = verify_balanced(g, sep)
     elif payload["type"] == "witness":
-        model, h = witness_from_json(g.n, text)
+        model, h = witness_from_json(g.n, payload)
         report = verify_witness(g, model, h)
     else:
         raise InputError(f"unknown certificate type {payload['type']!r}")

@@ -8,20 +8,38 @@ can only shrink, so parts are connected, and membership forces
 dist_live(c, u) <= shift[c] < delta/2, so each part has strong radius < delta/2
 around its center and weak diameter <= delta.
 
+The assignment is the shifted parallel BFS of Miller, Peng and Xu ("Parallel
+graph decompositions using random shifts", SPAA 2013), one numpy round per
+BFS layer.  Each live vertex holds a label (key, center), first
+(-shift[v], v).  In each round every vertex whose label dropped in the round
+before offers (key + 1.0, center) to its live neighbors, and a neighbor keeps
+the lexicographic minimum of its label and the offers: the lowest key, then
+the smallest center among the offers tied on it.  The loop ends when no label
+drops, after at most ceil(delta/2) + 1 rounds, since a winning path is
+shorter than its center's shift.
+
+The final labels are the unique fixed point of "label = min(own start, every
+neighbor's label + (1.0, 0))": rounding keeps fl(x + 1.0) > x, so each label
+rests on strictly smaller keys.  A Dijkstra over (key, center, vertex) heap
+entries settles the same fixed point, and its tuple order is what "smallest
+center id" means, so both give the same centers bit for bit.  Keys are built
+as parent key + 1.0 in both.  (They could part only if two distinct keys met
+at one vertex and rounded to the same sum, which needs shifts within an ulp
+of each other.)
+
 The boundary is every live vertex with a live neighbor assigned elsewhere.
 Removing it disconnects distinct parts from each other.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .graph import Graph, VertexMask
+from .graph import Graph, VertexMask, _gather
 from .rng import SplitMix64, truncated_exponential
 
 __all__ = ["Partition", "LddResult", "padded_partition", "ldd"]
@@ -62,21 +80,32 @@ def padded_partition(g: Graph, live: VertexMask, delta: float, rng: SplitMix64) 
     shifts = truncated_exponential(rng.block_floats(n_live), rate, delta / 2.0)
     shift_of = dict(zip(ids.tolist(), shifts.tolist()))
 
-    in_live = live.bits
-    # lazy Dijkstra; tuple order resolves key ties toward the smallest center
-    heap = [(-s, int(v), int(v)) for v, s in zip(ids.tolist(), shifts.tolist())]
-    heapq.heapify(heap)
-    indptr, indices = g.indptr, g.indices
-    settled = 0
-    while settled < n_live:
-        key, c, v = heapq.heappop(heap)
-        if center[v] >= 0:
-            continue
-        center[v] = c
-        settled += 1
-        for w in indices[indptr[v]:indptr[v + 1]].tolist():
-            if in_live[w] and center[w] < 0:
-                heapq.heappush(heap, (key + 1.0, c, w))
+    # A vertex outside live holds key -inf, so no offer ever beats it.
+    key = np.full(g.n, -np.inf)
+    key[ids] = -shifts
+    center[ids] = ids
+    changed = np.zeros(g.n, dtype=bool)
+    frontier = ids
+    while frontier.size:
+        src, tgt = _gather(g, frontier)
+        cand = key[src] + 1.0
+        k_old = key[tgt]
+        # keep the offers that beat their target's label; most lose on the
+        # key alone, so the center test runs on what is left
+        keep = np.flatnonzero(cand <= k_old)
+        src, tgt, cand, k_old = src[keep], tgt[keep], cand[keep], k_old[keep]
+        c_src = center[src]
+        keep = np.flatnonzero((cand < k_old) | (c_src < center[tgt]))
+        tgt, cand, c_src, k_old = tgt[keep], cand[keep], c_src[keep], k_old[keep]
+        # lowest key first, then the smallest center among offers tied on it
+        np.minimum.at(key, tgt, cand)
+        k_new = key[tgt]
+        center[tgt[k_new < k_old]] = g.n  # a lower key discards the old center
+        tie = cand == k_new
+        np.minimum.at(center, tgt[tie], c_src[tie])
+        changed[tgt] = True
+        frontier = np.flatnonzero(changed)
+        changed[frontier] = False
     return Partition(center, shift_of)
 
 

@@ -198,10 +198,17 @@ def connected_components(g: Graph, live: VertexMask | None = None) -> list[np.nd
     Returned largest first, ties broken by smallest contained id; each
     component is an ascending id array.
     """
-    ids = live.ids() if live is not None else np.arange(g.n, dtype=np.int64)
+    if live is None:
+        ids = np.arange(g.n, dtype=np.int64)
+        adj = sparse.csr_matrix(
+            (np.ones(g.indices.size, dtype=np.int8), g.indices, g.indptr), shape=(g.n, g.n)
+        )
+    else:
+        ids = live.ids()
+        adj = _sub_csr(g, ids)
     if ids.size == 0:
         return []
-    _, labels = csgraph.connected_components(_sub_csr(g, ids), directed=False)
+    _, labels = csgraph.connected_components(adj, directed=False)
     order = np.argsort(labels, kind="stable")
     sorted_ids = ids[order]
     sorted_lab = labels[order]

@@ -13,7 +13,6 @@ vertices at most) make that the simpler correct choice.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,13 +197,12 @@ def validate_clique_minor(m: MinorModel, g: Graph, h: int):
     return all(ok for _, ok, _ in checks), checks
 
 
-def witness_from_json(n: int, text: str) -> tuple:
-    """Parse a witness certificate {"h":int,"branches":[[...]],...} into
-    (MinorModel, h); keys other than h and branches are ignored."""
+def witness_from_json(n: int, payload) -> tuple:
+    """Turn a decoded witness certificate {"h":int,"branches":[[...]],...}
+    into (MinorModel, h); keys other than h and branches are ignored."""
     from .errors import InputError
 
     try:
-        payload = json.loads(text)
         h = int(payload["h"])
         raw = payload["branches"]
         branches = tuple(np.unique(np.asarray(b, dtype=np.int64)) for b in raw)

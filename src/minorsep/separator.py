@@ -326,10 +326,9 @@ def _verified_separator(g: Graph, sep: VertexMask, size_breakdown: dict, stats: 
     report = verify_balanced(g, sep)
     if not report.ok:
         return None
-    comps = connected_components(g, VertexMask.full(g.n).minus(sep))
     return BalancedSeparator(
         separator=sep,
-        component_sizes=[len(c) for c in comps],
+        component_sizes=list(report.component_sizes),
         size_breakdown=size_breakdown,
         stats=stats,
         verification=report,

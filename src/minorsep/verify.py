@@ -23,6 +23,7 @@ class VerificationReport:
     checks: list
     worst_component: int = 0
     separator_size: int = 0
+    component_sizes: tuple = ()  # of g minus the separator, largest first
 
     def to_dict(self) -> dict:
         return {
@@ -46,7 +47,10 @@ def verify_balanced(g: Graph, sep: VertexMask) -> VerificationReport:
         ok,
         f"largest remaining component {worst} of n={g.n}; need 3*{worst} <= 2*{g.n}",
     )]
-    return VerificationReport(ok, checks, worst_component=worst, separator_size=sep.size)
+    return VerificationReport(
+        ok, checks, worst_component=worst, separator_size=sep.size,
+        component_sizes=tuple(len(c) for c in comps),
+    )
 
 
 def verify_witness(g: Graph, m: MinorModel, h: int) -> VerificationReport:

@@ -5,12 +5,43 @@ the package internals, so that agreement between the two routes means
 something.
 """
 
+import heapq
+import math
 from collections import deque
 from itertools import combinations
 
 import numpy as np
 
 from minorsep.graph import build_graph
+from minorsep.rng import truncated_exponential
+
+
+def heap_partition(g, live, delta, rng):
+    """Shifted-center assignment by lazy Dijkstra over (key, center, vertex).
+
+    Draws the shifts exactly as `padded_partition` does, then settles
+    vertices one heap pop at a time; the tuple order sends key ties to the
+    smallest center.  Returns (center array, {vertex: shift}).
+    """
+    ids = live.ids()
+    center = np.full(g.n, -1, dtype=np.int64)
+    if ids.size == 0:
+        return center, {}
+    rate = 2.0 * math.log(max(ids.size, 2)) / delta
+    shifts = truncated_exponential(rng.block_floats(ids.size), rate, delta / 2.0)
+    heap = [(-s, v, v) for v, s in zip(ids.tolist(), shifts.tolist())]
+    heapq.heapify(heap)
+    settled = 0
+    while settled < ids.size:
+        key, c, v = heapq.heappop(heap)
+        if center[v] >= 0:
+            continue
+        center[v] = c
+        settled += 1
+        for w in g.indices[g.indptr[v]:g.indptr[v + 1]].tolist():
+            if live.bits[w] and center[w] < 0:
+                heapq.heappush(heap, (key + 1.0, c, w))
+    return center, dict(zip(ids.tolist(), shifts.tolist()))
 
 
 def uf_components(n, edges):

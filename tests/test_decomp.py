@@ -9,7 +9,7 @@ from minorsep.graph import VertexMask, bfs_layers, connected_components
 from minorsep.instances import InstanceSpec, generate
 from minorsep.rng import stream
 
-from helpers import adjacency, bfs_dist, np_edges
+from helpers import adjacency, bfs_dist, heap_partition, np_edges
 
 
 def gen(family, *params, seed=0):
@@ -68,6 +68,57 @@ def test_partition_properties(case, seed):
         L2 = bfs_layers(g, live, int(far))
         assert np.all(L2.dist[members] <= delta)
         assert np.all(L2.dist[members] >= 0)
+
+
+ORACLE_GRAPHS = [
+    ("grid", (30, 30)),
+    ("torus", (24, 24)),
+    ("cycle", (700,)),
+    ("gnp", (500, 0.008)),
+    ("tree", (600,)),
+    ("path", (500,)),
+]
+
+
+@pytest.mark.parametrize("family,params", ORACLE_GRAPHS, ids=lambda p: str(p))
+@pytest.mark.parametrize("delta", [6.0, 9.37, 24.0])
+@pytest.mark.parametrize("masked", [False, True], ids=["full", "masked"])
+def test_matches_heap_reference(family, params, delta, masked):
+    g = gen(family, *params, seed=3)
+    live = VertexMask.full(g.n)
+    if masked:
+        # drop every seventh vertex and two blocks of ids (a full row each on
+        # the grids), leaving several components
+        bits = np.arange(g.n) % 7 != 3
+        for start in (g.n // 3, 2 * g.n // 3):
+            bits[start:start + g.n // 20] = False
+        live = VertexMask(bits)
+        assert len(connected_components(g, live)) >= 2
+    for seed in range(5):
+        part = padded_partition(g, live, delta, stream(seed, "ldd"))
+        center, shift = heap_partition(g, live, delta, stream(seed, "ldd"))
+        assert np.array_equal(part.center, center)
+        assert part.shift == shift
+
+
+@pytest.mark.parametrize("family,params", ORACLE_GRAPHS, ids=lambda p: str(p))
+@pytest.mark.parametrize("step", [1.0, 0.5])
+def test_matches_heap_reference_on_tied_keys(family, params, step, monkeypatch):
+    # Shifts on a grid of `step` make keys exact and tie often, also between
+    # offers that reach a vertex in different rounds, so the smallest-center
+    # rule decides many assignments.
+    def grid_shifts(u, rate, cap):
+        return np.minimum(np.floor(u * cap / step) * step, cap - step)
+
+    monkeypatch.setattr("minorsep.decomp.truncated_exponential", grid_shifts)
+    monkeypatch.setattr("helpers.truncated_exponential", grid_shifts)
+    g = gen(family, *params, seed=1)
+    for live in (VertexMask.full(g.n), VertexMask(np.arange(g.n) % 5 != 2)):
+        for seed in range(4):
+            part = padded_partition(g, live, 11.0, stream(seed, "ldd"))
+            center, shift = heap_partition(g, live, 11.0, stream(seed, "ldd"))
+            assert np.array_equal(part.center, center)
+            assert part.shift == shift
 
 
 @pytest.mark.parametrize("case", CASES[:4], ids=lambda c: f"{c[0]}{c[1]}")

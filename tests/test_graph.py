@@ -114,6 +114,8 @@ def test_components_match_union_find(seed, n, m):
     got = [c.tolist() for c in connected_components(g)]
     want = uf_components(n, edges)
     assert got == want
+    # the unmasked path skips the subgraph remap; a full mask goes through it
+    assert [c.tolist() for c in connected_components(g, VertexMask.full(n))] == want
 
 
 @given(st.integers(0, 2**32 - 1))

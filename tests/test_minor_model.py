@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -201,18 +203,18 @@ def test_petersen_spokes_are_a_k5_model():
 def test_witness_json_roundtrip():
     """The parser reads the CLI's witness certificate, `type` key included."""
     text = '{"branches":[[0],[1],[3,2]],"h":3,"type":"witness"}\n'
-    m, h = witness_from_json(4, text)
+    m, h = witness_from_json(4, json.loads(text))
     assert h == 3
     assert [b.tolist() for b in m.branches] == [[0], [1], [2, 3]]
 
 
 def test_witness_json_rejects_malformed():
-    for text in ['{"h":3}', '{"branches":[[0]]}', 'nonsense', '{"h":"x","branches":[]}',
-                 '{"h":3,"branches":[["a"]]}']:
-        with pytest.raises(InputError):
-            witness_from_json(4, text)
+    for payload in [{"h": 3}, {"branches": [[0]]}, "nonsense", [], {"h": "x", "branches": []},
+                    {"h": 3, "branches": [["a"]]}]:
+        with pytest.raises(InputError, match="malformed witness JSON"):
+            witness_from_json(4, payload)
     with pytest.raises(InputError, match="out of range"):
-        witness_from_json(4, '{"branches":[[7]],"h":3}')
+        witness_from_json(4, {"branches": [[7]], "h": 3})
 
 
 # -- operation-sequence fuzzing ---------------------------------------------------
