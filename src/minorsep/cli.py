@@ -2,10 +2,10 @@
 
 Subcommands: separate, verify, gen, bench.  Exit codes: 0 balanced
 separator (or valid certificate), 10 minor witness, 1 invalid certificate,
-2 input error, 3 self-verification failure.  JSON reports are canonical
-(sorted keys, no whitespace, schema "v1") and contain no timing, so a
-fixed (input, h, ell, seed, flags) tuple reproduces them byte for byte;
-wall-clock time goes to stderr.
+2 input error or out of memory, 3 self-verification failure.  JSON reports
+are canonical (sorted keys, no whitespace, schema "v1") and contain no
+timing, so a fixed (input, h, ell, seed, flags) tuple reproduces them byte
+for byte; wall-clock time goes to stderr.
 """
 
 from __future__ import annotations
@@ -313,6 +313,10 @@ def main(argv=None) -> int:
     except SelfVerificationError as exc:
         print(f"self-verification failure: {exc}", file=sys.stderr)
         return EXIT_SELF_VERIFY
+    except MemoryError:
+        print("error: out of memory; the input or the parameters are too large "
+              "for this machine", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -47,10 +47,13 @@ __all__ = ["Partition", "LddResult", "padded_partition", "ldd"]
 
 @dataclass(frozen=True)
 class Partition:
-    """Assignment of each live vertex to its center; -1 outside the mask."""
+    """Assignment of each live vertex to its center; -1 outside the mask.
+
+    shift[v] is the shift vertex v drew, NaN outside the mask.
+    """
 
     center: np.ndarray
-    shift: dict
+    shift: np.ndarray
 
     def parts(self) -> list:
         """(center, member ids ascending) pairs, sorted by center id."""
@@ -74,11 +77,12 @@ def padded_partition(g: Graph, live: VertexMask, delta: float, rng: SplitMix64) 
     ids = live.ids()
     n_live = ids.size
     center = np.full(g.n, -1, dtype=np.int64)
+    shift = np.full(g.n, np.nan)
     if n_live == 0:
-        return Partition(center, {})
+        return Partition(center, shift)
     rate = 2.0 * math.log(max(n_live, 2)) / delta
     shifts = truncated_exponential(rng.block_floats(n_live), rate, delta / 2.0)
-    shift_of = dict(zip(ids.tolist(), shifts.tolist()))
+    shift[ids] = shifts
 
     # A vertex outside live holds key -inf, so no offer ever beats it.
     key = np.full(g.n, -np.inf)
@@ -106,7 +110,7 @@ def padded_partition(g: Graph, live: VertexMask, delta: float, rng: SplitMix64) 
         changed[tgt] = True
         frontier = np.flatnonzero(changed)
         changed[frontier] = False
-    return Partition(center, shift_of)
+    return Partition(center, shift)
 
 
 def ldd(g: Graph, live: VertexMask, delta: float, rng: SplitMix64) -> LddResult:

@@ -81,16 +81,25 @@ class SplitMix64:
 
     def block_u64(self, count: int) -> np.ndarray:
         """Consume and return the next `count` outputs as uint64."""
-        ks = np.arange(self._calls + 1, self._calls + count + 1, dtype=np.uint64)
+        z = np.arange(self._calls + 1, self._calls + count + 1, dtype=np.uint64)
         self._calls += count
+        # in place: the block is one buffer plus one temporary per shift
         with np.errstate(over="ignore"):
-            z = np.uint64(self.seed) + ks * np.uint64(_GAMMA)
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-            return z ^ (z >> np.uint64(31))
+            z *= np.uint64(_GAMMA)
+            z += np.uint64(self.seed)
+            z ^= z >> np.uint64(30)
+            z *= np.uint64(_MIX1)
+            z ^= z >> np.uint64(27)
+            z *= np.uint64(_MIX2)
+            z ^= z >> np.uint64(31)
+        return z
 
     def block_floats(self, count: int) -> np.ndarray:
-        return (self.block_u64(count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        z = self.block_u64(count)
+        z >>= np.uint64(11)
+        u = z.astype(np.float64)
+        u *= 2.0**-53
+        return u
 
 
 def stream(seed: int, label: str) -> SplitMix64:

@@ -6,14 +6,16 @@ something.
 """
 
 import heapq
+import io
 import math
 from collections import deque
 from itertools import combinations
 
 import numpy as np
 
+from minorsep.errors import InputError
 from minorsep.graph import build_graph
-from minorsep.rng import truncated_exponential
+from minorsep.rng import stream, truncated_exponential
 
 
 def heap_partition(g, live, delta, rng):
@@ -21,14 +23,17 @@ def heap_partition(g, live, delta, rng):
 
     Draws the shifts exactly as `padded_partition` does, then settles
     vertices one heap pop at a time; the tuple order sends key ties to the
-    smallest center.  Returns (center array, {vertex: shift}).
+    smallest center.  Returns (center array, shift array); both are filled
+    on the live ids only.
     """
     ids = live.ids()
     center = np.full(g.n, -1, dtype=np.int64)
+    shift = np.full(g.n, np.nan)
     if ids.size == 0:
-        return center, {}
+        return center, shift
     rate = 2.0 * math.log(max(ids.size, 2)) / delta
     shifts = truncated_exponential(rng.block_floats(ids.size), rate, delta / 2.0)
+    shift[ids] = shifts
     heap = [(-s, v, v) for v, s in zip(ids.tolist(), shifts.tolist())]
     heapq.heapify(heap)
     settled = 0
@@ -41,7 +46,7 @@ def heap_partition(g, live, delta, rng):
         for w in g.indices[g.indptr[v]:g.indptr[v + 1]].tolist():
             if live.bits[w] and center[w] < 0:
                 heapq.heappush(heap, (key + 1.0, c, w))
-    return center, dict(zip(ids.tolist(), shifts.tolist()))
+    return center, shift
 
 
 def uf_components(n, edges):
@@ -187,3 +192,90 @@ def np_edges(g):
     """Graph edges as a list of int tuples for the python-side oracles."""
     us, vs = g.edges()
     return list(zip(us.tolist(), vs.tolist()))
+
+
+# -- per-edge loop references for the instance generators and the text format
+
+def loop_grid_edges(rows, cols, wrap):
+    edges = []
+    for i in range(rows):
+        for j in range(cols):
+            v = i * cols + j
+            if j + 1 < cols:
+                edges.append((v, v + 1))
+            elif wrap:
+                edges.append((v, i * cols))
+            if i + 1 < rows:
+                edges.append((v, v + cols))
+            elif wrap:
+                edges.append((v, j))
+    return edges
+
+
+def loop_family(family, params, seed=0):
+    """(n, edge list) of a family, one Python tuple per edge."""
+    if family in ("grid", "torus"):
+        rows, cols = params
+        return rows * cols, loop_grid_edges(rows, cols, wrap=family == "torus")
+    (n,) = params
+    if family == "path":
+        return n, [(i, i + 1) for i in range(n - 1)]
+    if family == "cycle":
+        return n, [(i, (i + 1) % n) for i in range(n)]
+    if family == "star":
+        return n + 1, [(0, i) for i in range(1, n + 1)]
+    if family == "complete":
+        return n, [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if family == "tree":
+        rng = stream(seed, "tree")
+        return n, [(rng.next_below(k), k) for k in range(1, n)]
+    raise ValueError(family)
+
+
+def loop_graph_to_text(g):
+    us, vs = g.edges()
+    out = io.StringIO()
+    out.write(f"p {g.n} {us.size}\n")
+    for u, v in zip(us.tolist(), vs.tolist()):
+        out.write(f"{u} {v}\n")
+    return out.getvalue()
+
+
+def loop_read_edge_list(lines):
+    """The edge-list reader as one line loop over `lines`."""
+    header = None
+    edges = []
+    declared_m = 0
+    for lineno, raw in enumerate(lines, start=1):
+        text = raw.split("#", 1)[0].strip()
+        if not text:
+            continue
+        parts = text.split()
+        if header is None:
+            if parts[0] != "p" or len(parts) != 3:
+                raise InputError(f"line {lineno}: expected header 'p <n> <m>'")
+            try:
+                n, declared_m = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise InputError(f"line {lineno}: header fields must be integers") from None
+            if n < 0 or declared_m < 0:
+                raise InputError(f"line {lineno}: header fields must be nonnegative")
+            header = (n, declared_m)
+            continue
+        if len(parts) != 2:
+            raise InputError(f"line {lineno}: expected 'u v'")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise InputError(f"line {lineno}: endpoints must be integers") from None
+        n = header[0]
+        if not (0 <= u < n and 0 <= v < n):
+            raise InputError(f"line {lineno}: endpoint out of range 0..{n - 1}")
+        if u == v:
+            raise InputError(f"line {lineno}: self-loop at vertex {u}")
+        edges.append((u, v))
+    if header is None:
+        raise InputError("line 1: missing header 'p <n> <m>'")
+    if len(edges) != declared_m:
+        raise InputError(f"header declares {declared_m} edges but file has {len(edges)}")
+    return build_graph(header[0], edges)

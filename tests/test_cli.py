@@ -47,6 +47,17 @@ def test_gen_bad_params(tmp_path):
         run("gen", "--family", "mystery", "--params", "3", "--out", str(out))
 
 
+def test_out_of_memory_is_an_input_error(tmp_path, monkeypatch, capsys):
+    def exhausted(spec):
+        raise MemoryError
+
+    monkeypatch.setattr("minorsep.cli.generate", exhausted)
+    out = tmp_path / "x"
+    assert run("gen", "--family", "gnp", "--params", "200000,0.1", "--out", str(out)) == EXIT_INPUT
+    assert "error: out of memory" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- separate -----------------------------------------------------------------
 
 def test_separate_grid_report_and_certificate(tmp_path, capsys):

@@ -98,7 +98,7 @@ def test_matches_heap_reference(family, params, delta, masked):
         part = padded_partition(g, live, delta, stream(seed, "ldd"))
         center, shift = heap_partition(g, live, delta, stream(seed, "ldd"))
         assert np.array_equal(part.center, center)
-        assert part.shift == shift
+        assert np.array_equal(part.shift[live.ids()], shift[live.ids()])
 
 
 @pytest.mark.parametrize("family,params", ORACLE_GRAPHS, ids=lambda p: str(p))
@@ -118,7 +118,7 @@ def test_matches_heap_reference_on_tied_keys(family, params, step, monkeypatch):
             part = padded_partition(g, live, 11.0, stream(seed, "ldd"))
             center, shift = heap_partition(g, live, 11.0, stream(seed, "ldd"))
             assert np.array_equal(part.center, center)
-            assert part.shift == shift
+            assert np.array_equal(part.shift[live.ids()], shift[live.ids()])
 
 
 @pytest.mark.parametrize("case", CASES[:4], ids=lambda c: f"{c[0]}{c[1]}")
@@ -166,6 +166,7 @@ def test_empty_live_and_bad_delta():
     g = gen("path", 5)
     res = ldd(g, VertexMask.empty(5), 4.0, stream(0, "ldd"))
     assert res.partition.parts() == []
+    assert np.isnan(res.partition.shift).all()
     assert res.boundary.size == 0
     with pytest.raises(InputError):
         padded_partition(g, VertexMask.full(5), 0.0, stream(0, "ldd"))

@@ -6,9 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from minorsep.errors import InputError
-from minorsep.graph import connected_components
+from minorsep.graph import build_graph, connected_components
 from minorsep.instances import (
     FAMILIES,
+    GNP_CHUNK,
     InstanceSpec,
     generate,
     graph_to_text,
@@ -17,7 +18,7 @@ from minorsep.instances import (
 )
 from minorsep.rng import stream
 
-from helpers import uf_components
+from helpers import loop_family, loop_graph_to_text, loop_read_edge_list, uf_components
 
 
 def gen(family, *params, seed=0):
@@ -83,6 +84,25 @@ def test_subdivided_clique_vertex_layout():
     assert got == {(0, 3), (3, 4), (1, 4), (0, 5), (5, 6), (2, 6), (1, 7), (7, 8), (2, 8)}
 
 
+LOOP_CASES = [
+    ("grid", (1, 1)), ("grid", (1, 6)), ("grid", (6, 1)), ("grid", (3, 3)), ("grid", (40, 17)),
+    ("torus", (3, 3)), ("torus", (3, 8)), ("torus", (8, 3)), ("torus", (12, 9)),
+    ("path", (1,)), ("path", (2,)), ("path", (500,)),
+    ("cycle", (3,)), ("cycle", (500,)),
+    ("star", (0,)), ("star", (1,)), ("star", (60,)),
+    ("complete", (1,)), ("complete", (2,)), ("complete", (30,)),
+    ("tree", (1,)), ("tree", (2,)), ("tree", (3000,)),
+]
+
+
+@pytest.mark.parametrize("family,params", LOOP_CASES, ids=lambda p: str(p))
+def test_families_match_loop_reference(family, params):
+    for seed in (0, 7):
+        n, edges = loop_family(family, params, seed)
+        want = loop_graph_to_text(build_graph(n, edges))
+        assert graph_to_text(gen(family, *params, seed=seed)) == want
+
+
 def test_star_shape():
     g = gen("star", 4)
     assert g.degree(0) == 4
@@ -91,17 +111,20 @@ def test_star_shape():
 
 # -- seeded families ----------------------------------------------------------
 
-def test_gnp_matches_sequential_oracle():
-    n, p, seed = 25, 0.2, 7
-    r = stream(seed, "gnp")
-    want = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if r.next_float() < p:
-                want.add((i, j))
-    g = gen("gnp", n, p, seed=seed)
-    us, vs = g.edges()
-    assert set(zip(us.tolist(), vs.tolist())) == want
+def test_gnp_matches_sequential_oracle(monkeypatch):
+    # chunks of 1 and 7 draws put chunk ends inside and between rows
+    for chunk in (GNP_CHUNK, 1, 7):
+        monkeypatch.setattr("minorsep.instances.GNP_CHUNK", chunk)
+        for n, p, seed in [(25, 0.2, 7), (2, 1.0, 0), (13, 0.5, 1)]:
+            r = stream(seed, "gnp")
+            want = set()
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if r.next_float() < p:
+                        want.add((i, j))
+            g = gen("gnp", n, p, seed=seed)
+            us, vs = g.edges()
+            assert set(zip(us.tolist(), vs.tolist())) == want, (chunk, n, p, seed)
 
 
 def test_gnp_determinism_and_extremes():
@@ -195,6 +218,20 @@ def test_read_errors_carry_line_numbers():
         assert frag in str(exc.value), text
 
 
+def test_read_accepts_what_python_int_accepts():
+    # the C parser turns these down; the line loop takes them as int() does
+    text = "p 11 3\r\n+3\t1_0\r\n\u0663 0  # arabic-indic three\n0 10 \n"
+    g = read_edge_list(io.StringIO(text))
+    assert graph_to_text(g) == "p 11 3\n0 3\n0 10\n3 10\n"
+
+
+def test_read_rejects_non_ascii_digits():
+    # numpy's parser would read "1\u01fe" as 472, an id in range here
+    with pytest.raises(InputError) as exc:
+        read_edge_list(io.StringIO("p 600 1\n0 1\u01fe\n"))
+    assert str(exc.value) == "line 2: endpoints must be integers"
+
+
 def test_read_edge_count_mismatch():
     with pytest.raises(InputError) as exc:
         read_edge_list(io.StringIO("p 3 2\n0 1\n"))
@@ -218,3 +255,50 @@ def test_roundtrip_any_family(family, n, seed):
     assert graph_to_text(g2) == graph_to_text(g)
     assert uf_components(g.n, list(zip(*g.edges()))) == \
         uf_components(g2.n, list(zip(*g2.edges())))
+
+
+ODD_TOKENS = ["-1", "+3", "03", "1_0", "\u0663", "1\u01fe", "1.0", "x", "99999999999999999999"]
+
+
+@st.composite
+def edge_texts(draw):
+    """Edge-list text mixing what the format allows with what it rejects."""
+    plain = st.integers(0, 11).map(str)
+    odd = draw(st.integers(0, 3)) == 0  # else only plain ids, blanks and comments
+    token = st.one_of(plain, st.sampled_from(ODD_TOKENS)) if odd else plain
+    kinds = ["edge"] * 8 + ["blank", "comment"] + (["one", "three", "cr"] if odd else [])
+    sep = st.sampled_from([" ", "\t", "  ", " \t"])
+    body = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "edge":
+            line = draw(token) + draw(sep) + draw(token)
+        elif kind in ("one", "three"):
+            line = draw(sep).join(draw(token) for _ in range(1 if kind == "one" else 3))
+        elif kind == "cr":
+            line = "0 1\r2 3"
+        else:
+            line = "" if kind == "blank" else draw(st.sampled_from(["# note", "# caf\u00e9 1\u01fe"]))
+        if draw(st.booleans()):
+            line += draw(sep) + "# trailing"
+        body.append(line)
+    n = draw(st.sampled_from([0, 4, 12, 12, 12, 500]))
+    m = sum(1 for line in body if line.split("#")[0].strip())
+    m += draw(st.sampled_from([0, 0, 0, 0, 1, -1]))
+    lines = [f"p {n} {max(m, 0)}"] + body
+    if draw(st.booleans()):
+        lines.insert(0, draw(st.sampled_from(["", "  ", "# header follows", "p 3", "c comment"])))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return "".join(line + eol for line in lines)
+
+
+@given(edge_texts())
+def test_reader_agrees_with_line_loop(text):
+    try:
+        want = loop_graph_to_text(loop_read_edge_list(io.StringIO(text).readlines()))
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            read_edge_list(io.StringIO(text))
+        assert str(got.value) == str(exc)
+    else:
+        assert graph_to_text(read_edge_list(io.StringIO(text))) == want
