@@ -18,8 +18,6 @@ import statistics
 import sys
 import time
 
-import numpy as np
-
 from .errors import InputError, ModelError, SelfVerificationError
 from .graph import Graph, VertexMask
 from .instances import (
@@ -30,7 +28,7 @@ from .instances import (
     read_edge_list,
     write_edge_list,
 )
-from .minor_model import witness_from_json
+from .minor_model import _json_ids, witness_from_json
 from .rng import derive_seed
 from .separator import (
     BalancedSeparator,
@@ -176,10 +174,7 @@ def cmd_verify(args) -> int:
         raise InputError("certificate must be an object with a 'type' field")
 
     if payload["type"] == "separator":
-        try:
-            ids = np.asarray(payload["vertices"], dtype=np.int64)
-        except (KeyError, TypeError, ValueError):
-            raise InputError("separator certificate needs integer 'vertices'") from None
+        ids = _json_ids(payload.get("vertices"), "separator certificate field 'vertices'")
         sep = VertexMask.from_ids(g.n, ids)
         report = verify_balanced(g, sep)
     elif payload["type"] == "witness":

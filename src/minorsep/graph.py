@@ -9,8 +9,8 @@ treated as deleted.
 
 Determinism rules implemented here and relied on everywhere else:
 
-* connected components are reported largest first, ties by smallest
-  contained id, and each component's ids are ascending;
+* connected components are labelled by rank: rank 0 is the largest, and
+  components of equal size rank by their smallest id;
 * BFS parents are the smallest-id neighbor in the previous layer;
 * all layer lists are ascending.
 """
@@ -166,56 +166,47 @@ def _gather(g: Graph, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Flat (source, target) arrays for all edges leaving `frontier`."""
     starts = g.indptr[frontier]
     counts = g.indptr[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
+    ends = np.cumsum(counts)
+    if ends.size == 0 or ends[-1] == 0:
         e = np.empty(0, dtype=np.int64)
         return e, e
-    cum = np.zeros(frontier.size, dtype=np.int64)
-    np.cumsum(counts[:-1], out=cum[1:])
-    pos = np.arange(total, dtype=np.int64) + np.repeat(starts - cum, counts)
+    # output entry i sits at offset i - (ends - counts)[row] of its row
+    pos = np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
     return np.repeat(frontier, counts), g.indices[pos]
 
 
-def _sub_csr(g: Graph, ids: np.ndarray):
-    """CSR matrix of the subgraph induced by `ids` (relabeled 0..k-1)."""
-    remap = np.full(g.n, -1, dtype=np.int64)
-    remap[ids] = np.arange(ids.size, dtype=np.int64)
-    src, tgt = _gather(g, ids)
-    t = remap[tgt]
-    keep = t >= 0
-    row = remap[src[keep]]
-    col = t[keep]
-    lens = np.bincount(row, minlength=ids.size)
-    indptr = np.zeros(ids.size + 1, dtype=np.int64)
-    np.cumsum(lens, out=indptr[1:])
-    data = np.ones(col.size, dtype=np.int8)
-    return sparse.csr_matrix((data, col, indptr), shape=(ids.size, ids.size))
+def connected_components(
+    g: Graph, live: VertexMask | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Components of the subgraph induced by `live` (every vertex when None).
 
-
-def connected_components(g: Graph, live: VertexMask | None = None) -> list[np.ndarray]:
-    """Components of the subgraph induced by `live`, canonical order.
-
-    Returned largest first, ties broken by smallest contained id; each
-    component is an ascending id array.
+    Returns (label, sizes).  label[v] is the rank of v's component, -1 for v
+    outside `live`; sizes[k] is the size of component k.  Rank 0 is the
+    largest component, ties going to the one with the smallest id, so sizes
+    is descending.
     """
-    if live is None:
-        ids = np.arange(g.n, dtype=np.int64)
-        adj = sparse.csr_matrix(
-            (np.ones(g.indices.size, dtype=np.int8), g.indices, g.indptr), shape=(g.n, g.n)
-        )
-    else:
-        ids = live.ids()
-        adj = _sub_csr(g, ids)
-    if ids.size == 0:
-        return []
-    _, labels = csgraph.connected_components(adj, directed=False)
-    order = np.argsort(labels, kind="stable")
-    sorted_ids = ids[order]
-    sorted_lab = labels[order]
-    bounds = np.flatnonzero(np.diff(sorted_lab)) + 1
-    comps = np.split(sorted_ids, bounds)
-    comps.sort(key=lambda c: (-c.size, int(c[0])))
-    return comps
+    keep = np.ones(g.n, dtype=bool) if live is None else live.bits
+    # the n x n matrix of the edges with both ends in `keep`: the others are
+    # stored as zeros and dropped, so every vertex outside `keep` is a
+    # singleton, labelled -1 below.  float64 is the dtype csgraph computes
+    # in, so it makes no converted copy of its own.
+    edge = np.repeat(keep, np.diff(g.indptr)) & keep[g.indices]
+    adj = sparse.csr_matrix(
+        (edge, g.indices, g.indptr), shape=(g.n, g.n), dtype=np.float64, copy=True
+    )
+    adj.eliminate_zeros()
+    count, raw = csgraph.connected_components(adj, directed=False)
+    ids = np.flatnonzero(keep)
+    raw = raw[ids]
+    sizes = np.bincount(raw, minlength=count)
+    first = np.full(count, g.n, dtype=np.int64)
+    np.minimum.at(first, raw, ids)
+    order = np.lexsort((first, -sizes))
+    rank = np.empty(count, dtype=np.int64)
+    rank[order] = np.arange(count, dtype=np.int64)
+    label = np.full(g.n, -1, dtype=np.int64)
+    label[ids] = rank[raw]
+    return label, sizes[order[:np.count_nonzero(sizes)]]
 
 
 @dataclass

@@ -182,6 +182,11 @@ def generate(spec: InstanceSpec) -> Graph:
     arity, fn = FAMILIES[spec.family]
     if len(spec.params) != arity:
         raise InputError(f"{spec.family} takes {arity} parameter(s), got {len(spec.params)}")
+    # every parameter is a size or a count, except gnp's edge probability
+    sizes = spec.params[:1] if spec.family == "gnp" else spec.params
+    for v in sizes:
+        if not isinstance(v, (int, np.integer)):
+            raise InputError(f"{spec.family} size parameters must be integers, got {v!r}")
     if spec.family in _SEEDED:
         return fn(*spec.params, spec.seed)
     return fn(*spec.params)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelError
-from .graph import Graph, VertexMask, connected_components
+from .errors import InputError, ModelError
+from .graph import Graph, VertexMask, _gather, connected_components
 
 __all__ = [
     "MinorModel",
@@ -72,19 +72,15 @@ def _as_ids(n: int, vs) -> np.ndarray:
 def branch_neighbors(m: MinorModel, g: Graph, live: VertexMask, idx: int) -> np.ndarray:
     """Live vertices adjacent to branch idx, ascending; members excluded."""
     ids = m.branches[idx]
-    if ids.size == 0:
-        return np.empty(0, dtype=np.int64)
-    nbrs = np.concatenate([g.neighbors(v) for v in ids.tolist()])
-    nbrs = nbrs[live.bits[nbrs]]
-    nbrs = np.unique(nbrs)
+    _, nbrs = _gather(g, ids)
+    nbrs = np.unique(nbrs[live.bits[nbrs]])
     return np.setdiff1d(nbrs, ids, assume_unique=True)
 
 
 def _connected(g: Graph, ids: np.ndarray) -> bool:
     if ids.size <= 1:
         return ids.size == 1
-    comps = connected_components(g, VertexMask.from_ids(g.n, ids))
-    return len(comps) == 1
+    return connected_components(g, VertexMask.from_ids(g.n, ids))[1].size == 1
 
 
 def _adjacent(g: Graph, a: np.ndarray, b: np.ndarray) -> bool:
@@ -197,17 +193,32 @@ def validate_clique_minor(m: MinorModel, g: Graph, h: int):
     return all(ok for _, ok, _ in checks), checks
 
 
+def _json_ids(value, field: str) -> np.ndarray:
+    """`value` as an int64 array; InputError naming `field` unless it is a
+    list of JSON integers.  Bools, floats and strings are not integers here,
+    so no entry is truncated or coerced."""
+    if not isinstance(value, list) or any(type(v) is not int for v in value):
+        raise InputError(f"{field} must be a list of integers")
+    try:
+        return np.asarray(value, dtype=np.int64)
+    except OverflowError:
+        raise InputError(f"{field}: vertex id out of range") from None
+
+
 def witness_from_json(n: int, payload) -> tuple:
     """Turn a decoded witness certificate {"h":int,"branches":[[...]],...}
     into (MinorModel, h); keys other than h and branches are ignored."""
-    from .errors import InputError
-
-    try:
-        h = int(payload["h"])
-        raw = payload["branches"]
-        branches = tuple(np.unique(np.asarray(b, dtype=np.int64)) for b in raw)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed witness JSON: {exc}") from None
+    if not isinstance(payload, dict) or "h" not in payload or "branches" not in payload:
+        raise InputError("malformed witness JSON: need an object with 'h' and 'branches'")
+    h = payload["h"]
+    if type(h) is not int:
+        raise InputError(f"malformed witness JSON: 'h' must be an integer, got {h!r}")
+    raw = payload["branches"]
+    if not isinstance(raw, list):
+        raise InputError("malformed witness JSON: 'branches' must be a list")
+    branches = tuple(
+        np.unique(_json_ids(b, "malformed witness JSON: each entry of 'branches'")) for b in raw
+    )
     for ids in branches:
         if ids.size and (ids[0] < 0 or ids[-1] >= n):
             raise InputError(f"witness vertex id out of range 0..{n - 1}")

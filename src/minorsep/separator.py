@@ -111,11 +111,9 @@ class LayeredView:
     center: int
     layers: BfsLayers
     base: int
-    delta: int
     ell_star: int
     sizes: np.ndarray
     U: VertexMask
-    M: VertexMask
     B: VertexMask
     M_plus: VertexMask
 
@@ -138,7 +136,6 @@ class DriverState:
     ell_star: int = 0
     base_max: int = 0
     branch_budget: int = 0
-    debug: bool = False
     rng_ldd: object = None
     rng_fast: object = None
 
@@ -162,10 +159,7 @@ def _new_stats() -> dict:
 
 
 def _largest_component_mask(g: Graph, mask: VertexMask) -> VertexMask:
-    comps = connected_components(g, mask)
-    if not comps:
-        return VertexMask.empty(g.n)
-    return VertexMask.from_ids(g.n, comps[0])
+    return VertexMask(connected_components(g, mask)[0] == 0)
 
 
 def _retire_and_trim(st: DriverState) -> None:
@@ -196,11 +190,9 @@ def _layered_view(st: DriverState, root: int, base: int) -> LayeredView:
         center=root,
         layers=lay,
         base=base,
-        delta=st.delta,
         ell_star=ell_star,
         sizes=sizes,
         U=band(0, base),
-        M=band(base + 1, base + ell_star),
         B=band(base + ell_star + 1),
         M_plus=band(base + 1, base + ell_star + st.ell),
     )
@@ -225,9 +217,9 @@ def step1_decompose(st: DriverState):
     """
     res = ldd(st.g, st.live, float(st.delta), st.rng_ldd)
     st.stats["ldd_calls"] += 1
-    comps = connected_components(st.g, st.live.minus(res.boundary))
-    if comps and 3 * len(comps[0]) > 2 * st.n:
-        return _layered_view(st, int(comps[0][0]), st.delta)
+    label, sizes = connected_components(st.g, st.live.minus(res.boundary))
+    if sizes.size and 3 * int(sizes[0]) > 2 * st.n:
+        return _layered_view(st, int(np.argmax(label == 0)), st.delta)
     if st.live.size <= EXACT_CENTER_LIMIT:
         for v in st.live.ids().tolist():
             if 3 * ball(st.g, st.live, v, st.delta).size >= 2 * st.n:
@@ -291,11 +283,9 @@ def step3_grow_branch(st: DriverState, view: LayeredView):
         )
     dist = view.layers.dist
     W = VertexMask((dist >= y + 1) & st.live.bits)
-    touched = np.zeros(st.g.n, dtype=bool)
-    touched[sel_nbrs] = True
-    z_parts = [c for c in connected_components(st.g, W) if touched[c].any()]
-    z = np.concatenate(z_parts) if z_parts else np.empty(0, dtype=np.int64)
-    return sel, np.sort(z), y
+    label, _ = connected_components(st.g, W)
+    touched = label[sel_nbrs]
+    return sel, np.flatnonzero(np.isin(label, touched[touched >= 0])), y
 
 
 def step4_cut_layer(st: DriverState, view: LayeredView) -> int:
@@ -395,15 +385,15 @@ def balanced_separator(
     stats = _new_stats()
     stats.update({"n": n, "m": g.m, "h": h, "ell": ell, "fast": int(fast_center)})
 
-    comps = connected_components(g)
-    if not comps or 3 * len(comps[0]) <= 2 * n:
+    label, sizes = connected_components(g)
+    if sizes.size == 0 or 3 * int(sizes[0]) <= 2 * n:
         # already balanced without removing anything
         return _degenerate_separator(g, VertexMask.empty(n), stats)
 
-    comp0 = comps[0]
-    x = int(comp0[0])
-    scope = VertexMask.from_ids(n, comp0)
-    live = _largest_component_mask(g, scope.minus_ids(np.array([x], dtype=np.int64)))
+    scope = label == 0
+    x = int(np.argmax(scope))
+    scope[x] = False
+    live = _largest_component_mask(g, VertexMask(scope))
 
     log_h = ceil_log2(h)
     st = DriverState(
@@ -415,7 +405,6 @@ def balanced_separator(
         charged=np.zeros(n, dtype=bool),
         delta=ell * log_h,
         ell_star=(log_h + 1) * ell,
-        debug=debug,
         rng_ldd=stream(seed, "ldd"),
         rng_fast=stream(seed, "fast_center"),
     )

@@ -39,8 +39,8 @@ class VerificationReport:
 
 def verify_balanced(g: Graph, sep: VertexMask) -> VerificationReport:
     """Balanced iff every component of g minus sep has 3*size <= 2n."""
-    comps = connected_components(g, VertexMask.full(g.n).minus(sep))
-    worst = len(comps[0]) if comps else 0
+    _, sizes = connected_components(g, VertexMask.full(g.n).minus(sep))
+    worst = int(sizes[0]) if sizes.size else 0
     ok = 3 * worst <= 2 * g.n
     checks = [(
         "balanced",
@@ -49,7 +49,7 @@ def verify_balanced(g: Graph, sep: VertexMask) -> VerificationReport:
     )]
     return VerificationReport(
         ok, checks, worst_component=worst, separator_size=sep.size,
-        component_sizes=tuple(len(c) for c in comps),
+        component_sizes=tuple(sizes.tolist()),
     )
 
 
@@ -115,10 +115,10 @@ def check_invariants(st) -> VerificationReport:
 
     x_live = st.x_set.intersect(live)
     x_branch = st.x_set.intersect(member)
-    comps = connected_components(g, live) if live.size else []
+    _, sizes = connected_components(g, live)
     checks.append((
-        "state_sane", x_live.size == 0 and x_branch.size == 0 and len(comps) <= 1,
-        f"|X&live|={x_live.size}, |X&branches|={x_branch.size}, live components={len(comps)}",
+        "state_sane", x_live.size == 0 and x_branch.size == 0 and sizes.size <= 1,
+        f"|X&live|={x_live.size}, |X&branches|={x_branch.size}, live components={sizes.size}",
     ))
 
     return VerificationReport(all(okc for _, okc, _ in checks), checks)

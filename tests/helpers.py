@@ -74,6 +74,12 @@ def uf_components(n, edges):
     return comps
 
 
+def component_lists(label, sizes):
+    """`connected_components`' (label, sizes) as the canonical list of
+    components: ascending id arrays, largest first, ties by smallest id."""
+    return [np.flatnonzero(label == k) for k in range(sizes.size)]
+
+
 def bfs_dist(adj, sources):
     """Plain deque BFS distances; -1 where unreached."""
     dist = {v: -1 for v in adj}

@@ -26,7 +26,7 @@ from minorsep.separator import (
 )
 from minorsep.verify import verify_balanced, verify_witness
 
-from helpers import brute_balanced, deep_anchor, fallback_tree
+from helpers import brute_balanced, component_lists, deep_anchor, fallback_tree
 
 
 @pytest.fixture()
@@ -276,7 +276,7 @@ def test_criterion_08_decomposition_soundness(verdict):
         live = VertexMask.full(g.n)
         res = ldd(g, live, delta, stream(seed, "ldd"))
         rest = live.minus(res.boundary)
-        for comp in connected_components(g, rest):
+        for comp in component_lists(*connected_components(g, rest)):
             members = comp.tolist()
             for v in members:
                 # all-pairs check via one BFS per member, in the host graph;

@@ -47,6 +47,19 @@ def test_gen_bad_params(tmp_path):
         run("gen", "--family", "mystery", "--params", "3", "--out", str(out))
 
 
+@pytest.mark.parametrize("family,params", [
+    ("grid", "5.0,5"), ("path", "1e3"), ("complete", "3.0"), ("gnp", "10.0,0.5"),
+    ("subdivided_clique", "3,1.5"),
+])
+def test_gen_rejects_non_integer_sizes(tmp_path, capsys, family, params):
+    out = tmp_path / "x"
+    assert run("gen", "--family", family, "--params", params, "--out", str(out)) == EXIT_INPUT
+    assert "must be integers" in capsys.readouterr().err
+    assert not out.exists()
+    assert run("separate", "--gen", f"{family}:{params}", "--h", "4") == EXIT_INPUT
+    assert "must be integers" in capsys.readouterr().err
+
+
 def test_out_of_memory_is_an_input_error(tmp_path, monkeypatch, capsys):
     def exhausted(spec):
         raise MemoryError
@@ -211,6 +224,29 @@ def test_verify_malformed_certificates(tmp_path, capsys):
         assert run("verify", "--input", str(graph),
                    "--certificate", str(cert)) == EXIT_INPUT, text
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,field", [
+    ('{"type":"separator","vertices":[4.7]}', "'vertices'"),
+    ('{"type":"separator","vertices":"4"}', "'vertices'"),
+    ('{"type":"separator","vertices":[true,4]}', "'vertices'"),
+    ('{"type":"separator","vertices":[36893488147419103232]}', "'vertices'"),
+    ('{"type":"witness","h":true,"branches":[[0]]}', "'h'"),
+    ('{"type":"witness","h":3.9,"branches":[[0],[1],[2]]}', "'h'"),
+    ('{"type":"witness","h":3,"branches":[[0],[1.0],[2]]}', "'branches'"),
+    ('{"type":"witness","h":3,"branches":{"0":[0]}}', "'branches'"),
+])
+def test_verify_rejects_non_integer_fields(tmp_path, capsys, text, field):
+    # each of these used to be truncated or coerced into a valid-looking certificate
+    graph = tmp_path / "g.txt"
+    run("gen", "--family", "path", "--params", "9", "--out", str(graph))
+    capsys.readouterr()
+    cert = tmp_path / "c.json"
+    cert.write_text(text)
+    assert run("verify", "--input", str(graph), "--certificate", str(cert)) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "certificate valid" not in captured.out
+    assert captured.err.startswith("error:") and field in captured.err
 
 
 # -- bench ------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from minorsep.graph import VertexMask, bfs_layers, connected_components
 from minorsep.instances import InstanceSpec, generate
 from minorsep.rng import stream
 
-from helpers import adjacency, bfs_dist, heap_partition, np_edges
+from helpers import adjacency, bfs_dist, component_lists, heap_partition, np_edges
 
 
 def gen(family, *params, seed=0):
@@ -58,7 +58,7 @@ def test_partition_properties(case, seed):
         assert center[c] == c
         # connected within live
         sub = VertexMask.from_ids(g.n, members)
-        assert len(connected_components(g, sub)) == 1
+        assert len(component_lists(*connected_components(g, sub))) == 1
         # strong radius: every member within shift[c] < delta/2 of the center
         L = bfs_layers(g, live, c)
         assert part.shift[c] < delta / 2.0
@@ -93,7 +93,7 @@ def test_matches_heap_reference(family, params, delta, masked):
         for start in (g.n // 3, 2 * g.n // 3):
             bits[start:start + g.n // 20] = False
         live = VertexMask(bits)
-        assert len(connected_components(g, live)) >= 2
+        assert len(component_lists(*connected_components(g, live))) >= 2
     for seed in range(5):
         part = padded_partition(g, live, delta, stream(seed, "ldd"))
         center, shift = heap_partition(g, live, delta, stream(seed, "ldd"))
@@ -189,7 +189,7 @@ def test_components_after_cut_have_small_weak_diameter(seed, delta):
     rest = live.minus(res.boundary)
     edges = np_edges(g)
     adj = adjacency(g.n, edges)  # live distances measured in the full graph here
-    for comp in connected_components(g, rest):
+    for comp in component_lists(*connected_components(g, rest)):
         cset = comp.tolist()
         for v in cset:
             d = bfs_dist(adj, [v])

@@ -57,9 +57,11 @@ def test_build_rejects_bad_input():
 def test_build_empty_and_edgeless():
     g = build_graph(0, [])
     assert g.n == 0 and g.m == 0
+    assert labels_and_sizes(g) == ([], [])
+    assert labels_and_sizes(g, VertexMask.empty(0)) == ([], [])
     g = build_graph(5, np.empty((0, 2), dtype=np.int64))
     assert g.n == 5 and g.m == 0
-    assert connected_components(g) and len(connected_components(g)) == 5
+    assert labels_and_sizes(g) == ([0, 1, 2, 3, 4], [1] * 5)
 
 
 def test_neighbors_ascending():
@@ -92,18 +94,39 @@ def test_mask_from_ids_range_check():
 
 # -- components -------------------------------------------------------------
 
+def labels_and_sizes(g, live=None):
+    label, sizes = connected_components(g, live)
+    return label.tolist(), sizes.tolist()
+
+
+def uf_labels_and_sizes(n, edges, keep):
+    """(label, sizes) of the subgraph induced by `keep`, by union-find."""
+    restricted = [(u, v) for u, v in edges if keep[u] and keep[v]]
+    comps = [c for c in uf_components(n, restricted) if keep[c[0]]]
+    label = [-1] * n
+    for k, comp in enumerate(comps):
+        for v in comp:
+            label[v] = k
+    return label, [len(c) for c in comps]
+
+
 def test_components_canonical_order_on_grid():
     # deleting the middle row splits the grid into two rows of three
     live = VertexMask.from_ids(9, [0, 1, 2, 6, 7, 8])
-    comps = connected_components(GRID3, live)
-    assert [c.tolist() for c in comps] == [[0, 1, 2], [6, 7, 8]]
+    assert labels_and_sizes(GRID3, live) == ([0, 0, 0, -1, -1, -1, 1, 1, 1], [3, 3])
 
 
 def test_components_tie_break_by_size_then_min_id():
     # component {5} vs {0,1} vs {3,4}: larger first, then smaller min id
     g = build_graph(6, [(0, 1), (3, 4)])
-    comps = connected_components(g, VertexMask.from_ids(6, [0, 1, 3, 4, 5]))
-    assert [c.tolist() for c in comps] == [[0, 1], [3, 4], [5]]
+    live = VertexMask.from_ids(6, [0, 1, 3, 4, 5])
+    assert labels_and_sizes(g, live) == ([0, 0, -1, 1, 1, 2], [2, 2, 1])
+    # size beats a smaller id; equal sizes rank by smallest id even when the
+    # components interleave
+    g = build_graph(6, [(0, 1), (3, 4), (4, 5)])
+    assert labels_and_sizes(g) == ([1, 1, 2, 0, 0, 0], [3, 2, 1])
+    g = build_graph(6, [(0, 5), (1, 2), (3, 4)])
+    assert labels_and_sizes(g) == ([0, 1, 1, 2, 2, 0], [2, 2, 2])
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(0, 80))
@@ -111,11 +134,10 @@ def test_components_match_union_find(seed, n, m):
     rng = np.random.default_rng(seed)
     edges = random_edges(rng, n, m)
     g = build_graph(n, edges)
-    got = [c.tolist() for c in connected_components(g)]
-    want = uf_components(n, edges)
-    assert got == want
-    # the unmasked path skips the subgraph remap; a full mask goes through it
-    assert [c.tolist() for c in connected_components(g, VertexMask.full(n))] == want
+    want = uf_labels_and_sizes(n, edges, [True] * n)
+    assert labels_and_sizes(g) == want
+    assert labels_and_sizes(g, VertexMask.full(n)) == want
+    assert labels_and_sizes(g, VertexMask.empty(n)) == ([-1] * n, [])
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -125,13 +147,10 @@ def test_components_respect_mask(seed):
     edges = random_edges(rng, n, 60)
     g = build_graph(n, edges)
     keep = rng.random(n) < 0.6
-    live = VertexMask(keep)
-    comps = connected_components(g, live)
-    seen = np.concatenate(comps) if comps else np.empty(0, dtype=np.int64)
-    assert sorted(seen.tolist()) == live.ids().tolist()
-    restricted = [(u, v) for u, v in edges if keep[u] and keep[v]]
-    want = [c for c in uf_components(n, restricted) if keep[c[0]]]
-    assert [c.tolist() for c in comps] == want
+    indptr, indices = g.indptr.copy(), g.indices.copy()
+    assert labels_and_sizes(g, VertexMask(keep)) == uf_labels_and_sizes(n, edges, keep)
+    # dropping the edges that leave the mask must not touch the graph itself
+    assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
 
 
 # -- BFS --------------------------------------------------------------------

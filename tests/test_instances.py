@@ -18,7 +18,7 @@ from minorsep.instances import (
 )
 from minorsep.rng import stream
 
-from helpers import loop_family, loop_graph_to_text, loop_read_edge_list, uf_components
+from helpers import component_lists, loop_family, loop_graph_to_text, loop_read_edge_list, uf_components
 
 
 def gen(family, *params, seed=0):
@@ -142,7 +142,7 @@ def test_tree_is_a_tree(n, seed):
     g = gen("tree", n, seed=seed)
     assert g.n == n
     assert g.m == n - 1
-    comps = connected_components(g)
+    comps = component_lists(*connected_components(g))
     assert len(comps) == 1
     # recursive attachment: every vertex k >= 1 has a neighbor below it
     for k in range(1, n):
