@@ -154,7 +154,9 @@ def build_graph(n: int, edge_list) -> Graph:
     u, v = u[uniq], v[uniq]
     src = np.concatenate([u, v])
     tgt = np.concatenate([v, u])
-    order = np.lexsort((tgt, src))
+    # the keys src * n + tgt are unique after the dedupe, so this is the
+    # permutation of np.lexsort((tgt, src)) at a fraction of its cost
+    order = np.argsort(src * n + tgt)
     src, tgt = src[order], tgt[order]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.add.at(indptr, src + 1, 1)
@@ -175,6 +177,21 @@ def _gather(g: Graph, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(frontier, counts), g.indices[pos]
 
 
+def _masked_adjacency(g: Graph, keep: np.ndarray) -> sparse.csr_matrix:
+    """The n x n matrix of the edges with both ends in `keep`.
+
+    The other edges are stored as zeros and dropped, so the matrix is
+    symmetric and a vertex outside `keep` has no entries.  float64 is the
+    dtype csgraph computes in, so it makes no converted copy of its own.
+    """
+    edge = np.repeat(keep, np.diff(g.indptr)) & keep[g.indices]
+    adj = sparse.csr_matrix(
+        (edge, g.indices, g.indptr), shape=(g.n, g.n), dtype=np.float64, copy=True
+    )
+    adj.eliminate_zeros()
+    return adj
+
+
 def connected_components(
     g: Graph, live: VertexMask | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -186,16 +203,9 @@ def connected_components(
     is descending.
     """
     keep = np.ones(g.n, dtype=bool) if live is None else live.bits
-    # the n x n matrix of the edges with both ends in `keep`: the others are
-    # stored as zeros and dropped, so every vertex outside `keep` is a
-    # singleton, labelled -1 below.  float64 is the dtype csgraph computes
-    # in, so it makes no converted copy of its own.
-    edge = np.repeat(keep, np.diff(g.indptr)) & keep[g.indices]
-    adj = sparse.csr_matrix(
-        (edge, g.indices, g.indptr), shape=(g.n, g.n), dtype=np.float64, copy=True
-    )
-    adj.eliminate_zeros()
-    count, raw = csgraph.connected_components(adj, directed=False)
+    # every vertex outside `keep` is a singleton of the masked matrix,
+    # labelled -1 below
+    count, raw = csgraph.connected_components(_masked_adjacency(g, keep), directed=False)
     ids = np.flatnonzero(keep)
     raw = raw[ids]
     sizes = np.bincount(raw, minlength=count)
@@ -269,6 +279,19 @@ def ball(g: Graph, live: VertexMask, v: int, r: int) -> VertexMask:
         raise InputError("ball radius must be nonnegative")
     layers = bfs_layers(g, live, v, radius=r)
     return VertexMask(layers.dist >= 0)
+
+
+def _ball_sizes(adj: sparse.csr_matrix, r: int, sources: np.ndarray) -> np.ndarray:
+    """Size of the radius-r ball around each source, in one csgraph pass.
+
+    `adj` is `_masked_adjacency(g, live.bits)` and every source is live, so
+    entry i equals ``ball(g, live, sources[i], r).size``.  The matrix is
+    symmetric, so the directed search gives the undirected distances
+    without csgraph symmetrizing a copy; `limit` is inclusive and leaves
+    every vertex beyond r at infinity.
+    """
+    dist = csgraph.dijkstra(adj, unweighted=True, limit=r, indices=sources)
+    return np.isfinite(dist).sum(axis=1)
 
 
 def tree_path(layers: BfsLayers, x: int) -> np.ndarray:

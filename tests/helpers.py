@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from minorsep.errors import InputError
-from minorsep.graph import build_graph
+from minorsep.graph import ball, build_graph
 from minorsep.rng import stream, truncated_exponential
 
 
@@ -47,6 +47,28 @@ def heap_partition(g, live, delta, rng):
             if live.bits[w] and center[w] < 0:
                 heapq.heappush(heap, (key + 1.0, c, w))
     return center, shift
+
+
+def lexsort_csr(n, pairs):
+    """(indptr, indices) of the simple graph on `pairs` as the lexsort build
+    made them: dedupe on (min, max), store both orientations, order by
+    np.lexsort on (source, target)."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    uv = np.unique(np.sort(pairs, axis=1), axis=0)
+    src = np.concatenate([uv[:, 0], uv[:, 1]])
+    tgt = np.concatenate([uv[:, 1], uv[:, 0]])
+    order = np.lexsort((tgt, src))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
+    return indptr, tgt[order]
+
+
+def loop_exact_center(g, live, r, n):
+    """The exact center scan as one `ball` call per live vertex: the smallest
+    live id whose radius-r ball holds 2n/3 of n, or None."""
+    for v in live.ids().tolist():
+        if 3 * ball(g, live, v, r).size >= 2 * n:
+            return v
+    return None
 
 
 def uf_components(n, edges):

@@ -213,6 +213,37 @@ def test_verify_rejects_tampered_witness(tmp_path, capsys):
     assert "FAIL pairwise_adjacent" in out
 
 
+def subdivided_clique_branches(h, t):
+    """The K_h model of subdivided_clique(h, t): branch i is vertex i plus
+    the t interior vertices of every edge (i, j) with j > i."""
+    branches = [[i] for i in range(h)]
+    e = 0
+    for i in range(h):
+        for j in range(i + 1, h):
+            branches[i].extend(range(h + e * t, h + (e + 1) * t))
+            e += 1
+    return branches
+
+
+def test_verify_large_witness(tmp_path, capsys):
+    # 15 + 105 * 950 = 99,765 vertices, branches of 1 to 13,301 vertices
+    graph = tmp_path / "g.txt"
+    run("gen", "--family", "subdivided_clique", "--params", "15,950", "--out", str(graph))
+    branches = subdivided_clique_branches(15, 950)
+    cert = tmp_path / "c.json"
+    cert.write_text(json.dumps({"type": "witness", "h": 15, "branches": branches}))
+    assert run("verify", "--input", str(graph), "--certificate", str(cert)) == 0
+    assert "certificate valid" in capsys.readouterr().out
+    # dropping the middle interior vertex of edge (0, 1) splits branch 0
+    branches[0].remove(15 + 950 // 2)
+    cert.write_text(json.dumps({"type": "witness", "h": 15, "branches": branches}))
+    assert run("verify", "--input", str(graph),
+               "--certificate", str(cert)) == EXIT_CERT_INVALID
+    out = capsys.readouterr().out
+    assert "FAIL each_connected: disconnected branches [0]" in out
+    assert "ok pairwise_adjacent" in out
+
+
 def test_verify_malformed_certificates(tmp_path, capsys):
     graph = tmp_path / "g.txt"
     run("gen", "--family", "path", "--params", "5", "--out", str(graph))

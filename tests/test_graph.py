@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from minorsep.errors import InputError
 from minorsep.graph import (
     VertexMask,
+    _ball_sizes,
+    _masked_adjacency,
     ball,
     bfs_layers,
     build_graph,
@@ -13,7 +15,7 @@ from minorsep.graph import (
     tree_path,
 )
 
-from helpers import adjacency, bfs_dist, uf_components
+from helpers import adjacency, bfs_dist, lexsort_csr, uf_components
 
 # 3x3 grid, row-major ids: 0 1 2 / 3 4 5 / 6 7 8
 GRID3 = build_graph(9, [
@@ -62,6 +64,25 @@ def test_build_empty_and_edgeless():
     g = build_graph(5, np.empty((0, 2), dtype=np.int64))
     assert g.n == 5 and g.m == 0
     assert labels_and_sizes(g) == ([0, 1, 2, 3, 4], [1] * 5)
+
+
+def test_build_matches_lexsort_reference():
+    rng = np.random.default_rng(11)
+    cases = [
+        (0, np.empty((0, 2), dtype=np.int64)),
+        (5, np.empty((0, 2), dtype=np.int64)),
+        (4, [(1, 0), (0, 1), (1, 0), (2, 3), (3, 2)]),
+        (7, [(6, 0), (0, 6), (5, 1), (1, 5), (4, 2), (6, 1), (1, 6), (0, 1)]),
+    ]
+    for n, m in ((40, 300), (500, 2000)):
+        # repeats and both orientations of the same edge
+        pairs = rng.integers(n, size=(m, 2))
+        cases.append((n, pairs[pairs[:, 0] != pairs[:, 1]]))
+    for n, pairs in cases:
+        g = build_graph(n, pairs)
+        indptr, indices = lexsort_csr(n, pairs)
+        assert g.indptr.tolist() == indptr.tolist()
+        assert g.indices.tolist() == indices.tolist()
 
 
 def test_neighbors_ascending():
@@ -245,3 +266,14 @@ def test_ball_matches_distance_threshold(seed, r):
     b = ball(g, VertexMask.full(n), 3, r)
     want = np.flatnonzero((L.dist >= 0) & (L.dist <= r))
     assert b.ids().tolist() == want.tolist()
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 2, 4, 9]))
+def test_ball_sizes_match_ball(seed, r):
+    rng = np.random.default_rng(seed)
+    n = 40
+    g = build_graph(n, random_edges(rng, n, 70))
+    for live in (VertexMask.full(n), VertexMask(rng.random(n) < 0.7)):
+        sources = live.ids()
+        sizes = _ball_sizes(_masked_adjacency(g, live.bits), r, sources)
+        assert sizes.tolist() == [ball(g, live, v, r).size for v in sources.tolist()]

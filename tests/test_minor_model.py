@@ -9,6 +9,7 @@ from minorsep.errors import InputError, ModelError
 from minorsep.graph import VertexMask, build_graph
 from minorsep.instances import InstanceSpec, generate
 from minorsep.minor_model import (
+    _connected,
     add_branch,
     branch_neighbors,
     f_selector,
@@ -19,7 +20,7 @@ from minorsep.minor_model import (
     witness_from_json,
 )
 
-from helpers import petersen
+from helpers import petersen, uf_components
 
 K4 = generate(InstanceSpec("complete", (4,)))
 P4 = generate(InstanceSpec("path", (4,)))
@@ -189,6 +190,24 @@ def test_validate_rejects_overlap_and_disconnection():
     ok, checks = validate_clique_minor(MinorModelFrom([[0, 3], [1], [2]], 4), P4, 3)
     names = check_names(checks)
     assert not ok and not names["each_connected"]
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+def test_connected_matches_union_find_on_induced_subgraphs(seed, k):
+    rng = np.random.default_rng(seed)
+    n = 30
+    pairs = rng.integers(n, size=(45, 2))
+    g = build_graph(n, pairs[pairs[:, 0] != pairs[:, 1]])
+    ids = rng.choice(n, size=k, replace=False)
+    keep = set(ids.tolist())
+    us, vs = g.edges()
+    local = {v: i for i, v in enumerate(sorted(keep))}
+    induced = [(local[u], local[v]) for u, v in zip(us.tolist(), vs.tolist())
+               if u in keep and v in keep]
+    want = len(uf_components(k, induced)) == 1
+    assert _connected(g, ids) == want
+    # the same set, unsorted and with repeats
+    assert _connected(g, np.concatenate([ids, ids[::-2]])) == want
 
 
 def test_petersen_spokes_are_a_k5_model():

@@ -4,18 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minorsep.errors import InputError
-from minorsep.graph import build_graph
+from minorsep.graph import VertexMask, build_graph
 from minorsep.instances import InstanceSpec, generate
 from minorsep.separator import (
     BalancedSeparator,
     MinorWitness,
+    _exact_center,
     balanced_separator,
     ceil_log2,
     default_ell,
 )
 from minorsep.verify import verify_balanced, verify_witness
 
-from helpers import deep_anchor, fallback_tree
+from helpers import deep_anchor, fallback_tree, loop_exact_center
 
 
 def gen(family, *params, seed=0):
@@ -154,6 +155,70 @@ def test_subdivided_clique_witness():
     assert isinstance(out, MinorWitness)
     assert out.model.size == 8
     assert verify_witness(g, out.model, 8).ok
+
+
+# -- exact center scan -------------------------------------------------------------
+
+def hubs(n, centers):
+    """n vertices; each id in `centers` is adjacent to every other vertex."""
+    return build_graph(n, [(c, v) for c in centers for v in range(n) if v != c])
+
+
+def scan(g, live, r):
+    """The batched scan's vertex, after checking it against the per-vertex loop."""
+    got = _exact_center(g, live, r, g.n)
+    assert got == loop_exact_center(g, live, r, g.n)
+    return got
+
+
+def test_exact_center_takes_the_first_id_on_dense_gnp():
+    g = gen("gnp", 120, 0.3, seed=2)
+    delta = default_ell(g.n, 5) * ceil_log2(5)
+    full = VertexMask.full(g.n)
+    assert scan(g, full, delta) == 0
+    assert scan(g, full, 0) is None
+    scan(g, full, 1)
+    holed = VertexMask.full(g.n).minus_ids(np.array([0, 1, 5]))
+    assert scan(g, holed, delta) == 2
+
+
+@pytest.mark.parametrize("family,params", [
+    ("cycle", (500,)), ("path", (500,)), ("grid", (22, 22)),
+])
+def test_exact_center_rejects_every_id_on_sparse_inputs(family, params):
+    g = gen(family, *params)
+    delta = default_ell(g.n, 5) * ceil_log2(5)
+    for r in (0, 1, delta):
+        assert scan(g, VertexMask.full(g.n), r) is None
+
+
+def test_exact_center_finds_a_late_hub_in_every_block():
+    n = 40
+    for c in range(n):
+        g = hubs(n, [c])
+        assert scan(g, VertexMask.full(n), 1) == c
+        assert scan(g, VertexMask.full(n), 0) is None
+        assert scan(g, VertexMask.full(n), 2) == 0
+
+
+def test_exact_center_takes_the_smallest_of_several_hubs():
+    n = 40
+    for centers in ((5, 6), (7, 4), (12, 9), (3, 38), (20, 31, 17)):
+        assert scan(hubs(n, centers), VertexMask.full(n), 1) == min(centers)
+
+
+def test_exact_center_respects_holes_in_live():
+    g = hubs(30, [17])
+    live = VertexMask.full(30).minus_ids(np.array([0, 3, 4, 20]))
+    assert scan(g, live, 1) == 17
+    assert scan(g, live, 2) == 1
+    assert scan(g, live.minus_ids(np.array([17])), 1) is None
+    g = gen("grid", 9, 9)
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        live = VertexMask(rng.random(g.n) < 0.85)
+        for r in (0, 1, 4, 6, 8):
+            scan(g, live, r)
 
 
 # -- deep instances driving the rarer steps ----------------------------------------
