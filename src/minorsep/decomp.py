@@ -9,14 +9,27 @@ dist_live(c, u) <= shift[c] < delta/2, so each part has strong radius < delta/2
 around its center and weak diameter <= delta.
 
 The assignment is the shifted parallel BFS of Miller, Peng and Xu ("Parallel
-graph decompositions using random shifts", SPAA 2013), one numpy round per
-BFS layer.  Each live vertex holds a label (key, center), first
-(-shift[v], v).  In each round every vertex whose label dropped in the round
-before offers (key + 1.0, center) to its live neighbors, and a neighbor keeps
-the lexicographic minimum of its label and the offers: the lowest key, then
-the smallest center among the offers tied on it.  The loop ends when no label
-drops, after at most ceil(delta/2) + 1 rounds, since a winning path is
-shorter than its center's shift.
+graph decompositions using random shifts", SPAA 2013), run as a bucket queue
+in the manner of Dial ("Shortest-path forest with topological ordering",
+CACM 1969).  Each live vertex holds a label (key, center), first
+(-shift[v], v), and offers (key + 1.0, center) to its live neighbors once,
+when its label is final; a neighbor keeps the lexicographic minimum of its
+label and the offers: the lowest key, then the smallest center among the
+offers tied on it.  The loop visits integer buckets b in ascending order,
+each the floor of the lowest open key, so empty stretches are skipped.  In
+bucket b every open vertex whose key is below b + 1 is settled: it is
+closed, its edges are gathered once, and it offers.
+
+Settled labels are final.  Every later offer comes from a key of at least b,
+so it is at least fl(b + 1.0) = b + 1 (rounding is monotone), strictly above
+every key settled in bucket b: no later offer beats or ties a settled label.
+The open vertices below b + 1 are found without a scan: the live ids are
+sorted once by floor(start key), and the rest are the targets whose label
+an offer lowered in the bucket before.  Those offers lie in [b, b + 1),
+since k + 1.0 is exact for a key k <= -1/2 of magnitude below 2**52, and an
+offer from a key above -1/2 exceeds 1/2 and beats no label.  Every key lies
+in (-delta/2, 0], so the loop ends by bucket 0, after at most
+ceil(delta/2) + 1 buckets.
 
 The final labels are the unique fixed point of "label = min(own start, every
 neighbor's label + (1.0, 0))": rounding keeps fl(x + 1.0) > x, so each label
@@ -25,7 +38,9 @@ entries settles the same fixed point, and its tuple order is what "smallest
 center id" means, so both give the same centers bit for bit.  Keys are built
 as parent key + 1.0 in both.  (They could part only if two distinct keys met
 at one vertex and rounded to the same sum, which needs shifts within an ulp
-of each other.)
+of each other, or on keys of magnitude 2**52 and above, where x + 1.0 can
+round to x.  The loop ends there too: each pass moves past a start bucket or
+consumes the carried targets, and each vertex is settled once.)
 
 The boundary is every live vertex with a live neighbor assigned elsewhere.
 Removing it disconnects distinct parts from each other.
@@ -39,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .graph import Graph, VertexMask, _gather
+from .graph import Graph, VertexMask, _gather, _sorted_unique
 from .rng import SplitMix64, truncated_exponential
 
 __all__ = ["Partition", "LddResult", "padded_partition", "ldd"]
@@ -84,14 +99,30 @@ def padded_partition(g: Graph, live: VertexMask, delta: float, rng: SplitMix64) 
     shifts = truncated_exponential(rng.block_floats(n_live), rate, delta / 2.0)
     shift[ids] = shifts
 
-    # A vertex outside live holds key -inf, so no offer ever beats it.
+    # A vertex outside live holds key -inf, so no offer ever beats it, and a
+    # settled vertex's key is below every offer still to come, so the key
+    # test alone drops the edges that lead to either.
     key = np.full(g.n, -np.inf)
     key[ids] = -shifts
     center[ids] = ids
-    changed = np.zeros(g.n, dtype=bool)
-    frontier = ids
-    while frontier.size:
-        src, tgt = _gather(g, frontier)
+    is_open = live.bits.copy()
+    # the live ids by start bucket; the order inside a bucket does not matter
+    floors = np.floor(-shifts)
+    order = np.argsort(floors)
+    floors, by_start = floors[order], ids[order]
+    head = 0
+    carry = np.empty(0, dtype=np.int64)
+    while head < n_live or carry.size:
+        b = floors[head] if head < n_live else np.inf
+        if carry.size:
+            b = min(b, np.floor(key[carry].min()))
+        tail = int(np.searchsorted(floors, b, side="right"))
+        pool = np.concatenate([by_start[head:tail], carry])
+        head = tail
+        # a vertex can be offered to twice and also start in this bucket
+        settle = _sorted_unique(pool[is_open[pool]])
+        is_open[settle] = False
+        src, tgt = _gather(g, settle)
         cand = key[src] + 1.0
         k_old = key[tgt]
         # keep the offers that beat their target's label; most lose on the
@@ -107,9 +138,7 @@ def padded_partition(g: Graph, live: VertexMask, delta: float, rng: SplitMix64) 
         center[tgt[k_new < k_old]] = g.n  # a lower key discards the old center
         tie = cand == k_new
         np.minimum.at(center, tgt[tie], c_src[tie])
-        changed[tgt] = True
-        frontier = np.flatnonzero(changed)
-        changed[frontier] = False
+        carry = tgt
     return Partition(center, shift)
 
 

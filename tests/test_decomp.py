@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from minorsep import decomp
 from minorsep.decomp import ldd, padded_partition
 from minorsep.errors import InputError
 from minorsep.graph import VertexMask, bfs_layers, connected_components
@@ -194,3 +195,80 @@ def test_components_after_cut_have_small_weak_diameter(seed, delta):
         for v in cset:
             d = bfs_dist(adj, [v])
             assert all(0 <= d[w] <= delta for w in cset)
+
+
+def count_gathers(monkeypatch):
+    """Patch the LDD's edge gather to tally its calls and frontier sizes."""
+    tally = {"calls": 0, "vertices": 0}
+    real = decomp._gather
+
+    def gather(g, frontier):
+        tally["calls"] += 1
+        tally["vertices"] += frontier.size
+        return real(g, frontier)
+
+    monkeypatch.setattr(decomp, "_gather", gather)
+    return tally
+
+
+@pytest.mark.parametrize("family,params,delta,masked", [
+    ("grid", (40, 40), 24.0, False),
+    ("cycle", (3000,), 40.0, False),
+    ("gnp", (500, 0.008), 9.37, True),
+], ids=["grid", "cycle", "gnp-masked"])
+def test_each_vertex_settles_once(family, params, delta, masked, monkeypatch):
+    # every live vertex gathers its edges exactly once per call
+    g = gen(family, *params, seed=2)
+    live = VertexMask(np.arange(g.n) % 9 != 4) if masked else VertexMask.full(g.n)
+    tally = count_gathers(monkeypatch)
+    for seed in range(3):
+        tally["vertices"] = 0
+        part = padded_partition(g, live, delta, stream(seed, "ldd"))
+        assert tally["vertices"] == live.size
+        center, _ = heap_partition(g, live, delta, stream(seed, "ldd"))
+        assert np.array_equal(part.center, center)
+
+
+@pytest.mark.parametrize("toward", [0.0, -np.inf, np.inf], ids=["on", "below", "above"])
+@pytest.mark.parametrize("delta", [8.0, 11.0])
+@pytest.mark.parametrize("family,params", ORACLE_GRAPHS[:4], ids=lambda p: str(p))
+def test_matches_heap_reference_at_bucket_edges(family, params, delta, toward, monkeypatch):
+    # Shifts on whole numbers, or one ulp to either side of them, put start
+    # keys and offers on or next to the bucket bounds b + 1.
+    def edge_shifts(u, rate, cap):
+        whole = np.floor(u * cap)
+        return np.maximum(np.nextafter(whole, whole if toward == 0.0 else toward), 0.0)
+
+    monkeypatch.setattr("minorsep.decomp.truncated_exponential", edge_shifts)
+    monkeypatch.setattr("helpers.truncated_exponential", edge_shifts)
+    g = gen(family, *params, seed=4)
+    for live in (VertexMask.full(g.n), VertexMask(np.arange(g.n) % 6 != 1)):
+        for seed in range(3):
+            part = padded_partition(g, live, delta, stream(seed, "ldd"))
+            center, shift = heap_partition(g, live, delta, stream(seed, "ldd"))
+            assert np.array_equal(part.shift[live.ids()], shift[live.ids()])
+            assert np.array_equal(part.center, center)
+
+
+@pytest.mark.parametrize("delta", [0.25, 0.5, 0.999])
+def test_delta_below_one_keeps_every_vertex_its_own_center(delta, monkeypatch):
+    # every shift is below 1/2, so every offer (above 1/2) loses to every
+    # start key (at most 0): one bucket below 0, and bucket 0 for a zero shift
+    g = gen("grid", 12, 12)
+    tally = count_gathers(monkeypatch)
+    for live in (VertexMask.full(g.n), VertexMask(np.arange(g.n) % 4 != 0)):
+        for seed in range(3):
+            tally["calls"] = 0
+            part = padded_partition(g, live, delta, stream(seed, "ldd"))
+            ids = live.ids()
+            assert part.center[ids].tolist() == ids.tolist()
+            assert np.all(part.center[~live.bits] == -1)
+            assert 1 <= tally["calls"] <= 2
+
+
+@pytest.mark.parametrize("delta", [1e17, 1e300])
+def test_huge_delta_ends_with_every_vertex_assigned(delta):
+    # keys beyond 2**52 in magnitude, where key + 1.0 can round back to key
+    g = gen("grid", 15, 15)
+    part = padded_partition(g, VertexMask.full(g.n), delta, stream(1, "ldd"))
+    assert np.all(part.center >= 0)

@@ -9,6 +9,7 @@ from minorsep.errors import InputError, ModelError
 from minorsep.graph import VertexMask, build_graph
 from minorsep.instances import InstanceSpec, generate
 from minorsep.minor_model import (
+    MinorModel,
     _connected,
     add_branch,
     branch_neighbors,
@@ -95,6 +96,22 @@ def test_branch_neighbors_respects_live():
     # members are never their own neighbors
     m2 = grow_branch(m, P4, 0, [2])
     assert branch_neighbors(m2, P4, full(P4), 0).tolist() == [0, 3]
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 120), st.integers(0, 40),
+       st.floats(0.0, 0.6))
+def test_branch_neighbors_matches_unique_setdiff(seed, n, k, holes):
+    # reference: np.unique of the live neighbor entries, then np.setdiff1d of
+    # the branch; random (not necessarily connected) branches, masks with holes
+    rng = np.random.default_rng(seed)
+    g = generate(InstanceSpec("gnp", (n, min(1.0, 4.0 / n)), seed % 1000))
+    ids = np.sort(rng.choice(n, min(k, n), replace=False)).astype(np.int64)
+    live = VertexMask(rng.random(n) >= holes)
+    nbrs = np.concatenate([g.neighbors(v) for v in ids.tolist()] + [np.empty(0, np.int64)])
+    want = np.setdiff1d(np.unique(nbrs[live.bits[nbrs]]), ids, assume_unique=True)
+    got = branch_neighbors(MinorModel(n, (ids,)), g, live, 0)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
 
 
 def test_trim_keeps_only_touching_branches():
