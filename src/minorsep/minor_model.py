@@ -56,7 +56,7 @@ class MinorModel:
     def vertices(self) -> np.ndarray:
         if not self.branches:
             return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(self.branches))
+        return _sorted_unique(np.concatenate(self.branches))
 
     def member_mask(self) -> VertexMask:
         return VertexMask.from_ids(self.n, self.vertices())
@@ -65,7 +65,9 @@ class MinorModel:
 def _as_ids(n: int, vs) -> np.ndarray:
     if isinstance(vs, VertexMask):
         return vs.ids()
-    arr = np.unique(np.asarray(list(vs) if not isinstance(vs, np.ndarray) else vs, dtype=np.int64))
+    arr = _sorted_unique(
+        np.asarray(list(vs) if not isinstance(vs, np.ndarray) else vs, dtype=np.int64)
+    )
     if arr.size and (arr[0] < 0 or arr[-1] >= n):
         raise ModelError(f"vertex id out of range 0..{n - 1}")
     return arr
@@ -108,12 +110,10 @@ def _connected(g: Graph, ids: np.ndarray) -> bool:
 
 
 def _adjacent(g: Graph, a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether some edge leaves a vertex of `a` for a vertex of `b`."""
     in_b = np.zeros(g.n, dtype=bool)
     in_b[b] = True
-    for v in a.tolist():
-        if in_b[g.neighbors(v)].any():
-            return True
-    return False
+    return bool(in_b[_gather(g, a)[1]].any())
 
 
 def new_model(n: int, x: int) -> MinorModel:
@@ -150,7 +150,7 @@ def grow_branch(m: MinorModel, g: Graph, idx: int, z) -> MinorModel:
     if (taken >= 0).any():
         bad = int(taken[taken >= 0][0])
         raise ModelError(f"growth overlaps branch {bad}")
-    merged = np.union1d(m.branches[idx], zids)
+    merged = _sorted_unique(np.concatenate([m.branches[idx], zids]))
     if not _connected(g, merged):
         raise ModelError(f"branch {idx} would become disconnected")
     branches = list(m.branches)
@@ -241,7 +241,8 @@ def witness_from_json(n: int, payload) -> tuple:
     if not isinstance(raw, list):
         raise InputError("malformed witness JSON: 'branches' must be a list")
     branches = tuple(
-        np.unique(_json_ids(b, "malformed witness JSON: each entry of 'branches'")) for b in raw
+        _sorted_unique(_json_ids(b, "malformed witness JSON: each entry of 'branches'"))
+        for b in raw
     )
     for ids in branches:
         if ids.size and (ids[0] < 0 or ids[-1] >= n):

@@ -39,6 +39,7 @@ from .graph import (
     BfsLayers,
     _ball_sizes,
     _masked_adjacency,
+    _sorted_unique,
     ball,
     bfs_layers,
     connected_components,
@@ -108,16 +109,18 @@ class MinorWitness(SeparatorOutcome):
 
 @dataclass
 class LayeredView:
-    """BFS layering of live from a center whose base-ball holds >= 2n/3."""
+    """BFS layering of live from a center whose base-ball holds >= 2n/3.
+
+    `sizes[d]` counts the live vertices at depth d.  `window` marks the live
+    vertices at depth 0 to base + ell* + ell; a branch whose live neighbors
+    all lie deeper is stuck.
+    """
 
     center: int
     layers: BfsLayers
     base: int
-    ell_star: int
     sizes: np.ndarray
-    U: VertexMask
-    B: VertexMask
-    M_plus: VertexMask
+    window: np.ndarray
 
 
 @dataclass
@@ -129,7 +132,7 @@ class DriverState:
     model: MinorModel
     x_set: VertexMask
     live: VertexMask
-    step1_sep: VertexMask | None = None
+    step1_sep: VertexMask
     iteration: int = 0
     stats: dict = field(default_factory=dict)
     charged: np.ndarray = None
@@ -165,11 +168,16 @@ def _largest_component_mask(g: Graph, mask: VertexMask) -> VertexMask:
 
 
 def _retire_and_trim(st: DriverState) -> None:
-    for i in range(st.model.size):
-        if branch_neighbors(st.model, st.g, st.live, i).size == 0:
-            st.retired.append(st.model.branches[i])
-            st.stats["retired_branches"] += 1
-    st.model = trim(st.model, st.g, st.live)
+    """Trim the model to live; the branches trim drops are retired.
+
+    Branches are disjoint and nonempty, so a branch's first id names it.
+    """
+    kept = trim(st.model, st.g, st.live)
+    firsts = {int(ids[0]) for ids in kept.branches}
+    dropped = [ids for ids in st.model.branches if int(ids[0]) not in firsts]
+    st.retired.extend(dropped)
+    st.stats["retired_branches"] += len(dropped)
+    st.model = kept
 
 
 def _layered_view(st: DriverState, root: int, base: int) -> LayeredView:
@@ -181,31 +189,17 @@ def _layered_view(st: DriverState, root: int, base: int) -> LayeredView:
             f"(BFS from {root} reached {reached} of {st.live.size})"
         )
     sizes = np.array([len(L) for L in lay.layers], dtype=np.int64)
-    ell_star = st.ell_star
-    dist = lay.dist
-
-    def band(lo: int, hi=None) -> VertexMask:
-        bits = dist >= lo if hi is None else (dist >= lo) & (dist <= hi)
-        return VertexMask(bits & st.live.bits)
-
-    view = LayeredView(
-        center=root,
-        layers=lay,
-        base=base,
-        ell_star=ell_star,
-        sizes=sizes,
-        U=band(0, base),
-        B=band(base + ell_star + 1),
-        M_plus=band(base + 1, base + ell_star + st.ell),
-    )
-    if 3 * view.U.size < 2 * st.n:
+    base_ball = int(sizes[:base + 1].sum())
+    if 3 * base_ball < 2 * st.n:
         raise SelfVerificationError(
             f"iteration {st.iteration}: center {root} has base ball "
-            f"{view.U.size} < 2n/3 of n={st.n}"
+            f"{base_ball} < 2n/3 of n={st.n}"
         )
+    # every live vertex was reached, so depth >= 0 is exactly live
+    window = (lay.dist >= 0) & (lay.dist <= base + st.ell_star + st.ell)
     st.base_max = max(st.base_max, base)
-    st.branch_budget = (st.h - 1) * (st.base_max + ell_star + st.ell) + 1
-    return view
+    st.branch_budget = (st.h - 1) * (st.base_max + st.ell_star + st.ell) + 1
+    return LayeredView(center=root, layers=lay, base=base, sizes=sizes, window=window)
 
 
 def _exact_center(g: Graph, live: VertexMask, r: int, n: int) -> int | None:
@@ -232,8 +226,8 @@ def _exact_center(g: Graph, live: VertexMask, r: int, n: int) -> int | None:
     return None
 
 
-def step1_decompose(st: DriverState):
-    """LDD the live part; either Finished (carrying S) or a LayeredView.
+def step1_decompose(st: DriverState) -> LayeredView | None:
+    """LDD the live part; a LayeredView, or None once S is set as step1_sep.
 
     When every post-LDD component is small but the live part is tiny, an
     exact scan may still find a vertex whose delta-ball holds 2n/3 of the
@@ -256,7 +250,9 @@ def step1_decompose(st: DriverState):
         if v is not None:
             st.stats["exact_center_used"] += 1
             return _layered_view(st, v, st.delta)
-    return ("finished", res.boundary)
+    st.step1_sep = res.boundary
+    st.stats["step1_finished"] = 1
+    return None
 
 
 def _try_fast_center(st: DriverState):
@@ -270,41 +266,41 @@ def _try_fast_center(st: DriverState):
     return None
 
 
-def step2_grow_model(st: DriverState, view: LayeredView):
-    """New-branch candidate: tree paths to each branch's shallowest window
-    contact, or None when some branch only touches live below the window."""
-    window_bits = view.U.bits | view.M_plus.bits
+def _scan_branches(st: DriverState, view: LayeredView):
+    """One pass over the branches in index order.
+
+    Returns (i, nbrs) for the first branch i whose live neighbors `nbrs`
+    all lie below the window, or (None, contacts) with the shallowest
+    window contact of every branch when no branch is stuck.
+    """
     contacts = []
     for i in range(st.model.size):
         nbrs = branch_neighbors(st.model, st.g, st.live, i)
-        hits = nbrs[window_bits[nbrs]]
+        hits = nbrs[view.window[nbrs]]
         if hits.size == 0:
-            return None
+            return i, nbrs
         contacts.append(int(hits[0]))
+    return None, contacts
+
+
+def step2_grow_model(view: LayeredView, contacts: list) -> np.ndarray:
+    """New-branch candidate: the tree paths to every branch's contact, or
+    the center alone when the model is empty."""
     if not contacts:
         return np.array([view.center], dtype=np.int64)
-    paths = [tree_path(view.layers, xc) for xc in contacts]
-    return np.unique(np.concatenate(paths))
+    return _sorted_unique(np.concatenate([tree_path(view.layers, xc) for xc in contacts]))
 
 
-def step3_grow_branch(st: DriverState, view: LayeredView):
-    """Pick the stuck branch and flood everything below the thinnest window
-    layer that it can reach; afterwards its live neighborhood fits in that
-    layer."""
-    window_bits = view.U.bits | view.M_plus.bits
-    sel = None
-    sel_nbrs = None
-    for i in range(st.model.size):
-        nbrs = branch_neighbors(st.model, st.g, st.live, i)
-        if nbrs.size and not window_bits[nbrs].any():
-            sel, sel_nbrs = i, nbrs
-            break
-    if sel is None:
+def step3_grow_branch(st: DriverState, view: LayeredView, sel: int, sel_nbrs: np.ndarray):
+    """Flood everything below the thinnest window layer that the stuck
+    branch `sel` can reach through its live neighbors `sel_nbrs`;
+    afterwards its live neighborhood fits in that layer."""
+    if sel_nbrs.size == 0:
         raise SelfVerificationError(
             f"iteration {st.iteration}: dispatched to branch growth "
-            "with no branch stuck below the window"
+            f"with branch {sel} touching no live vertex"
         )
-    lo = view.base + view.ell_star + 1
+    lo = view.base + st.ell_star + 1
     window = view.sizes[lo:lo + st.ell]
     y = lo + int(np.argmin(window))
     if st.h * st.ell * int(view.sizes[y]) > st.n:
@@ -316,30 +312,26 @@ def step3_grow_branch(st: DriverState, view: LayeredView):
     W = VertexMask((dist >= y + 1) & st.live.bits)
     label, _ = connected_components(st.g, W)
     touched = label[sel_nbrs]
-    return sel, np.flatnonzero(np.isin(label, touched[touched >= 0])), y
+    return np.flatnonzero(np.isin(label, touched[touched >= 0]))
 
 
 def step4_cut_layer(st: DriverState, view: LayeredView) -> int:
     """Smallest layer index in the middle band whose size is at most 1/ell
     of everything below it."""
     sizes = view.sizes
+    top = view.base + st.ell_star
     suffix = np.concatenate([np.cumsum(sizes[::-1])[::-1], [0]])
-    for i in range(view.base + 1, view.base + view.ell_star + 1):
+    for i in range(view.base + 1, top + 1):
         if i < sizes.size and st.ell * int(sizes[i]) <= int(suffix[i + 1]):
             return i
     raise SelfVerificationError(
         f"iteration {st.iteration}: no cuttable layer in "
-        f"[{view.base + 1}, {view.base + view.ell_star}] "
-        f"(sizes {sizes[view.base + 1:view.base + view.ell_star + 1].tolist()})"
+        f"[{view.base + 1}, {top}] (sizes {sizes[view.base + 1:top + 1].tolist()})"
     )
 
 
-def _breakdown(st: DriverState, f_mask: VertexMask, s_mask) -> dict:
-    return {
-        "x": st.x_set.size,
-        "step1_s": 0 if s_mask is None else s_mask.size,
-        "f_selector": f_mask.size,
-    }
+def _breakdown(st: DriverState, f_mask: VertexMask) -> dict:
+    return {"x": st.x_set.size, "step1_s": st.step1_sep.size, "f_selector": f_mask.size}
 
 
 def _verified_separator(g: Graph, sep: VertexMask, size_breakdown: dict, stats: dict):
@@ -368,25 +360,20 @@ def _degenerate_separator(g: Graph, sep: VertexMask, stats: dict) -> BalancedSep
 def _finish_separator(st: DriverState) -> BalancedSeparator:
     g = st.g
     f_mask = f_selector(st.model, g, st.live)
-    s_mask = st.step1_sep
-    literal = st.x_set.union(f_mask)
-    if s_mask is not None:
-        literal = literal.union(s_mask)
-
-    flipped = st.x_set.union(st.model.member_mask())
-    if s_mask is not None:
-        flipped = flipped.union(s_mask)
+    members = st.model.member_mask()
+    cut = st.x_set.union(st.step1_sep)
+    flipped = cut.union(members)
     retired_mask = VertexMask.from_ids(
         g.n, np.concatenate(st.retired) if st.retired else np.empty(0, dtype=np.int64)
     )
     attempts = [
-        (0, literal, f_mask),
-        (1, flipped, st.model.member_mask()),
-        (2, flipped.union(retired_mask), st.model.member_mask().union(retired_mask)),
+        (0, cut.union(f_mask), f_mask),
+        (1, flipped, members),
+        (2, flipped.union(retired_mask), members.union(retired_mask)),
     ]
     for level, sep, branch_side in attempts:
         out = _verified_separator(
-            g, sep, _breakdown(st, branch_side, s_mask), {**st.stats, "fallback_level": level}
+            g, sep, _breakdown(st, branch_side), {**st.stats, "fallback_level": level}
         )
         if out is not None:
             return out
@@ -432,6 +419,7 @@ def balanced_separator(
         model=new_model(n, x),
         x_set=VertexMask.empty(n),
         live=live,
+        step1_sep=VertexMask.empty(n),
         stats=stats,
         charged=np.zeros(n, dtype=bool),
         delta=ell * log_h,
@@ -460,15 +448,13 @@ def balanced_separator(
         if fast_center and st.iteration >= 2:
             view = _try_fast_center(st)
         if view is None:
-            outcome = step1_decompose(st)
-            if isinstance(outcome, tuple):
-                st.step1_sep = outcome[1]
-                st.stats["step1_finished"] = 1
+            view = step1_decompose(st)
+            if view is None:
                 break
-            view = outcome
 
-        cand = step2_grow_model(st, view)
-        if cand is not None:
+        stuck, found = _scan_branches(st, view)
+        if stuck is None:
+            cand = step2_grow_model(view, found)
             st.model = add_branch(st.model, g, cand)
             st.stats["step2_count"] += 1
             if st.model.size == h:
@@ -481,10 +467,10 @@ def balanced_separator(
                     model=st.model, h=h, stats=dict(st.stats), verification=report
                 )
             st.live = _largest_component_mask(g, st.live.minus_ids(cand))
-        elif st.h * view.B.size <= n:
-            idx, z, y = step3_grow_branch(st, view)
+        elif st.h * int(view.sizes[view.base + st.ell_star + 1:].sum()) <= n:
+            z = step3_grow_branch(st, view, stuck, found)
             st.stats["step3_count"] += 1
-            st.model = grow_branch(st.model, g, idx, z)
+            st.model = grow_branch(st.model, g, stuck, z)
             st.live = _largest_component_mask(g, st.live.minus_ids(z))
         else:
             istar = step4_cut_layer(st, view)

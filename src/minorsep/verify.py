@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, VertexMask, connected_components
+from .graph import Graph, VertexMask, _sorted_unique, connected_components
 from .minor_model import MinorModel, branch_neighbors, validate_clique_minor
 
 __all__ = ["VerificationReport", "verify_balanced", "verify_witness", "check_invariants"]
@@ -105,7 +105,7 @@ def check_invariants(st) -> VerificationReport:
 
     src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
     touches = (~live.bits[src]) & live.bits[g.indices]
-    outside = np.unique(src[touches])
+    outside = _sorted_unique(src[touches])
     covered = st.x_set.bits[outside] | member.bits[outside]
     checks.append((
         "live_boundary_covered", bool(covered.all()),

@@ -10,6 +10,7 @@ from minorsep.graph import VertexMask, build_graph
 from minorsep.instances import InstanceSpec, generate
 from minorsep.minor_model import (
     MinorModel,
+    _adjacent,
     _connected,
     add_branch,
     branch_neighbors,
@@ -225,6 +226,12 @@ def test_connected_matches_union_find_on_induced_subgraphs(seed, k):
     assert _connected(g, ids) == want
     # the same set, unsorted and with repeats
     assert _connected(g, np.concatenate([ids, ids[::-2]])) == want
+    # _adjacent against a set oracle; the sets may overlap or be empty
+    a = ids[:rng.integers(0, k + 1)]
+    b = rng.integers(n, size=rng.integers(0, 6))
+    want = any(int(w) in set(b.tolist()) for v in a.tolist() for w in g.neighbors(v))
+    assert _adjacent(g, a, b) == want
+    assert _adjacent(g, b, a) == want
 
 
 def test_petersen_spokes_are_a_k5_model():

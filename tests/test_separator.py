@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -254,6 +257,34 @@ def test_fallback_when_selector_would_unbalance():
     assert out.stats["fallback_level"] == 1
     assert sorted(out.separator.ids().tolist()) == [1, 2]
     assert out.verification.ok
+
+
+# sha256 of (kind, separator ids or branches, size_breakdown, stats) for runs
+# that reach the steps the CLI frozen digests do not: branch growth (step 3),
+# a layer cut (step 4), fallback level 1, sampled centers and a witness.
+FROZEN_PATHS = [
+    ("deep_anchor_22", lambda: balanced_separator(deep_anchor(68, 22), 5, ell=1),
+     "8c18f04e3607c0da60d3cf8d3fab8d730a71f9b96dc180bdb71e1188d9017ec6"),
+    ("deep_anchor_30", lambda: balanced_separator(deep_anchor(68, 30), 5, ell=1),
+     "1a71eb48d3740fb7916de1b26ece486a295664e8a89e0d42a8b0ca8d7dde0be1"),
+    ("fallback_tree", lambda: balanced_separator(fallback_tree(), 3, ell=1),
+     "890ae544c57d9cb0bb147dadfeb892e95db00e9d7e0e1b47ac9b11cebaf7f882"),
+    ("gnp200_fast", lambda: balanced_separator(
+        gen("gnp", 200, 0.015, seed=3), 5, seed=3, fast_center=True),
+     "e2f28711acddf5913e66815aa647e431bf9da324b52a465dd6194ed83f28a724"),
+    ("complete9", lambda: balanced_separator(gen("complete", 9), 4),
+     "bf4c3ea70afee793822c9d61c25a148d35152eb45823cc4c5d26b0835882e2d9"),
+]
+
+
+@pytest.mark.parametrize("name,run,sha", FROZEN_PATHS, ids=[p[0] for p in FROZEN_PATHS])
+def test_step_paths_match_frozen_digests(name, run, sha):
+    out = run()
+    if out.kind == "separator":
+        body = [out.kind, out.separator.ids().tolist(), out.size_breakdown, out.stats]
+    else:
+        body = [out.kind, [b.tolist() for b in out.model.branches], None, out.stats]
+    assert hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest() == sha
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
