@@ -2,10 +2,11 @@
 
 Subcommands: separate, verify, gen, bench.  Exit codes: 0 balanced
 separator (or valid certificate), 10 minor witness, 1 invalid certificate,
-2 input error or out of memory, 3 self-verification failure.  JSON reports
-are canonical (sorted keys, no whitespace, schema "v1") and contain no
-timing, so a fixed (input, h, ell, seed, flags) tuple reproduces them byte
-for byte; wall-clock time goes to stderr.
+2 input error or out of memory, 3 self-verification failure (including a
+model operation the driver got wrong).  JSON reports are canonical (sorted
+keys, no whitespace, schema "v1") and contain no timing, so a fixed (input,
+h, ell, seed, flags) tuple reproduces them byte for byte; wall-clock time
+goes to stderr.
 """
 
 from __future__ import annotations
@@ -139,10 +140,9 @@ def cmd_separate(args) -> int:
     wall_ms = (time.perf_counter() - t0) * 1000.0
     print(f"wall_ms={wall_ms:.1f}", file=sys.stderr)
 
-    report = _report(g, source, args, outcome)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(_canonical_json(report))
+            fh.write(_canonical_json(_report(g, source, args, outcome)))
     if args.certificate:
         with open(args.certificate, "w", encoding="utf-8") as fh:
             fh.write(_canonical_json(_certificate(outcome)))
@@ -164,8 +164,11 @@ def cmd_separate(args) -> int:
 
 def cmd_verify(args) -> int:
     g = read_edge_list(args.input)
-    with open(args.certificate, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(args.certificate, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{args.certificate}: not UTF-8 text (byte {exc.start})") from None
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -216,6 +219,8 @@ def _bench_spec(family: str, n: int, seed: int) -> InstanceSpec:
 
 
 def cmd_bench(args) -> int:
+    if args.trials < 1:
+        raise InputError(f"--trials must be >= 1, got {args.trials}")
     sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
     rows = []
     for n in sizes:
@@ -302,10 +307,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (InputError, ModelError, FileNotFoundError, IsADirectoryError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except SelfVerificationError as exc:
+    except (SelfVerificationError, ModelError) as exc:
+        # certificate parsing raises InputError, so a ModelError is a driver bug
         print(f"self-verification failure: {exc}", file=sys.stderr)
         return EXIT_SELF_VERIFY
     except MemoryError:

@@ -195,8 +195,11 @@ def generate(spec: InstanceSpec) -> Graph:
 def read_edge_list(source) -> Graph:
     """Parse the ``p n m`` edge-list format; errors carry 1-based line numbers."""
     if isinstance(source, (str, bytes)):
-        with open(source, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{source}: not UTF-8 text (byte {exc.start})") from None
     else:
         lines = source.readlines()
     head, n, m = _read_header(lines)

@@ -8,7 +8,8 @@ qualifying branch index.
 
 Neighbor sets against a live mask are recomputed on demand rather than
 cached incrementally; the scales involved (h branches, each a few hundred
-vertices at most) make that the simpler correct choice.
+vertices at most) make that the simpler correct choice.  `trim` hands back
+the sets it computes, so a caller that trims need not compute them again.
 """
 
 from __future__ import annotations
@@ -116,6 +117,16 @@ def _adjacent(g: Graph, a: np.ndarray, b: np.ndarray) -> bool:
     return bool(in_b[_gather(g, a)[1]].any())
 
 
+def _owner_outside(m: MinorModel, ids: np.ndarray, what: str) -> np.ndarray:
+    """`m.branch_of()`, once no vertex of `ids` is found in a branch;
+    otherwise ModelError naming the first branch hit."""
+    owner = m.branch_of()
+    taken = owner[ids]
+    if (taken >= 0).any():
+        raise ModelError(f"{what} overlaps branch {taken[taken >= 0][0]}")
+    return owner
+
+
 def new_model(n: int, x: int) -> MinorModel:
     if not (0 <= x < n):
         raise ModelError(f"vertex id out of range 0..{n - 1}")
@@ -126,16 +137,13 @@ def add_branch(m: MinorModel, g: Graph, cand) -> MinorModel:
     ids = _as_ids(m.n, cand)
     if ids.size == 0:
         raise ModelError("new branch must be nonempty")
-    owner = m.branch_of()
-    taken = owner[ids]
-    if (taken >= 0).any():
-        bad = int(taken[taken >= 0][0])
-        raise ModelError(f"new branch overlaps branch {bad}")
+    owner = _owner_outside(m, ids, "new branch")
     if not _connected(g, ids):
         raise ModelError("new branch is not connected")
-    for i, other in enumerate(m.branches):
-        if not _adjacent(g, ids, other):
-            raise ModelError(f"new branch has no edge to branch {i}")
+    # edges per branch; owner is -1 off the branches, hence the shifted bin
+    hits = np.bincount(owner[_gather(g, ids)[1]] + 1, minlength=m.size + 1)[1:]
+    if not hits.all():
+        raise ModelError(f"new branch has no edge to branch {np.argmin(hits)}")
     return MinorModel(m.n, m.branches + (ids,))
 
 
@@ -145,11 +153,7 @@ def grow_branch(m: MinorModel, g: Graph, idx: int, z) -> MinorModel:
         return m
     if not (0 <= idx < m.size):
         raise ModelError(f"no branch {idx}")
-    owner = m.branch_of()
-    taken = owner[zids]
-    if (taken >= 0).any():
-        bad = int(taken[taken >= 0][0])
-        raise ModelError(f"growth overlaps branch {bad}")
+    _owner_outside(m, zids, "growth")
     merged = _sorted_unique(np.concatenate([m.branches[idx], zids]))
     if not _connected(g, merged):
         raise ModelError(f"branch {idx} would become disconnected")
@@ -158,13 +162,14 @@ def grow_branch(m: MinorModel, g: Graph, idx: int, z) -> MinorModel:
     return MinorModel(m.n, tuple(branches))
 
 
-def trim(m: MinorModel, g: Graph, live: VertexMask) -> MinorModel:
-    """Keep exactly the branches with a neighbor in live, order preserved."""
-    keep = tuple(
-        ids for i, ids in enumerate(m.branches)
-        if branch_neighbors(m, g, live, i).size > 0
-    )
-    return MinorModel(m.n, keep)
+def trim(m: MinorModel, g: Graph, live: VertexMask) -> tuple:
+    """Keep exactly the branches with a neighbor in live, order preserved.
+
+    Returns (kept model, list of each kept branch's live neighbors).
+    """
+    nbrs = [branch_neighbors(m, g, live, i) for i in range(m.size)]
+    keep = [i for i, nb in enumerate(nbrs) if nb.size]
+    return MinorModel(m.n, tuple(m.branches[i] for i in keep)), [nbrs[i] for i in keep]
 
 
 def f_selector(m: MinorModel, g: Graph, live: VertexMask) -> VertexMask:

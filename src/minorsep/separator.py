@@ -21,7 +21,8 @@ that still fails, vertices of branches retired along the way are removed
 too.  The third form is always balanced: every dropped component is
 non-adjacent to the others and holds at most n/2 vertices, and the final
 live side is shattered by S.  The attempt number is reported as
-stats["fallback_level"].
+stats["fallback_level"].  The exits before the loop (nothing removed, or
+the first branch's vertex alone) are single attempts of the same loop.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .graph import (
 from .minor_model import (
     MinorModel,
     add_branch,
-    branch_neighbors,
     f_selector,
     grow_branch,
     new_model,
@@ -116,7 +116,6 @@ class LayeredView:
     all lie deeper is stuck.
     """
 
-    center: int
     layers: BfsLayers
     base: int
     sizes: np.ndarray
@@ -140,9 +139,12 @@ class DriverState:
     delta: int = 0
     ell_star: int = 0
     base_max: int = 0
-    branch_budget: int = 0
     rng_ldd: object = None
     rng_fast: object = None
+
+    @property
+    def branch_budget(self) -> int:
+        return (self.h - 1) * (self.base_max + self.ell_star + self.ell) + 1
 
 
 def _new_stats() -> dict:
@@ -167,28 +169,29 @@ def _largest_component_mask(g: Graph, mask: VertexMask) -> VertexMask:
     return VertexMask(connected_components(g, mask)[0] == 0)
 
 
-def _retire_and_trim(st: DriverState) -> None:
+def _retire_and_trim(st: DriverState) -> list:
     """Trim the model to live; the branches trim drops are retired.
 
-    Branches are disjoint and nonempty, so a branch's first id names it.
+    Returns the live neighbors of each kept branch.  Branches are disjoint
+    and nonempty, so a branch's first id names it.
     """
-    kept = trim(st.model, st.g, st.live)
+    kept, nbrs = trim(st.model, st.g, st.live)
     firsts = {int(ids[0]) for ids in kept.branches}
     dropped = [ids for ids in st.model.branches if int(ids[0]) not in firsts]
     st.retired.extend(dropped)
     st.stats["retired_branches"] += len(dropped)
     st.model = kept
+    return nbrs
 
 
 def _layered_view(st: DriverState, root: int, base: int) -> LayeredView:
     lay = bfs_layers(st.g, st.live, root)
-    reached = sum(len(L) for L in lay.layers)
-    if reached != st.live.size:
+    sizes = np.array([len(L) for L in lay.layers], dtype=np.int64)
+    if sizes.sum() != st.live.size:
         raise SelfVerificationError(
             f"iteration {st.iteration}: live is not connected "
-            f"(BFS from {root} reached {reached} of {st.live.size})"
+            f"(BFS from {root} reached {sizes.sum()} of {st.live.size})"
         )
-    sizes = np.array([len(L) for L in lay.layers], dtype=np.int64)
     base_ball = int(sizes[:base + 1].sum())
     if 3 * base_ball < 2 * st.n:
         raise SelfVerificationError(
@@ -198,8 +201,7 @@ def _layered_view(st: DriverState, root: int, base: int) -> LayeredView:
     # every live vertex was reached, so depth >= 0 is exactly live
     window = (lay.dist >= 0) & (lay.dist <= base + st.ell_star + st.ell)
     st.base_max = max(st.base_max, base)
-    st.branch_budget = (st.h - 1) * (st.base_max + st.ell_star + st.ell) + 1
-    return LayeredView(center=root, layers=lay, base=base, sizes=sizes, window=window)
+    return LayeredView(layers=lay, base=base, sizes=sizes, window=window)
 
 
 def _exact_center(g: Graph, live: VertexMask, r: int, n: int) -> int | None:
@@ -266,19 +268,18 @@ def _try_fast_center(st: DriverState):
     return None
 
 
-def _scan_branches(st: DriverState, view: LayeredView):
-    """One pass over the branches in index order.
+def _scan_branches(view: LayeredView, nbrs: list):
+    """One pass over the branches' live neighbors `nbrs`, in index order.
 
-    Returns (i, nbrs) for the first branch i whose live neighbors `nbrs`
-    all lie below the window, or (None, contacts) with the shallowest
-    window contact of every branch when no branch is stuck.
+    Returns (i, nbrs[i]) for the first branch i whose live neighbors all
+    lie below the window, or (None, contacts) with the smallest-id window
+    contact of every branch when no branch is stuck.
     """
     contacts = []
-    for i in range(st.model.size):
-        nbrs = branch_neighbors(st.model, st.g, st.live, i)
-        hits = nbrs[view.window[nbrs]]
+    for i, nb in enumerate(nbrs):
+        hits = nb[view.window[nb]]
         if hits.size == 0:
-            return i, nbrs
+            return i, nb
         contacts.append(int(hits[0]))
     return None, contacts
 
@@ -287,19 +288,15 @@ def step2_grow_model(view: LayeredView, contacts: list) -> np.ndarray:
     """New-branch candidate: the tree paths to every branch's contact, or
     the center alone when the model is empty."""
     if not contacts:
-        return np.array([view.center], dtype=np.int64)
+        return np.array([view.layers.root], dtype=np.int64)
     return _sorted_unique(np.concatenate([tree_path(view.layers, xc) for xc in contacts]))
 
 
-def step3_grow_branch(st: DriverState, view: LayeredView, sel: int, sel_nbrs: np.ndarray):
+def step3_grow_branch(st: DriverState, view: LayeredView, sel_nbrs: np.ndarray):
     """Flood everything below the thinnest window layer that the stuck
-    branch `sel` can reach through its live neighbors `sel_nbrs`;
-    afterwards its live neighborhood fits in that layer."""
-    if sel_nbrs.size == 0:
-        raise SelfVerificationError(
-            f"iteration {st.iteration}: dispatched to branch growth "
-            f"with branch {sel} touching no live vertex"
-        )
+    branch can reach through its live neighbors `sel_nbrs` (nonempty, as
+    `trim` keeps only branches that touch live); afterwards its live
+    neighborhood fits in that layer."""
     lo = view.base + st.ell_star + 1
     window = view.sizes[lo:lo + st.ell]
     y = lo + int(np.argmin(window))
@@ -330,58 +327,38 @@ def step4_cut_layer(st: DriverState, view: LayeredView) -> int:
     )
 
 
-def _breakdown(st: DriverState, f_mask: VertexMask) -> dict:
-    return {"x": st.x_set.size, "step1_s": st.step1_sep.size, "f_selector": f_mask.size}
-
-
-def _verified_separator(g: Graph, sep: VertexMask, size_breakdown: dict, stats: dict):
-    """The BalancedSeparator for `sep`, or None if `sep` fails balance."""
-    report = verify_balanced(g, sep)
-    if not report.ok:
-        return None
-    return BalancedSeparator(
-        separator=sep,
-        component_sizes=list(report.component_sizes),
-        size_breakdown=size_breakdown,
-        stats=stats,
-        verification=report,
-    )
-
-
-def _degenerate_separator(g: Graph, sep: VertexMask, stats: dict) -> BalancedSeparator:
-    out = _verified_separator(
-        g, sep, {"x": 0, "step1_s": 0, "f_selector": sep.size}, stats
-    )
-    if out is None:
-        raise SelfVerificationError("degenerate-case separator failed verification")
-    return out
+def _first_balanced(g: Graph, attempts: list, stats: dict, failure: str) -> BalancedSeparator:
+    """The BalancedSeparator of the first attempt (separator, size_breakdown)
+    that passes verification; its index is the fallback level."""
+    for level, (sep, size_breakdown) in enumerate(attempts):
+        report = verify_balanced(g, sep)
+        if report.ok:
+            return BalancedSeparator(
+                separator=sep,
+                component_sizes=list(report.component_sizes),
+                size_breakdown=size_breakdown,
+                stats={**stats, "fallback_level": level},
+                verification=report,
+            )
+    raise SelfVerificationError(failure)
 
 
 def _finish_separator(st: DriverState) -> BalancedSeparator:
-    g = st.g
-    f_mask = f_selector(st.model, g, st.live)
     members = st.model.member_mask()
-    cut = st.x_set.union(st.step1_sep)
-    flipped = cut.union(members)
-    retired_mask = VertexMask.from_ids(
-        g.n, np.concatenate(st.retired) if st.retired else np.empty(0, dtype=np.int64)
+    retired = VertexMask.from_ids(
+        st.n, np.concatenate(st.retired) if st.retired else np.empty(0, dtype=np.int64)
     )
+    cut = st.x_set.union(st.step1_sep)
+    breakdown = {"x": st.x_set.size, "step1_s": st.step1_sep.size}
     attempts = [
-        (0, cut.union(f_mask), f_mask),
-        (1, flipped, members),
-        (2, flipped.union(retired_mask), members.union(retired_mask)),
+        (cut.union(side), {**breakdown, "f_selector": side.size})
+        for side in (f_selector(st.model, st.g, st.live), members, members.union(retired))
     ]
-    for level, sep, branch_side in attempts:
-        out = _verified_separator(
-            g, sep, _breakdown(st, branch_side), {**st.stats, "fallback_level": level}
-        )
-        if out is not None:
-            return out
-    raise SelfVerificationError(
+    return _first_balanced(st.g, attempts, st.stats, (
         f"no separator attempt balanced: n={st.n}, |X|={st.x_set.size}, "
         f"|live|={st.live.size}, model={[len(b) for b in st.model.branches]}, "
         f"retired={[len(b) for b in st.retired]}"
-    )
+    ))
 
 
 def balanced_separator(
@@ -404,16 +381,24 @@ def balanced_separator(
     stats.update({"n": n, "m": g.m, "h": h, "ell": ell, "fast": int(fast_center)})
 
     label, sizes = connected_components(g)
-    if sizes.size == 0 or 3 * int(sizes[0]) <= 2 * n:
-        # already balanced without removing anything
-        return _degenerate_separator(g, VertexMask.empty(n), stats)
-
-    scope = label == 0
-    x = int(np.argmax(scope))
-    scope[x] = False
-    live = _largest_component_mask(g, VertexMask(scope))
+    # the separator of an exit before the loop, None when the loop runs: nothing
+    # when no component is over 2n/3; x alone when removing it balances the
+    # graph (the selector could legally pick an unbalancing neighbor of x)
+    lone = VertexMask.empty(n)
+    if sizes.size and 3 * int(sizes[0]) > 2 * n:
+        scope = label == 0
+        x = int(np.argmax(scope))
+        scope[x] = False
+        live = _largest_component_mask(g, VertexMask(scope))
+        lone = VertexMask.from_ids(n, [x]) if 3 * live.size < 2 * n else None
+    if lone is not None:
+        return _first_balanced(
+            g, [(lone, {"x": 0, "step1_s": 0, "f_selector": lone.size})], stats,
+            "degenerate-case separator failed verification",
+        )
 
     log_h = ceil_log2(h)
+    delta = ell * log_h
     st = DriverState(
         g=g, n=n, h=h, ell=ell,
         model=new_model(n, x),
@@ -422,15 +407,19 @@ def balanced_separator(
         step1_sep=VertexMask.empty(n),
         stats=stats,
         charged=np.zeros(n, dtype=bool),
-        delta=ell * log_h,
+        delta=delta,
         ell_star=(log_h + 1) * ell,
+        base_max=delta,
         rng_ldd=stream(seed, "ldd"),
         rng_fast=stream(seed, "fast_center"),
     )
-    st.base_max = st.delta
-    st.branch_budget = (h - 1) * (st.delta + st.ell_star + ell) + 1
 
-    while 3 * st.live.size >= 2 * n:
+    while True:
+        # x touches live, so the first pass retires nothing; every pass
+        # leaves the live neighbors of each kept branch for the scan
+        nbrs = _retire_and_trim(st)
+        if 3 * st.live.size < 2 * n:
+            break
         if debug:
             report = check_invariants(st)
             st.stats["invariant_checks"] += 1
@@ -452,7 +441,7 @@ def balanced_separator(
             if view is None:
                 break
 
-        stuck, found = _scan_branches(st, view)
+        stuck, found = _scan_branches(view, nbrs)
         if stuck is None:
             cand = step2_grow_model(view, found)
             st.model = add_branch(st.model, g, cand)
@@ -468,7 +457,7 @@ def balanced_separator(
                 )
             st.live = _largest_component_mask(g, st.live.minus_ids(cand))
         elif st.h * int(view.sizes[view.base + st.ell_star + 1:].sum()) <= n:
-            z = step3_grow_branch(st, view, stuck, found)
+            z = step3_grow_branch(st, view, found)
             st.stats["step3_count"] += 1
             st.model = grow_branch(st.model, g, stuck, z)
             st.live = _largest_component_mask(g, st.live.minus_ids(z))
@@ -497,12 +486,6 @@ def balanced_separator(
                         f"iteration {st.iteration}: layers below the cut are disconnected"
                     )
             st.live = kept
-        _retire_and_trim(st)
-
-    if st.iteration == 0:
-        # the loop never ran: removing x alone already balances the graph,
-        # whereas the selector could legally pick an unbalancing neighbor
-        return _degenerate_separator(g, VertexMask.from_ids(n, [x]), dict(st.stats))
 
     if st.ell * st.x_set.size > st.stats["charged"]:
         raise SelfVerificationError(

@@ -208,6 +208,16 @@ def fallback_tree():
     return build_graph(nxt, edges)
 
 
+def retired_fallback():
+    """Seven vertices on which, with h = 6 and ell = 3, only fallback level 2
+    balances: two iterations retire three branches, and neither the selector
+    side nor the kept branches leave every component within 2n/3, so the
+    retired branches go into the separator too (all seven vertices).
+    """
+    return build_graph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 4),
+                           (1, 5), (1, 6), (2, 5), (3, 5), (3, 6), (4, 6)])
+
+
 def petersen():
     """Petersen graph; spoke pairs {i, i+5} form five branch sets of K5."""
     edges = [(i, (i + 1) % 5) for i in range(5)]

@@ -6,6 +6,7 @@ import pytest
 from minorsep.cli import (
     EXIT_CERT_INVALID,
     EXIT_INPUT,
+    EXIT_SELF_VERIFY,
     EXIT_SEPARATOR,
     EXIT_WITNESS,
     main,
@@ -164,6 +165,35 @@ def test_separate_input_errors(tmp_path, capsys):
     assert run("separate", "--gen", "mystery:5", "--h", "4") == EXIT_INPUT
 
 
+def test_non_utf8_edge_list_is_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"p 3 1\n0 1\n\xff\xfe 2\n")
+    assert run("separate", "--input", str(bad), "--h", "4") == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err and "UTF-8" in err
+
+
+def test_driver_model_error_is_a_self_verification_failure(monkeypatch, capsys):
+    from minorsep.errors import ModelError
+
+    def broken(m, g, cand):
+        raise ModelError("new branch has no edge to branch 0")
+
+    monkeypatch.setattr("minorsep.separator.add_branch", broken)
+    assert run("separate", "--gen", "complete:9", "--h", "4") == EXIT_SELF_VERIFY
+    assert capsys.readouterr().err.startswith("self-verification failure: new branch")
+
+
+def test_separate_without_json_builds_no_report(monkeypatch, tmp_path):
+    def no_digest(g):
+        raise AssertionError("report built without --json")
+
+    monkeypatch.setattr("minorsep.cli._digest", no_digest)
+    cert = tmp_path / "c.json"
+    assert run("separate", "--gen", "grid:8,8", "--h", "5", "--certificate", str(cert)) == 0
+    assert json.loads(cert.read_text())["type"] == "separator"
+
+
 # -- verify ---------------------------------------------------------------------
 
 def make_instance(tmp_path, spec_args, h):
@@ -257,6 +287,18 @@ def test_verify_malformed_certificates(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_verify_non_utf8_certificate_is_an_input_error(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    run("gen", "--family", "path", "--params", "5", "--out", str(graph))
+    cert = tmp_path / "c.json"
+    cert.write_bytes(b"\xff")
+    capsys.readouterr()
+    assert run("verify", "--input", str(graph), "--certificate", str(cert)) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "certificate" not in captured.out
+    assert captured.err.startswith("error:") and str(cert) in captured.err
+
+
 @pytest.mark.parametrize("text,field", [
     ('{"type":"separator","vertices":[4.7]}', "'vertices'"),
     ('{"type":"separator","vertices":"4"}', "'vertices'"),
@@ -300,6 +342,15 @@ def test_bench_csv(tmp_path, capsys):
 def test_bench_rejects_bad_grid_size(capsys):
     assert run("bench", "--family", "grid", "--sizes", "15", "--h", "5") == EXIT_INPUT
     assert "perfect squares" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_bench_rejects_fewer_than_one_trial(capsys, trials):
+    assert run("bench", "--family", "grid", "--sizes", "16", "--h", "5",
+               "--trials", trials) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "--trials" in captured.err
+    assert "witnesses" not in captured.out
 
 
 def test_bench_deterministic(tmp_path):

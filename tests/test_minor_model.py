@@ -61,6 +61,18 @@ def test_add_branch_requires_edge_to_every_branch():
         add_branch(m, p3, [2])
 
 
+def test_add_branch_names_first_branch_without_edge():
+    # triangle 0, 1, 2 as three branches; 3 hangs off 0, 4 off 2, 5 alone
+    g = build_graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (2, 4)])
+    m = add_branch(add_branch(new_model(6, 0), g, [1]), g, [2])
+    with pytest.raises(ModelError, match="no edge to branch 1$"):
+        add_branch(m, g, [3])
+    with pytest.raises(ModelError, match="no edge to branch 0$"):
+        add_branch(m, g, [4])
+    with pytest.raises(ModelError, match="no edge to branch 0$"):
+        add_branch(m, g, [5])
+
+
 def test_add_branch_rejects_bad_sets():
     m = new_model(4, 0)
     with pytest.raises(ModelError, match="nonempty"):
@@ -120,12 +132,25 @@ def test_trim_keeps_only_touching_branches():
     m = new_model(5, 1)
     m = add_branch(m, star, [0])
     live = VertexMask.from_ids(5, [3, 4])
-    t = trim(m, star, live)
+    t, _ = trim(m, star, live)
     # leaf branch {1} has no live neighbor; center branch {0} does
     assert t.size == 1
     assert t.branches[0].tolist() == [0]
-    assert trim(m, star, VertexMask.empty(5)).size == 0
-    assert trim(m, star, full(star)).size == 2
+    assert trim(m, star, VertexMask.empty(5))[0].size == 0
+    assert trim(m, star, full(star))[0].size == 2
+
+
+def test_trim_returns_live_neighbors_of_kept_branches():
+    star = generate(InstanceSpec("star", (4,)))  # center 0, leaves 1..4
+    m = add_branch(new_model(5, 1), star, [0])
+    kept, nbrs = trim(m, star, VertexMask.from_ids(5, [3, 4]))
+    assert [nb.tolist() for nb in nbrs] == [[3, 4]]
+    kept, nbrs = trim(m, star, full(star))
+    assert [nb.tolist() for nb in nbrs] == [[0], [1, 2, 3, 4]]
+    assert [nb.tolist() for nb in nbrs] == [
+        branch_neighbors(kept, star, full(star), i).tolist() for i in range(kept.size)
+    ]
+    assert trim(m, star, VertexMask.empty(5))[1] == []
 
 
 # -- selector ------------------------------------------------------------------
@@ -150,7 +175,7 @@ def test_f_selector_union_over_branches():
     m = add_branch(m, K4, [1])
     live = VertexMask.from_ids(4, [2, 3])
     assert f_selector(m, K4, live).ids().tolist() == [0, 1]
-    empty = trim(m, K4, VertexMask.empty(4))
+    empty, _ = trim(m, K4, VertexMask.empty(4))
     assert f_selector(empty, K4, full(K4)).size == 0
 
 
@@ -289,7 +314,7 @@ def test_random_operation_sequences_preserve_structure(seed, n, steps):
                 m = grow_branch(m, g, i, [int(nb[int(rng.integers(nb.size))])])
         else:
             live_bits = (owner < 0) & (rng.random(n) < 0.8)
-            m = trim(m, g, VertexMask(live_bits))
+            m, _ = trim(m, g, VertexMask(live_bits))
     _, checks = validate_clique_minor(m, g, h=max(m.size, 1))
     names = {name: okc for name, okc, _ in checks}
     assert names["pairwise_disjoint"]

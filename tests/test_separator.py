@@ -19,7 +19,7 @@ from minorsep.separator import (
 )
 from minorsep.verify import verify_balanced, verify_witness
 
-from helpers import deep_anchor, fallback_tree, loop_exact_center
+from helpers import deep_anchor, fallback_tree, loop_exact_center, retired_fallback
 
 
 def gen(family, *params, seed=0):
@@ -261,7 +261,7 @@ def test_fallback_when_selector_would_unbalance():
 
 # sha256 of (kind, separator ids or branches, size_breakdown, stats) for runs
 # that reach the steps the CLI frozen digests do not: branch growth (step 3),
-# a layer cut (step 4), fallback level 1, sampled centers and a witness.
+# a layer cut (step 4), fallback levels 1 and 2, sampled centers and a witness.
 FROZEN_PATHS = [
     ("deep_anchor_22", lambda: balanced_separator(deep_anchor(68, 22), 5, ell=1),
      "8c18f04e3607c0da60d3cf8d3fab8d730a71f9b96dc180bdb71e1188d9017ec6"),
@@ -274,6 +274,8 @@ FROZEN_PATHS = [
      "e2f28711acddf5913e66815aa647e431bf9da324b52a465dd6194ed83f28a724"),
     ("complete9", lambda: balanced_separator(gen("complete", 9), 4),
      "bf4c3ea70afee793822c9d61c25a148d35152eb45823cc4c5d26b0835882e2d9"),
+    ("retired_fallback", lambda: balanced_separator(retired_fallback(), 6, ell=3),
+     "1e25e33fc631c895315257e0ea5be17e597d21b09ab02a296c4bfeb954d3c409"),
 ]
 
 
