@@ -221,7 +221,12 @@ def _bench_spec(family: str, n: int, seed: int) -> InstanceSpec:
 def cmd_bench(args) -> int:
     if args.trials < 1:
         raise InputError(f"--trials must be >= 1, got {args.trials}")
-    sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
+    try:
+        sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
+    except ValueError:
+        raise InputError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
+    if not sizes or min(sizes) < 1:
+        raise InputError(f"--sizes must list positive vertex counts, got {args.sizes!r}")
     rows = []
     for n in sizes:
         for trial in range(args.trials):

@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from minorsep.errors import InputError
-from minorsep.graph import ball, build_graph
+from minorsep.graph import VertexMask, ball, build_graph, connected_components
 from minorsep.rng import stream, truncated_exponential
 
 
@@ -69,6 +69,23 @@ def loop_exact_center(g, live, r, n):
         if 3 * ball(g, live, v, r).size >= 2 * n:
             return v
     return None
+
+
+def two_pass_prologue(g):
+    """The solver's prologue as two component passes: label g, then label
+    its largest component C minus x, C's smallest id.  Returns (x, live,
+    lone) as `separator._prologue` does: nothing to remove (x and live
+    None) when C holds at most 2n/3, else {x} when live is under 2n/3,
+    else None."""
+    n = g.n
+    label, sizes = connected_components(g)
+    if not sizes.size or 3 * int(sizes[0]) <= 2 * n:
+        return None, None, VertexMask.empty(n)
+    scope = label == 0
+    x = int(np.argmax(scope))
+    scope[x] = False
+    live = VertexMask(connected_components(g, VertexMask(scope))[0] == 0)
+    return x, live, VertexMask.from_ids(n, [x]) if 3 * live.size < 2 * n else None
 
 
 def uf_components(n, edges):

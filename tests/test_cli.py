@@ -353,6 +353,15 @@ def test_bench_rejects_fewer_than_one_trial(capsys, trials):
     assert "witnesses" not in captured.out
 
 
+@pytest.mark.parametrize("sizes", ["16,x", "1e3", "", " , ", "16,0", "-4"])
+def test_bench_rejects_bad_sizes(capsys, sizes):
+    # "16,x" used to end in a ValueError traceback and "" to run nothing and exit 0
+    assert run("bench", "--family", "grid", "--sizes", sizes, "--h", "5") == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "--sizes" in captured.err
+    assert "summary" not in captured.out
+
+
 def test_bench_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for p in (a, b):

@@ -6,20 +6,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minorsep import separator, verify
+from minorsep.decomp import ldd
 from minorsep.errors import InputError
-from minorsep.graph import VertexMask, build_graph
+from minorsep.graph import VertexMask, build_graph, connected_components
 from minorsep.instances import InstanceSpec, generate
+from minorsep.rng import stream
 from minorsep.separator import (
     BalancedSeparator,
     MinorWitness,
     _exact_center,
+    _interior_bound,
+    _prologue,
     balanced_separator,
     ceil_log2,
     default_ell,
 )
 from minorsep.verify import verify_balanced, verify_witness
 
-from helpers import deep_anchor, fallback_tree, loop_exact_center, retired_fallback
+from helpers import (
+    deep_anchor,
+    fallback_tree,
+    loop_exact_center,
+    retired_fallback,
+    two_pass_prologue,
+)
 
 
 def gen(family, *params, seed=0):
@@ -158,6 +169,129 @@ def test_subdivided_clique_witness():
     assert isinstance(out, MinorWitness)
     assert out.model.size == 8
     assert verify_witness(g, out.model, 8).ok
+
+
+# -- prologue, interior bound and component passes -----------------------------------
+
+@st.composite
+def sparse_graphs(draw, max_n=14):
+    """Graphs with at most n random edges, so most are disconnected."""
+    n = draw(st.integers(0, max_n))
+    if n < 2:
+        return build_graph(n, [])
+    v = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(v, v).filter(lambda e: e[0] != e[1]), max_size=n))
+    return build_graph(n, pairs)
+
+
+def prologue_key(result):
+    """(x, live ids, exit kind) of a prologue's (x, live, lone)."""
+    x, live, lone = result
+    kind = "loop" if lone is None else ("lone" if lone.size else "none")
+    return x, None if live is None else live.ids().tolist(), kind
+
+
+def check_prologue(g):
+    got = prologue_key(_prologue(g))
+    assert got == prologue_key(two_pass_prologue(g))
+    return got
+
+
+@settings(max_examples=300)
+@given(sparse_graphs())
+def test_prologue_matches_two_pass_oracle(g):
+    check_prologue(g)
+
+
+@pytest.mark.parametrize("n,edges,expect", [
+    (0, [], (None, None, "none")),
+    (1, [], (0, [], "lone")),
+    (2, [], (None, None, "none")),
+    (2, [(0, 1)], (0, [1], "lone")),
+    # vertex 0 isolated: the largest component avoids it
+    (7, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)], (1, [2, 3, 4, 5, 6], "loop")),
+    # vertex 0 in a smaller component: x is the big component's smallest id
+    (10, [(0, 1)] + [(i, i + 1) for i in range(2, 9)], (2, list(range(3, 10)), "loop")),
+    # two largest components of equal size, with and without vertex 0: neither
+    # holds over n/2, so nothing is removed
+    (8, [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7)], (None, None, "none")),
+    (7, [(1, 2), (2, 3), (4, 5), (5, 6)], (None, None, "none")),
+    # vertex 0 a cut vertex: star, and the middle of a path
+    (6, [(0, i) for i in range(1, 6)], (0, [1], "lone")),
+    (10, [(1, 0), (0, 2)] + [(i, i + 1) for i in range(2, 9)], (0, list(range(2, 10)), "loop")),
+    (7, [(1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6)], (0, [1, 2, 3], "lone")),
+    # two equal components left by removing 0; the smaller id ranks first
+    (9, [(0, 1), (1, 2), (2, 3), (0, 8), (8, 7), (7, 6), (4, 5)], (0, [1, 2, 3], "lone")),
+])
+def test_prologue_cases(n, edges, expect):
+    assert check_prologue(build_graph(n, edges)) == expect
+
+
+@st.composite
+def ldd_inputs(draw):
+    g = draw(sparse_graphs(max_n=24))
+    live = VertexMask(np.array(draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n)),
+                               dtype=bool))
+    delta = draw(st.floats(0.5, 40.0))
+    return g, live, delta, draw(st.integers(0, 2**32 - 1))
+
+
+def largest_inner_component(g, live, res):
+    inner = live.bits & ~res.boundary.bits
+    sizes = connected_components(g, VertexMask(inner))[1]
+    return inner, int(sizes[0]) if sizes.size else 0
+
+
+@settings(max_examples=200)
+@given(ldd_inputs())
+def test_interior_bound_covers_every_inner_component(args):
+    g, live, delta, seed = args
+    res = ldd(g, live, delta, stream(seed, "ldd"))
+    inner, largest = largest_inner_component(g, live, res)
+    assert _interior_bound(res, inner) >= largest
+
+
+@pytest.mark.parametrize("family,params", [("complete", (12,)), ("gnp", (60, 0.3))])
+def test_interior_bound_lets_the_pass_run_when_one_part_dominates(family, params):
+    # a delta far above the diameter leaves one part and no boundary, so the
+    # bound is n and step 1 still labels the components
+    g = gen(family, *params, seed=1)
+    live = VertexMask.full(g.n)
+    res = ldd(g, live, 1.0e4, stream(1, "ldd"))
+    inner, largest = largest_inner_component(g, live, res)
+    assert _interior_bound(res, inner) == largest == g.n
+
+
+@pytest.fixture
+def pass_count(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return connected_components(*args, **kwargs)
+
+    monkeypatch.setattr(separator, "connected_components", counted)
+    monkeypatch.setattr(verify, "connected_components", counted)
+    return calls
+
+
+@pytest.mark.parametrize("family,params", [("grid", (40, 40)), ("cycle", (2000,))])
+def test_sparse_solve_makes_two_component_passes(pass_count, family, params):
+    # one for the prologue on g - {0}, one to verify the separator
+    out = balanced_separator(gen(family, *params), 5)
+    assert out.kind == "separator" and out.stats["step1_finished"] == 1
+    assert len(pass_count) == 2
+
+
+def test_step1_pass_centers_the_view_when_an_interior_is_large(pass_count):
+    # delta = 60 lets one part's interior hold over 2n/3 of the tree, so step 1
+    # labels the components and centers the view on the largest; live is above
+    # the exact scan's limit, so no other route reaches step 2 here
+    out = balanced_separator(gen("tree", 700, seed=1), 5, ell=30, seed=1)
+    s = out.stats
+    assert (s["step1_finished"], s["exact_center_used"], s["step2_count"]) == (0, 0, 1)
+    # prologue, step 1, the live part after step 2, verification
+    assert len(pass_count) == 4
 
 
 # -- exact center scan -------------------------------------------------------------
