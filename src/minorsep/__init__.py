@@ -16,7 +16,7 @@ from .graph import (
     connected_components,
     tree_path,
 )
-from .decomp import LddResult, Partition, ldd, padded_partition
+from .decomp import LddResult, ldd
 from .instances import (
     FAMILIES,
     InstanceSpec,

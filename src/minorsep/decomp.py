@@ -57,36 +57,21 @@ from .errors import InputError
 from .graph import Graph, VertexMask, _gather, _sorted_unique
 from .rng import SplitMix64, truncated_exponential
 
-__all__ = ["Partition", "LddResult", "padded_partition", "ldd"]
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Assignment of each live vertex to its center; -1 outside the mask.
-
-    shift[v] is the shift vertex v drew, NaN outside the mask.
-    """
-
-    center: np.ndarray
-    shift: np.ndarray
-
-    def parts(self) -> list:
-        """(center, member ids ascending) pairs, sorted by center id."""
-        live = np.flatnonzero(self.center >= 0)
-        order = np.argsort(self.center[live], kind="stable")
-        grouped = {}
-        for v in live[order].tolist():
-            grouped.setdefault(int(self.center[v]), []).append(v)
-        return [(c, np.array(vs, dtype=np.int64)) for c, vs in sorted(grouped.items())]
+__all__ = ["LddResult", "ldd"]
 
 
 @dataclass(frozen=True)
 class LddResult:
-    partition: Partition
+    """center[v] is the center of live vertex v's part, -1 outside the mask;
+    shift[v] is the shift v drew, NaN outside the mask; boundary holds the
+    live vertices with a live neighbor in another part."""
+
+    center: np.ndarray
+    shift: np.ndarray
     boundary: VertexMask
 
 
-def padded_partition(g: Graph, live: VertexMask, delta: float, rng: SplitMix64) -> Partition:
+def ldd(g: Graph, live: VertexMask, delta: float, rng: SplitMix64) -> LddResult:
     if delta <= 0:
         raise InputError("delta must be positive")
     ids = live.ids()
@@ -94,7 +79,7 @@ def padded_partition(g: Graph, live: VertexMask, delta: float, rng: SplitMix64) 
     center = np.full(g.n, -1, dtype=np.int64)
     shift = np.full(g.n, np.nan)
     if n_live == 0:
-        return Partition(center, shift)
+        return LddResult(center, shift, VertexMask.empty(g.n))
     rate = 2.0 * math.log(max(n_live, 2)) / delta
     shifts = truncated_exponential(rng.block_floats(n_live), rate, delta / 2.0)
     shift[ids] = shifts
@@ -139,15 +124,11 @@ def padded_partition(g: Graph, live: VertexMask, delta: float, rng: SplitMix64) 
         tie = cand == k_new
         np.minimum.at(center, tgt[tie], c_src[tie])
         carry = tgt
-    return Partition(center, shift)
 
-
-def ldd(g: Graph, live: VertexMask, delta: float, rng: SplitMix64) -> LddResult:
-    part = padded_partition(g, live, delta, rng)
-    center = part.center
+    # one pass over every edge of g; an end outside live has center -1
     src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
     tgt = g.indices
     cross = (center[src] >= 0) & (center[tgt] >= 0) & (center[src] != center[tgt])
     bits = np.zeros(g.n, dtype=bool)
     bits[src[cross]] = True
-    return LddResult(part, VertexMask(bits))
+    return LddResult(center, shift, VertexMask(bits))

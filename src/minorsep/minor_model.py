@@ -9,7 +9,8 @@ qualifying branch index.
 Neighbor sets against a live mask are recomputed on demand rather than
 cached incrementally; the scales involved (h branches, each a few hundred
 vertices at most) make that the simpler correct choice.  `trim` hands back
-the sets it computes, so a caller that trims need not compute them again.
+the sets it computes, and `f_selector` takes them as they are, so a caller
+that trims computes each set once.
 """
 
 from __future__ import annotations
@@ -172,17 +173,16 @@ def trim(m: MinorModel, g: Graph, live: VertexMask) -> tuple:
     return MinorModel(m.n, tuple(m.branches[i] for i in keep)), [nbrs[i] for i in keep]
 
 
-def f_selector(m: MinorModel, g: Graph, live: VertexMask) -> VertexMask:
-    """Per branch, the smaller of the branch and its live neighborhood.
+def f_selector(m: MinorModel, nbrs: list) -> VertexMask:
+    """Per branch i, the smaller of the branch and its live neighborhood
+    nbrs[i], as `trim` returns them.
 
     Ties take the neighborhood: those vertices leave the residual graph
     either way.
     """
     picked = np.zeros(m.n, dtype=bool)
-    for i, ids in enumerate(m.branches):
-        nbrs = branch_neighbors(m, g, live, i)
-        side = ids if ids.size < nbrs.size else nbrs
-        picked[side] = True
+    for ids, nb in zip(m.branches, nbrs, strict=True):
+        picked[ids if ids.size < nb.size else nb] = True
     return VertexMask(picked)
 
 
@@ -242,6 +242,8 @@ def witness_from_json(n: int, payload) -> tuple:
     h = payload["h"]
     if type(h) is not int:
         raise InputError(f"malformed witness JSON: 'h' must be an integer, got {h!r}")
+    if h < 3:
+        raise InputError(f"malformed witness JSON: 'h' must be >= 3, got {h}")
     raw = payload["branches"]
     if not isinstance(raw, list):
         raise InputError("malformed witness JSON: 'branches' must be a list")

@@ -280,7 +280,7 @@ def _interior_bound(res: LddResult, inner: np.ndarray) -> int:
     boundary.  The boundary holds both ends of every live edge between
     distinct parts, so each component of `inner` lies in one part's interior
     and is no larger."""
-    centers = res.partition.center[inner]
+    centers = res.center[inner]
     return int(np.bincount(centers).max()) if centers.size else 0
 
 
@@ -303,7 +303,7 @@ def step1_decompose(st: DriverState) -> LayeredView | None:
     that is the first live id, found by one BFS.  A scan that rejects every
     id, as on sparse inputs, costs a few csgraph passes rather than one BFS
     per live vertex: a whole solve of grid 22², cycle 500 or path 500 takes
-    4-9 ms, where the per-vertex loop made it 116-147 ms (2 vCPUs).
+    4-9 ms (2 vCPUs).
     """
     res = ldd(st.g, st.live, float(st.delta), st.rng_ldd)
     st.stats["ldd_calls"] += 1
@@ -408,7 +408,9 @@ def _first_balanced(g: Graph, attempts: list, stats: dict, failure: str) -> Bala
     raise SelfVerificationError(failure)
 
 
-def _finish_separator(st: DriverState) -> BalancedSeparator:
+def _finish_separator(st: DriverState, nbrs: list) -> BalancedSeparator:
+    """Verify the three separator attempts in order; `nbrs` are the live
+    neighbors of the model's branches, as the last trim left them."""
     members = st.model.member_mask()
     retired = VertexMask.from_ids(
         st.n, np.concatenate(st.retired) if st.retired else np.empty(0, dtype=np.int64)
@@ -417,7 +419,7 @@ def _finish_separator(st: DriverState) -> BalancedSeparator:
     breakdown = {"x": st.x_set.size, "step1_s": st.step1_sep.size}
     attempts = [
         (cut.union(side), {**breakdown, "f_selector": side.size})
-        for side in (f_selector(st.model, st.g, st.live), members, members.union(retired))
+        for side in (f_selector(st.model, nbrs), members, members.union(retired))
     ]
     return _first_balanced(st.g, attempts, st.stats, (
         f"no separator attempt balanced: n={st.n}, |X|={st.x_set.size}, "
@@ -547,4 +549,4 @@ def balanced_separator(
             f"charge ledger broken: ell*|X|={st.ell * st.x_set.size} "
             f"> charged={st.stats['charged']}"
         )
-    return _finish_separator(st)
+    return _finish_separator(st, nbrs)

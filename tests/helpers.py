@@ -21,7 +21,7 @@ from minorsep.rng import stream, truncated_exponential
 def heap_partition(g, live, delta, rng):
     """Shifted-center assignment by lazy Dijkstra over (key, center, vertex).
 
-    Draws the shifts exactly as `padded_partition` does, then settles
+    Draws the shifts exactly as `ldd` does, then settles
     vertices one heap pop at a time; the tuple order sends key ties to the
     smallest center.  Returns (center array, shift array); both are filled
     on the live ids only.
@@ -47,6 +47,17 @@ def heap_partition(g, live, delta, rng):
             if live.bits[w] and center[w] < 0:
                 heapq.heappush(heap, (key + 1.0, c, w))
     return center, shift
+
+
+def parts(center):
+    """An LDD's parts as (center, member ids ascending) pairs, sorted by
+    center id; `center` is -1 off the live vertices."""
+    live = np.flatnonzero(center >= 0)
+    order = np.argsort(center[live], kind="stable")
+    grouped = {}
+    for v in live[order].tolist():
+        grouped.setdefault(int(center[v]), []).append(v)
+    return [(c, np.array(vs, dtype=np.int64)) for c, vs in sorted(grouped.items())]
 
 
 def lexsort_csr(n, pairs):

@@ -308,9 +308,13 @@ def test_verify_non_utf8_certificate_is_an_input_error(tmp_path, capsys):
     ('{"type":"witness","h":3.9,"branches":[[0],[1],[2]]}', "'h'"),
     ('{"type":"witness","h":3,"branches":[[0],[1.0],[2]]}', "'branches'"),
     ('{"type":"witness","h":3,"branches":{"0":[0]}}', "'branches'"),
+    ('{"type":"witness","h":-4,"branches":[]}', "'h'"),
+    ('{"type":"witness","h":0,"branches":[]}', "'h'"),
+    ('{"type":"witness","h":2,"branches":[[0],[1]]}', "'h'"),
 ])
 def test_verify_rejects_non_integer_fields(tmp_path, capsys, text, field):
-    # each of these used to be truncated or coerced into a valid-looking certificate
+    # each of these used to be accepted, truncated or coerced into a
+    # valid-looking certificate
     graph = tmp_path / "g.txt"
     run("gen", "--family", "path", "--params", "9", "--out", str(graph))
     capsys.readouterr()

@@ -4,13 +4,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from minorsep import decomp
-from minorsep.decomp import ldd, padded_partition
+from minorsep.decomp import ldd
 from minorsep.errors import InputError
 from minorsep.graph import VertexMask, bfs_layers, connected_components
 from minorsep.instances import InstanceSpec, generate
 from minorsep.rng import stream
 
-from helpers import adjacency, bfs_dist, component_lists, heap_partition, np_edges
+from helpers import adjacency, bfs_dist, component_lists, heap_partition, np_edges, parts
 
 
 def gen(family, *params, seed=0):
@@ -38,7 +38,7 @@ def run(case, seed, live=None):
 def test_path10_frozen_partition():
     g = gen("path", 10)
     res = ldd(g, VertexMask.full(10), 6.0, stream(1, "ldd"))
-    assert [(c, m.tolist()) for c, m in res.partition.parts()] == [
+    assert [(c, m.tolist()) for c, m in parts(res.center)] == [
         (0, [0, 1]), (4, [2, 3, 4, 5, 6]), (7, [7]), (9, [8, 9]),
     ]
     assert res.boundary.ids().tolist() == [1, 2, 6, 7, 8]
@@ -48,13 +48,12 @@ def test_path10_frozen_partition():
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_partition_properties(case, seed):
     g, live, delta, res = run(case, seed)
-    part = res.partition
-    center = part.center
+    center = res.center
 
     # exactly the live vertices are assigned
     assert np.array_equal(center >= 0, live.bits)
 
-    for c, members in part.parts():
+    for c, members in parts(center):
         # the center belongs to its own part
         assert center[c] == c
         # connected within live
@@ -62,8 +61,8 @@ def test_partition_properties(case, seed):
         assert len(component_lists(*connected_components(g, sub))) == 1
         # strong radius: every member within shift[c] < delta/2 of the center
         L = bfs_layers(g, live, c)
-        assert part.shift[c] < delta / 2.0
-        assert np.all(L.dist[members] <= part.shift[c])
+        assert res.shift[c] < delta / 2.0
+        assert np.all(L.dist[members] <= res.shift[c])
         # weak diameter <= delta between any two members, via live distances
         far = members[np.argmax(L.dist[members])]
         L2 = bfs_layers(g, live, int(far))
@@ -96,7 +95,7 @@ def test_matches_heap_reference(family, params, delta, masked):
         live = VertexMask(bits)
         assert len(component_lists(*connected_components(g, live))) >= 2
     for seed in range(5):
-        part = padded_partition(g, live, delta, stream(seed, "ldd"))
+        part = ldd(g, live, delta, stream(seed, "ldd"))
         center, shift = heap_partition(g, live, delta, stream(seed, "ldd"))
         assert np.array_equal(part.center, center)
         assert np.array_equal(part.shift[live.ids()], shift[live.ids()])
@@ -116,7 +115,7 @@ def test_matches_heap_reference_on_tied_keys(family, params, step, monkeypatch):
     g = gen(family, *params, seed=1)
     for live in (VertexMask.full(g.n), VertexMask(np.arange(g.n) % 5 != 2)):
         for seed in range(4):
-            part = padded_partition(g, live, 11.0, stream(seed, "ldd"))
+            part = ldd(g, live, 11.0, stream(seed, "ldd"))
             center, shift = heap_partition(g, live, 11.0, stream(seed, "ldd"))
             assert np.array_equal(part.center, center)
             assert np.array_equal(part.shift[live.ids()], shift[live.ids()])
@@ -126,7 +125,7 @@ def test_matches_heap_reference_on_tied_keys(family, params, step, monkeypatch):
 @pytest.mark.parametrize("seed", [0, 5])
 def test_boundary_is_exact(case, seed):
     g, live, delta, res = run(case, seed)
-    center = res.partition.center
+    center = res.center
     want = set()
     for u, v in np_edges(g):
         if center[u] >= 0 and center[v] >= 0 and center[u] != center[v]:
@@ -145,10 +144,11 @@ def test_respects_mask(seed):
     g = gen("grid", 9, 9)
     live = VertexMask(np.arange(g.n) % 3 != 0)
     res = ldd(g, live, 7.0, stream(seed, "ldd"))
-    assert np.all(res.partition.center[~live.bits] == -1)
+    assert np.all(res.center[~live.bits] == -1)
+    assert np.isnan(res.shift[~live.bits]).all()
     assert not np.any(res.boundary.bits & ~live.bits)
     # distances used are live distances: parts stay inside live components
-    for c, members in res.partition.parts():
+    for c, members in parts(res.center):
         L = bfs_layers(g, live, c)
         assert np.all(L.dist[members] >= 0)
 
@@ -157,26 +157,26 @@ def test_deterministic_per_seed():
     g = gen("gnp", 70, 0.06, seed=2)
     a = ldd(g, VertexMask.full(g.n), 9.0, stream(4, "ldd"))
     b = ldd(g, VertexMask.full(g.n), 9.0, stream(4, "ldd"))
-    assert np.array_equal(a.partition.center, b.partition.center)
+    assert np.array_equal(a.center, b.center)
     assert np.array_equal(a.boundary.bits, b.boundary.bits)
     c = ldd(g, VertexMask.full(g.n), 9.0, stream(5, "ldd"))
-    assert not np.array_equal(a.partition.center, c.partition.center)
+    assert not np.array_equal(a.center, c.center)
 
 
 def test_empty_live_and_bad_delta():
     g = gen("path", 5)
     res = ldd(g, VertexMask.empty(5), 4.0, stream(0, "ldd"))
-    assert res.partition.parts() == []
-    assert np.isnan(res.partition.shift).all()
+    assert parts(res.center) == []
+    assert np.isnan(res.shift).all()
     assert res.boundary.size == 0
     with pytest.raises(InputError):
-        padded_partition(g, VertexMask.full(5), 0.0, stream(0, "ldd"))
+        ldd(g, VertexMask.full(5), 0.0, stream(0, "ldd"))
 
 
 def test_singleton_live():
     g = gen("path", 5)
     res = ldd(g, VertexMask.from_ids(5, [3]), 4.0, stream(0, "ldd"))
-    assert [(c, m.tolist()) for c, m in res.partition.parts()] == [(3, [3])]
+    assert [(c, m.tolist()) for c, m in parts(res.center)] == [(3, [3])]
     assert res.boundary.size == 0
 
 
@@ -223,7 +223,7 @@ def test_each_vertex_settles_once(family, params, delta, masked, monkeypatch):
     tally = count_gathers(monkeypatch)
     for seed in range(3):
         tally["vertices"] = 0
-        part = padded_partition(g, live, delta, stream(seed, "ldd"))
+        part = ldd(g, live, delta, stream(seed, "ldd"))
         assert tally["vertices"] == live.size
         center, _ = heap_partition(g, live, delta, stream(seed, "ldd"))
         assert np.array_equal(part.center, center)
@@ -244,7 +244,7 @@ def test_matches_heap_reference_at_bucket_edges(family, params, delta, toward, m
     g = gen(family, *params, seed=4)
     for live in (VertexMask.full(g.n), VertexMask(np.arange(g.n) % 6 != 1)):
         for seed in range(3):
-            part = padded_partition(g, live, delta, stream(seed, "ldd"))
+            part = ldd(g, live, delta, stream(seed, "ldd"))
             center, shift = heap_partition(g, live, delta, stream(seed, "ldd"))
             assert np.array_equal(part.shift[live.ids()], shift[live.ids()])
             assert np.array_equal(part.center, center)
@@ -259,7 +259,7 @@ def test_delta_below_one_keeps_every_vertex_its_own_center(delta, monkeypatch):
     for live in (VertexMask.full(g.n), VertexMask(np.arange(g.n) % 4 != 0)):
         for seed in range(3):
             tally["calls"] = 0
-            part = padded_partition(g, live, delta, stream(seed, "ldd"))
+            part = ldd(g, live, delta, stream(seed, "ldd"))
             ids = live.ids()
             assert part.center[ids].tolist() == ids.tolist()
             assert np.all(part.center[~live.bits] == -1)
@@ -270,5 +270,5 @@ def test_delta_below_one_keeps_every_vertex_its_own_center(delta, monkeypatch):
 def test_huge_delta_ends_with_every_vertex_assigned(delta):
     # keys beyond 2**52 in magnitude, where key + 1.0 can round back to key
     g = gen("grid", 15, 15)
-    part = padded_partition(g, VertexMask.full(g.n), delta, stream(1, "ldd"))
+    part = ldd(g, VertexMask.full(g.n), delta, stream(1, "ldd"))
     assert np.all(part.center >= 0)

@@ -160,23 +160,23 @@ def test_f_selector_takes_smaller_side():
     m = new_model(6, 0)
     live = VertexMask.from_ids(6, [1, 2, 3, 4, 5])
     # branch {0} is smaller than its 5 live neighbors: take the branch
-    assert f_selector(m, star, live).ids().tolist() == [0]
+    assert f_selector(*trim(m, star, live)).ids().tolist() == [0]
 
 
 def test_f_selector_tie_takes_neighbors():
     m = new_model(4, 1)
     live = VertexMask.from_ids(4, [2])
     # |branch| = |neighborhood| = 1: the neighborhood wins ties
-    assert f_selector(m, P4, live).ids().tolist() == [2]
+    assert f_selector(*trim(m, P4, live)).ids().tolist() == [2]
 
 
 def test_f_selector_union_over_branches():
     m = new_model(4, 0)
     m = add_branch(m, K4, [1])
     live = VertexMask.from_ids(4, [2, 3])
-    assert f_selector(m, K4, live).ids().tolist() == [0, 1]
+    assert f_selector(*trim(m, K4, live)).ids().tolist() == [0, 1]
     empty, _ = trim(m, K4, VertexMask.empty(4))
-    assert f_selector(empty, K4, full(K4)).size == 0
+    assert f_selector(*trim(empty, K4, full(K4))).size == 0
 
 
 # -- validation ----------------------------------------------------------------
