@@ -210,7 +210,8 @@ def _bench_spec(family: str, n: int, seed: int) -> InstanceSpec:
             raise InputError(f"{family} bench sizes must be perfect squares, got {n}")
         return InstanceSpec(family, (side, side), seed)
     if family == "gnp":
-        return InstanceSpec(family, (n, 3.0 / n), seed)
+        # about three edges per vertex; p stays a probability below n = 3
+        return InstanceSpec(family, (n, min(1.0, 3.0 / n)), seed)
     if family in ("path", "cycle", "tree", "complete"):
         return InstanceSpec(family, (n,), seed)
     if family == "star":

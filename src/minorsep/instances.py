@@ -47,6 +47,19 @@ __all__ = [
 ]
 
 
+# The largest vertex or edge count accepted from a header or a family's
+# parameters: an int64 array of twice that many entries (an (m, 2) edge
+# array, the doubled CSR edge list) is still within numpy's size limit.
+# Above it numpy raises ValueError or OverflowError before allocating;
+# below it a count too large for memory ends in MemoryError.
+MAX_COUNT = np.iinfo(np.intp).max // 16
+
+
+def _check_count(what: str, k: int) -> None:
+    if k > MAX_COUNT:
+        raise InputError(f"{what} {k} is too large; the limit is {MAX_COUNT}")
+
+
 @dataclass(frozen=True)
 class InstanceSpec:
     family: str
@@ -55,6 +68,7 @@ class InstanceSpec:
 
 
 def _grid_edges(rows: int, cols: int, wrap: bool) -> np.ndarray:
+    _check_count("vertex count", rows * cols)
     v = np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
     if wrap:
         ends = [(v, np.roll(v, -1, axis=1)), (v, np.roll(v, -1, axis=0))]
@@ -100,6 +114,7 @@ def _gen_star(leaves: int) -> Graph:
 def _gen_complete(k: int) -> Graph:
     if k < 1:
         raise InputError("complete needs k >= 1")
+    _check_count("edge count", k * (k - 1) // 2)
     return build_graph(k, np.column_stack(np.triu_indices(k, 1)))
 
 
@@ -150,6 +165,8 @@ def _gen_subdivided_clique(h: int, t: int) -> Graph:
     """
     if h < 2 or t < 0:
         raise InputError("subdivided_clique needs h >= 2, t >= 0")
+    # t + 1 edges and t vertices per edge of K_h
+    _check_count("edge count", (t + 1) * (h * (h - 1) // 2))
     edges = []
     nxt = h
     for i in range(h):
@@ -187,6 +204,7 @@ def generate(spec: InstanceSpec) -> Graph:
     for v in sizes:
         if not isinstance(v, (int, np.integer)):
             raise InputError(f"{spec.family} size parameters must be integers, got {v!r}")
+        _check_count(f"{spec.family} size parameter", v)
     if spec.family in _SEEDED:
         return fn(*spec.params, spec.seed)
     return fn(*spec.params)
@@ -224,6 +242,7 @@ def _read_header(lines) -> tuple:
             raise InputError(f"line {lineno}: header fields must be integers") from None
         if n < 0 or m < 0:
             raise InputError(f"line {lineno}: header fields must be nonnegative")
+        _check_count(f"line {lineno}: header count", max(n, m))
         return lineno, n, m
     raise InputError("line 1: missing header 'p <n> <m>'")
 

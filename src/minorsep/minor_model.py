@@ -111,13 +111,6 @@ def _connected(g: Graph, ids: np.ndarray) -> bool:
     return csgraph.breadth_first_order(adj, 0, return_predecessors=False).size == ids.size
 
 
-def _adjacent(g: Graph, a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether some edge leaves a vertex of `a` for a vertex of `b`."""
-    in_b = np.zeros(g.n, dtype=bool)
-    in_b[b] = True
-    return bool(in_b[_gather(g, a)[1]].any())
-
-
 def _owner_outside(m: MinorModel, ids: np.ndarray, what: str) -> np.ndarray:
     """`m.branch_of()`, once no vertex of `ids` is found in a branch;
     otherwise ModelError naming the first branch hit."""
@@ -187,7 +180,12 @@ def f_selector(m: MinorModel, nbrs: list) -> VertexMask:
 
 
 def validate_clique_minor(m: MinorModel, g: Graph, h: int):
-    """Structural checks (a)-(d); returns (ok, list of (name, passed, detail))."""
+    """Structural checks (a)-(d); returns (ok, list of (name, passed, detail)).
+
+    Branches may overlap or be empty here.  Pairwise adjacency is one
+    sparse product over a branch-incidence matrix; the pairs without an
+    edge are listed in row order, i < j.
+    """
     checks = []
     checks.append((
         "enough_branches", m.size >= h,
@@ -209,12 +207,16 @@ def validate_clique_minor(m: MinorModel, g: Graph, h: int):
         "each_connected", not disconnected,
         "connected" if not disconnected else f"disconnected branches {disconnected}",
     ))
-    missing = [
-        (i, j)
-        for i in range(m.size)
-        for j in range(i + 1, m.size)
-        if not _adjacent(g, m.branches[i], m.branches[j])
-    ]
+    # entry (i, j) of inc @ adj @ inc.T counts the edges from branch i to
+    # branch j; inc has a row per branch, so overlapping branches are fine
+    cols = np.concatenate([np.empty(0, dtype=np.int64), *m.branches])
+    inc = sparse.csr_matrix(
+        (np.ones(cols.size), cols, np.cumsum([0] + [ids.size for ids in m.branches])),
+        shape=(m.size, g.n),
+    )
+    adj = sparse.csr_matrix((np.ones(g.indices.size), g.indices, g.indptr), shape=(g.n, g.n))
+    joined = (inc @ adj @ inc.T).astype(bool).toarray()
+    missing = [(int(i), int(j)) for i, j in zip(*np.nonzero(np.triu(~joined, 1)))]
     checks.append((
         "pairwise_adjacent", not missing,
         "all pairs joined" if not missing else f"missing edges between pairs {missing}",

@@ -255,24 +255,18 @@ def _exact_center(g: Graph, live: VertexMask, r: int, n: int) -> int | None:
     """Smallest live id whose radius-r live ball holds 2n/3 of n, or None.
 
     The first id is tested with one BFS, which is where dense inputs pass,
-    so they build no matrix.  The other ids are tested in ascending blocks
-    of 1, 2, 4, ... sources, one csgraph pass per block on a masked matrix
-    built once; the first passing id of the first block with one is the
-    answer the per-vertex loop would give.
+    so they build no matrix.  The other ids are tested in one csgraph pass
+    on the masked matrix, and the first passing one is the answer.  Step 1
+    calls this only on at most EXACT_CENTER_LIMIT live ids, and only while
+    3|live| >= 2n, so the pass's distance matrix is at most 511 x 768
+    float64 entries (about 3.1 MB).
     """
     ids = live.ids()
     if 3 * ball(g, live, int(ids[0]), r).size >= 2 * n:
         return int(ids[0])
-    adj = _masked_adjacency(g, live.bits)
-    lo, width = 1, 1
-    while lo < ids.size:
-        block = ids[lo:lo + width]
-        hits = np.flatnonzero(3 * _ball_sizes(adj, r, block) >= 2 * n)
-        if hits.size:
-            return int(block[hits[0]])
-        lo += width
-        width *= 2
-    return None
+    rest = ids[1:]
+    hits = rest[3 * _ball_sizes(_masked_adjacency(g, live.bits), r, rest) >= 2 * n]
+    return int(hits[0]) if hits.size else None
 
 
 def _interior_bound(res: LddResult, inner: np.ndarray) -> int:
@@ -301,9 +295,9 @@ def step1_decompose(st: DriverState) -> LayeredView | None:
     is skipped above EXACT_CENTER_LIMIT live vertices.  It returns the
     smallest passing id (see `_exact_center`).  On dense witness inputs
     that is the first live id, found by one BFS.  A scan that rejects every
-    id, as on sparse inputs, costs a few csgraph passes rather than one BFS
-    per live vertex: a whole solve of grid 22², cycle 500 or path 500 takes
-    4-9 ms (2 vCPUs).
+    id, as on sparse inputs, costs one BFS and one csgraph pass rather than
+    one BFS per live vertex: a whole solve of grid 22², cycle 500 or path
+    500 takes 2-8 ms (2 vCPUs).
     """
     res = ldd(st.g, st.live, float(st.delta), st.rng_ldd)
     st.stats["ldd_calls"] += 1

@@ -1,5 +1,8 @@
+import argparse
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +12,7 @@ from minorsep.cli import (
     EXIT_SELF_VERIFY,
     EXIT_SEPARATOR,
     EXIT_WITNESS,
+    _build_parser,
     main,
 )
 
@@ -59,6 +63,31 @@ def test_gen_rejects_non_integer_sizes(tmp_path, capsys, family, params):
     assert not out.exists()
     assert run("separate", "--gen", f"{family}:{params}", "--h", "4") == EXIT_INPUT
     assert "must be integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family,params", [
+    ("path", "100000000000000000000"), ("grid", "10000000000,10000000000"),
+    ("star", "99999999999999999999999"), ("tree", "9223372036854775808"),
+    ("subdivided_clique", "3,99999999999999999999"),
+])
+def test_gen_rejects_counts_beyond_an_int64_array(tmp_path, capsys, family, params):
+    # these used to end in a numpy ValueError or OverflowError traceback and
+    # exit 1, the code for an invalid certificate
+    out = tmp_path / "x"
+    assert run("gen", "--family", family, "--params", params, "--out", str(out)) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error:") and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["separate", "verify"])
+@pytest.mark.parametrize("n", ["99999999999999999999", "9000000000000000000"])
+def test_header_counts_beyond_an_int64_array_are_input_errors(tmp_path, capsys, command, n):
+    graph, cert = tmp_path / "g.txt", tmp_path / "c.json"
+    graph.write_text(f"p {n} 0\n")
+    cert.write_text('{"type":"separator","vertices":[]}\n')
+    argv = ["--input", str(graph)]
+    argv += ["--h", "5"] if command == "separate" else ["--certificate", str(cert)]
+    assert run(command, *argv) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: line 1:")
 
 
 def test_out_of_memory_is_an_input_error(tmp_path, monkeypatch, capsys):
@@ -366,6 +395,22 @@ def test_bench_rejects_bad_sizes(capsys, sizes):
     assert "summary" not in captured.out
 
 
+def test_bench_rejects_a_gnp_size_beyond_an_int64_array(capsys):
+    assert run("bench", "--family", "gnp", "--sizes", "100000000000000000000",
+               "--h", "5") == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_bench_gnp_below_three_vertices(tmp_path, capsys):
+    # bench picks p = 3/n, which used to exceed 1 below n = 3 and fail with
+    # "gnp needs 0 <= p <= 1", a parameter bench users never set
+    csv = tmp_path / "rows.csv"
+    assert run("bench", "--family", "gnp", "--sizes", "1,2,3", "--h", "5",
+               "--trials", "1", "--csv", str(csv)) == 0
+    assert [line.split(",")[0] for line in csv.read_text().split("\n")[1:-1]] == ["1", "2", "3"]
+    assert "error" not in capsys.readouterr().err
+
+
 def test_bench_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for p in (a, b):
@@ -374,3 +419,20 @@ def test_bench_deterministic(tmp_path):
     # times differ; everything else matches
     strip = lambda t: [",".join(line.split(",")[:6]) for line in t.strip().split("\n")]
     assert strip(a.read_text()) == strip(b.read_text())
+
+
+# -- docs ---------------------------------------------------------------------
+
+def test_readme_names_every_subcommand_option():
+    """README's "Subcommands" bullets name exactly the parser's options."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("### Subcommands\n", 1)[1].split("\n#", 1)[0]
+    bullets = re.findall(r"^- `(\w+)`(.*?)(?=^- `|\Z)", section, re.M | re.S)
+    documented = {name: set(re.findall(r"`(--[a-z-]+)", body)) for name, body in bullets}
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {
+        name: {opt for action in parser._actions for opt in action.option_strings
+               if opt not in ("-h", "--help")}
+        for name, parser in sub.choices.items()
+    }
+    assert documented == parsed

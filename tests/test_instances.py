@@ -10,6 +10,7 @@ from minorsep.graph import build_graph, connected_components
 from minorsep.instances import (
     FAMILIES,
     GNP_CHUNK,
+    MAX_COUNT,
     InstanceSpec,
     generate,
     graph_to_text,
@@ -168,6 +169,19 @@ def test_generate_validates():
     ]:
         with pytest.raises(InputError):
             generate(InstanceSpec(family, params))
+
+
+def test_counts_beyond_an_int64_array_are_input_errors():
+    # a count parameter over the limit, or a vertex or edge count it implies
+    for family, params in [
+        ("torus", (10**10, 10**10)), ("complete", (2 * 10**9,)),
+        ("subdivided_clique", (2 * 10**9, 0)), ("path", (MAX_COUNT + 1,)),
+    ]:
+        with pytest.raises(InputError, match="too large"):
+            generate(InstanceSpec(family, params))
+    for header in (f"p {MAX_COUNT + 1} 0", f"p 3 {MAX_COUNT + 1}"):
+        with pytest.raises(InputError, match="line 2: header count"):
+            read_edge_list(io.StringIO(f"# big\n{header}\n"))
 
 
 def test_families_registry_arity():

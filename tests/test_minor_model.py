@@ -10,7 +10,6 @@ from minorsep.graph import VertexMask, build_graph
 from minorsep.instances import InstanceSpec, generate
 from minorsep.minor_model import (
     MinorModel,
-    _adjacent,
     _connected,
     add_branch,
     branch_neighbors,
@@ -251,12 +250,26 @@ def test_connected_matches_union_find_on_induced_subgraphs(seed, k):
     assert _connected(g, ids) == want
     # the same set, unsorted and with repeats
     assert _connected(g, np.concatenate([ids, ids[::-2]])) == want
-    # _adjacent against a set oracle; the sets may overlap or be empty
-    a = ids[:rng.integers(0, k + 1)]
-    b = rng.integers(n, size=rng.integers(0, 6))
-    want = any(int(w) in set(b.tolist()) for v in a.tolist() for w in g.neighbors(v))
-    assert _adjacent(g, a, b) == want
-    assert _adjacent(g, b, a) == want
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 7))
+def test_missing_pairs_match_a_set_oracle(seed, k):
+    """validate_clique_minor lists exactly the branch pairs with no edge
+    between them, as plain ints, row by row; branches may overlap or be
+    empty."""
+    rng = np.random.default_rng(seed)
+    n = 30
+    pairs = rng.integers(n, size=(45, 2))
+    g = build_graph(n, pairs[pairs[:, 0] != pairs[:, 1]])
+    branches = [np.unique(rng.integers(n, size=rng.integers(0, 6))) for _ in range(k)]
+    m = MinorModelFrom(branches, n)
+    nbrs = [{int(w) for v in b.tolist() for w in g.neighbors(v)} for b in branches]
+    want = [(i, j) for i in range(k) for j in range(i + 1, k)
+            if not nbrs[i] & set(branches[j].tolist())]
+    _, checks = validate_clique_minor(m, g, 3)
+    (passed, detail), = [(ok, d) for name, ok, d in checks if name == "pairwise_adjacent"]
+    assert passed == (not want)
+    assert detail == (f"missing edges between pairs {want}" if want else "all pairs joined")
 
 
 def test_petersen_spokes_are_a_k5_model():

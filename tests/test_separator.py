@@ -329,7 +329,7 @@ def test_exact_center_rejects_every_id_on_sparse_inputs(family, params):
         assert scan(g, VertexMask.full(g.n), r) is None
 
 
-def test_exact_center_finds_a_late_hub_in_every_block():
+def test_exact_center_finds_a_late_hub_at_every_position():
     n = 40
     for c in range(n):
         g = hubs(n, [c])
@@ -356,6 +356,27 @@ def test_exact_center_respects_holes_in_live():
         live = VertexMask(rng.random(g.n) < 0.85)
         for r in (0, 1, 4, 6, 8):
             scan(g, live, r)
+
+
+@pytest.mark.parametrize("family,params,h", [
+    ("gnp", (450, 0.045), 8), ("gnp", (450, 0.045), 12), ("complete", (150,), 15),
+    ("grid", (22, 22), 5), ("cycle", (500,), 5), ("path", (500,), 5),
+    ("subdivided_clique", (6, 20), 5),
+])
+def test_exact_center_matrix_stays_small(monkeypatch, family, params, h):
+    # the scan's one csgraph pass holds a (|live| - 1) x n distance matrix;
+    # step 1 scans at most EXACT_CENTER_LIMIT = 512 live vertices, and only
+    # while 3|live| >= 2n, so n <= 768
+    calls = []
+
+    def recorded(g, live, r, n):
+        calls.append((g.n, live.size))
+        return _exact_center(g, live, r, n)
+
+    monkeypatch.setattr(separator, "_exact_center", recorded)
+    balanced_separator(gen(family, *params, seed=7), h, seed=1)
+    assert calls
+    assert all(n <= 768 and size <= 512 for n, size in calls)
 
 
 # -- deep instances driving the rarer steps ----------------------------------------
