@@ -33,8 +33,6 @@ from .minor_model import (
     grow_branch,
     new_model,
     trim,
-    validate_clique_minor,
-    witness_from_json,
 )
 from .rng import SplitMix64, derive_seed, stream
 from .separator import (
@@ -47,9 +45,12 @@ from .separator import (
 )
 from .verify import (
     VerificationReport,
+    certificate,
     check_invariants,
     verify_balanced,
+    verify_certificate,
     verify_witness,
+    witness_from_json,
 )
 
 __version__ = "0.1.0"

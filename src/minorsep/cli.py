@@ -20,24 +20,18 @@ import sys
 import time
 
 from .errors import InputError, ModelError, SelfVerificationError
-from .graph import Graph, VertexMask
+from .graph import Graph
 from .instances import (
     FAMILIES,
     InstanceSpec,
+    edge_list_chunks,
     generate,
-    graph_to_text,
     read_edge_list,
     write_edge_list,
 )
-from .minor_model import _json_ids, witness_from_json
 from .rng import derive_seed
-from .separator import (
-    BalancedSeparator,
-    MinorWitness,
-    balanced_separator,
-    ceil_log2,
-)
-from .verify import verify_balanced, verify_witness
+from .separator import BalancedSeparator, balanced_separator, ceil_log2
+from .verify import certificate, verify_certificate
 
 __all__ = ["main"]
 
@@ -82,7 +76,10 @@ def _load_graph(args) -> tuple:
 
 
 def _digest(g: Graph) -> str:
-    return hashlib.sha256(graph_to_text(g).encode()).hexdigest()
+    digest = hashlib.sha256()
+    for chunk in edge_list_chunks(g):
+        digest.update(chunk.encode())
+    return digest.hexdigest()
 
 
 def _canonical_json(payload: dict) -> str:
@@ -91,7 +88,7 @@ def _canonical_json(payload: dict) -> str:
 
 def _report(g: Graph, source: str, args, outcome) -> dict:
     ell = outcome.stats["ell"]
-    outcome_body = _certificate(outcome)
+    outcome_body = certificate(outcome)
     outcome_body["kind"] = outcome_body.pop("type")
     if isinstance(outcome, BalancedSeparator):
         outcome_body.update({
@@ -116,16 +113,6 @@ def _report(g: Graph, source: str, args, outcome) -> dict:
     }
 
 
-def _certificate(outcome) -> dict:
-    if isinstance(outcome, BalancedSeparator):
-        return {"type": "separator", "vertices": outcome.separator.ids().tolist()}
-    return {
-        "type": "witness",
-        "h": outcome.h,
-        "branches": [b.tolist() for b in outcome.model.branches],
-    }
-
-
 def cmd_separate(args) -> int:
     g, source = _load_graph(args)
     t0 = time.perf_counter()
@@ -145,7 +132,7 @@ def cmd_separate(args) -> int:
             fh.write(_canonical_json(_report(g, source, args, outcome)))
     if args.certificate:
         with open(args.certificate, "w", encoding="utf-8") as fh:
-            fh.write(_canonical_json(_certificate(outcome)))
+            fh.write(_canonical_json(certificate(outcome)))
 
     if isinstance(outcome, BalancedSeparator):
         print(
@@ -171,21 +158,11 @@ def cmd_verify(args) -> int:
         raise InputError(f"{args.certificate}: not UTF-8 text (byte {exc.start})") from None
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"certificate is not JSON: {exc}") from None
-    if not isinstance(payload, dict) or "type" not in payload:
-        raise InputError("certificate must be an object with a 'type' field")
-
-    if payload["type"] == "separator":
-        ids = _json_ids(payload.get("vertices"), "separator certificate field 'vertices'")
-        sep = VertexMask.from_ids(g.n, ids)
-        report = verify_balanced(g, sep)
-    elif payload["type"] == "witness":
-        model, h = witness_from_json(g.n, payload)
-        report = verify_witness(g, model, h)
-    else:
-        raise InputError(f"unknown certificate type {payload['type']!r}")
-
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and an integer past Python's
+        # digit limit; RecursionError, arrays nested too deep to decode
+        raise InputError(f"certificate is not decodable JSON: {exc}") from None
+    report = verify_certificate(g, payload)
     for name, passed, detail in report.checks:
         print(f"{'ok' if passed else 'FAIL'} {name}: {detail}")
     if report.ok:

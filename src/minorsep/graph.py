@@ -203,6 +203,31 @@ def _masked_adjacency(g: Graph, keep: np.ndarray) -> sparse.csr_matrix:
     return adj
 
 
+def _connected(g: Graph, ids: np.ndarray) -> bool:
+    """Whether the subgraph induced by `ids` is connected.
+
+    Every id must lie in 0..n-1.  Costs O(edges at ids), not a pass over
+    the whole graph: the edges leaving `ids` are filtered to those landing
+    inside it and relabelled to positions in the sorted ids.  That k x k
+    matrix is symmetric, so one directed BFS from position 0 reaches all k
+    positions iff it is connected.
+    """
+    ids = _sorted_unique(ids)
+    if ids.size <= 1:
+        return ids.size == 1
+    src, tgt = _gather(g, ids)
+    pos = np.searchsorted(ids, tgt)
+    inside = ids[np.minimum(pos, ids.size - 1)] == tgt
+    # _gather lists the edges row by row, so the kept ones are in CSR order
+    indptr = np.zeros(ids.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(np.searchsorted(ids, src[inside]), minlength=ids.size),
+              out=indptr[1:])
+    adj = sparse.csr_matrix(
+        (np.ones(indptr[-1]), pos[inside], indptr), shape=(ids.size, ids.size)
+    )
+    return csgraph.breadth_first_order(adj, 0, return_predecessors=False).size == ids.size
+
+
 def connected_components(
     g: Graph, live: VertexMask | None = None
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -44,6 +44,7 @@ __all__ = [
     "read_edge_list",
     "write_edge_list",
     "graph_to_text",
+    "edge_list_chunks",
 ]
 
 
@@ -299,13 +300,27 @@ def _check_lines(body: list, first: int, n: int, m: int) -> list:
     return edges
 
 
-def graph_to_text(g: Graph) -> str:
+# Edges per piece of the edge-list text.  The writer and the CLI's report
+# digest hold one piece at a time, never the whole graph's text: on grid
+# 1000^2 that text, and the Python ints formatted into it, are over 100 MB.
+TEXT_CHUNK = 1 << 16
+
+
+def edge_list_chunks(g: Graph):
+    """The canonical edge-list text in pieces: the header, then the edges
+    with u < v in lexicographic order, TEXT_CHUNK lines a piece."""
     us, vs = g.edges()
-    flat = np.column_stack([us, vs]).ravel().tolist()
-    return f"p {g.n} {us.size}\n" + ("%d %d\n" * us.size) % tuple(flat)
+    yield f"p {g.n} {us.size}\n"
+    for lo in range(0, us.size, TEXT_CHUNK):
+        flat = np.column_stack([us[lo:lo + TEXT_CHUNK], vs[lo:lo + TEXT_CHUNK]]).ravel()
+        yield ("%d %d\n" * (flat.size // 2)) % tuple(flat.tolist())
+
+
+def graph_to_text(g: Graph) -> str:
+    return "".join(edge_list_chunks(g))
 
 
 def write_edge_list(g: Graph, path: str) -> None:
     """Write canonical bytes: header, then edges with u < v in lex order."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(graph_to_text(g))
+        fh.writelines(edge_list_chunks(g))

@@ -296,6 +296,7 @@ def test_criterion_08_decomposition_soundness(verdict):
     )
 
 
+@pytest.mark.slow
 def test_criterion_09_small_instance_oracle(verdict):
     t0 = time.perf_counter()
     checked = 0

@@ -15,6 +15,9 @@ from minorsep.cli import (
     _build_parser,
     main,
 )
+from minorsep.instances import TEXT_CHUNK, InstanceSpec, generate
+
+from helpers import loop_graph_to_text
 
 
 def run(*argv):
@@ -125,6 +128,19 @@ def test_separate_grid_report_and_certificate(tmp_path, capsys):
     payload = json.loads(cert.read_text())
     assert payload["type"] == "separator"
     assert payload["vertices"] == body["outcome"]["vertices"]
+
+
+def test_text_of_several_chunks_keeps_its_bytes_and_digest(tmp_path):
+    # grid 200x200 has 79,600 edges, more lines than one TEXT_CHUNK
+    g = generate(InstanceSpec("grid", (200, 200)))
+    assert g.m > TEXT_CHUNK
+    want = loop_graph_to_text(g).encode()
+    graph = tmp_path / "g.txt"
+    assert run("gen", "--family", "grid", "--params", "200,200", "--out", str(graph)) == 0
+    assert graph.read_bytes() == want
+    rep = tmp_path / "report.json"
+    assert run("separate", "--input", str(graph), "--h", "5", "--json", str(rep)) == 0
+    assert json.loads(rep.read_text())["input"]["digest"] == hashlib.sha256(want).hexdigest()
 
 
 def test_separate_reports_are_byte_identical(tmp_path):
@@ -353,6 +369,42 @@ def test_verify_rejects_non_integer_fields(tmp_path, capsys, text, field):
     captured = capsys.readouterr()
     assert "certificate valid" not in captured.out
     assert captured.err.startswith("error:") and field in captured.err
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100000 + "]" * 100000,
+    '{"type":"separator","vertices":[' + "7" * 5000 + "]}",
+    '{"type":"witness","h":' + "7" * 5000 + ',"branches":[]}',
+], ids=["nested_too_deep", "vertex_past_digit_limit", "h_past_digit_limit"])
+def test_verify_undecodable_certificates_are_input_errors(tmp_path, capsys, text):
+    # these ended in a RecursionError or ValueError traceback and exit 1,
+    # the code for an invalid certificate
+    graph = tmp_path / "g.txt"
+    run("gen", "--family", "path", "--params", "5", "--out", str(graph))
+    capsys.readouterr()
+    cert = tmp_path / "c.json"
+    cert.write_text(text)
+    assert run("verify", "--input", str(graph), "--certificate", str(cert)) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "certificate" not in captured.out
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+
+
+def test_verify_failure_lines_stay_short(tmp_path, capsys):
+    # 3000 singleton branches on path 3000 miss 4,495,501 branch pairs; the
+    # check counts them and lists ten, so no printed line nears the 60 MB
+    # that listing them all took
+    graph = tmp_path / "g.txt"
+    run("gen", "--family", "path", "--params", "3000", "--out", str(graph))
+    capsys.readouterr()
+    cert = tmp_path / "c.json"
+    cert.write_text(json.dumps(
+        {"type": "witness", "h": 3000, "branches": [[v] for v in range(3000)]}))
+    assert run("verify", "--input", str(graph),
+               "--certificate", str(cert)) == EXIT_CERT_INVALID
+    out = capsys.readouterr().out
+    assert "FAIL pairwise_adjacent: missing edges between 4495501 pairs; first 10: " in out
+    assert max(len(line.encode()) for line in out.splitlines()) < 1024
 
 
 # -- bench ------------------------------------------------------------------------

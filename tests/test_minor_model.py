@@ -6,20 +6,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from minorsep.errors import InputError, ModelError
-from minorsep.graph import VertexMask, build_graph
+from minorsep.graph import VertexMask, _connected, build_graph
 from minorsep.instances import InstanceSpec, generate
 from minorsep.minor_model import (
     MinorModel,
-    _connected,
     add_branch,
     branch_neighbors,
     f_selector,
     grow_branch,
     new_model,
     trim,
-    validate_clique_minor,
-    witness_from_json,
 )
+from minorsep.verify import verify_witness, witness_from_json
 
 from helpers import petersen, uf_components
 
@@ -178,7 +176,7 @@ def test_f_selector_union_over_branches():
     assert f_selector(*trim(empty, K4, full(K4))).size == 0
 
 
-# -- validation ----------------------------------------------------------------
+# -- witness checks (verify.verify_witness) ----------------------------------
 
 def check_names(checks):
     return {name: ok for name, ok, _ in checks}
@@ -189,12 +187,12 @@ def test_validate_complete_singletons():
     m = new_model(5, 0)
     for v in range(1, 5):
         m = add_branch(m, k5, [v])
-    ok, checks = validate_clique_minor(m, k5, 5)
-    assert ok and all(passed for _, passed, _ in checks)
+    r = verify_witness(k5, m, 5)
+    assert r.ok and all(passed for _, passed, _ in r.checks)
     # h=6 fails only the count check
-    ok6, checks6 = validate_clique_minor(m, k5, 6)
-    assert not ok6
-    names = check_names(checks6)
+    r6 = verify_witness(k5, m, 6)
+    assert not r6.ok
+    names = check_names(r6.checks)
     assert not names["enough_branches"]
     assert names["pairwise_disjoint"] and names["each_connected"] and names["pairwise_adjacent"]
 
@@ -204,8 +202,7 @@ def test_validate_more_branches_than_needed():
     m = new_model(5, 0)
     for v in range(1, 5):
         m = add_branch(m, k5, [v])
-    ok, _ = validate_clique_minor(m, k5, 4)
-    assert ok
+    assert verify_witness(k5, m, 4).ok
 
 
 def test_validate_rejects_missing_pair_edges():
@@ -214,9 +211,9 @@ def test_validate_rejects_missing_pair_edges():
     c5 = generate(InstanceSpec("cycle", (5,)))
     m = new_model(5, 0)
     m = MinorModelFrom([[0], [1], [2], [3], [4]], 5)
-    ok, checks = validate_clique_minor(m, c5, 5)
-    names = check_names(checks)
-    assert not ok
+    r = verify_witness(c5, m, 5)
+    names = check_names(r.checks)
+    assert not r.ok
     assert not names["pairwise_adjacent"]
     assert names["pairwise_disjoint"] and names["each_connected"]
 
@@ -227,11 +224,10 @@ def MinorModelFrom(branches, n):
 
 
 def test_validate_rejects_overlap_and_disconnection():
-    ok, checks = validate_clique_minor(MinorModelFrom([[0, 1], [1, 2], [3]], 4), K4, 3)
-    assert not ok and not check_names(checks)["pairwise_disjoint"]
-    ok, checks = validate_clique_minor(MinorModelFrom([[0, 3], [1], [2]], 4), P4, 3)
-    names = check_names(checks)
-    assert not ok and not names["each_connected"]
+    r = verify_witness(K4, MinorModelFrom([[0, 1], [1, 2], [3]], 4), 3)
+    assert not r.ok and not check_names(r.checks)["pairwise_disjoint"]
+    r = verify_witness(P4, MinorModelFrom([[0, 3], [1], [2]], 4), 3)
+    assert not r.ok and not check_names(r.checks)["each_connected"]
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
@@ -252,34 +248,35 @@ def test_connected_matches_union_find_on_induced_subgraphs(seed, k):
     assert _connected(g, np.concatenate([ids, ids[::-2]])) == want
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(0, 7))
+@given(st.integers(0, 2**32 - 1), st.integers(0, 24))
 def test_missing_pairs_match_a_set_oracle(seed, k):
-    """validate_clique_minor lists exactly the branch pairs with no edge
-    between them, as plain ints, row by row; branches may overlap or be
-    empty."""
+    """verify_witness counts exactly the branch pairs with no edge between
+    them and lists the first ten, as plain ints, row by row; branches may
+    overlap or be empty.  Denser graphs give rows whose first missing pair
+    comes after many joined ones."""
     rng = np.random.default_rng(seed)
     n = 30
-    pairs = rng.integers(n, size=(45, 2))
+    pairs = rng.integers(n, size=(int(rng.integers(45, 300)), 2))
     g = build_graph(n, pairs[pairs[:, 0] != pairs[:, 1]])
     branches = [np.unique(rng.integers(n, size=rng.integers(0, 6))) for _ in range(k)]
     m = MinorModelFrom(branches, n)
     nbrs = [{int(w) for v in b.tolist() for w in g.neighbors(v)} for b in branches]
     want = [(i, j) for i in range(k) for j in range(i + 1, k)
             if not nbrs[i] & set(branches[j].tolist())]
-    _, checks = validate_clique_minor(m, g, 3)
+    checks = verify_witness(g, m, 3).checks
     (passed, detail), = [(ok, d) for name, ok, d in checks if name == "pairwise_adjacent"]
     assert passed == (not want)
-    assert detail == (f"missing edges between pairs {want}" if want else "all pairs joined")
+    assert detail == (f"missing edges between {len(want)} pairs; first {len(want[:10])}: "
+                      f"{want[:10]}" if want else "all pairs joined")
 
 
 def test_petersen_spokes_are_a_k5_model():
     g = petersen()
     m = MinorModelFrom([[i, i + 5] for i in range(5)], 10)
-    ok, _ = validate_clique_minor(m, g, 5)
-    assert ok
+    assert verify_witness(g, m, 5).ok
 
 
-# -- witness JSON ----------------------------------------------------------------
+# -- witness JSON (verify.witness_from_json) ----------------------------------
 
 def test_witness_json_roundtrip():
     """The parser reads the CLI's witness certificate, `type` key included."""
@@ -328,7 +325,7 @@ def test_random_operation_sequences_preserve_structure(seed, n, steps):
         else:
             live_bits = (owner < 0) & (rng.random(n) < 0.8)
             m, _ = trim(m, g, VertexMask(live_bits))
-    _, checks = validate_clique_minor(m, g, h=max(m.size, 1))
+    checks = verify_witness(g, m, max(m.size, 1)).checks
     names = {name: okc for name, okc, _ in checks}
     assert names["pairwise_disjoint"]
     assert names["each_connected"]

@@ -13,6 +13,7 @@ from minorsep.graph import VertexMask, build_graph, connected_components
 from minorsep.instances import InstanceSpec, generate
 from minorsep.rng import stream
 from minorsep.separator import (
+    FAST_REJECTION_BUDGET,
     BalancedSeparator,
     MinorWitness,
     _exact_center,
@@ -476,6 +477,32 @@ def test_fast_center_deterministic_and_verified():
         assert a.verification.ok
     else:
         assert a.verification.ok
+
+
+def test_fast_center_rejects_then_accepts():
+    """K20 on 0..19 with the path 19-20-...-29 hanging off it: some sampled
+    centers on the path are rejected before one in the clique passes."""
+    edges = [(u, v) for u in range(20) for v in range(u + 1, 20)]
+    g = build_graph(30, edges + [(v, v + 1) for v in range(19, 29)])
+    out = balanced_separator(g, 6, seed=0, fast_center=True)
+    s = out.stats
+    assert (s["iterations"], s["fast_accepts"], s["fast_rejects"]) == (4, 3, 4)
+    assert out.kind == "separator" and verify_balanced(g, out.separator).ok
+
+
+def test_fast_center_falls_back_to_step1_after_every_sample_fails():
+    """A wheel: hub 1 joined to 0 and to the rim cycle 2..31.  Iteration 1
+    makes a branch of the hub, which leaves the rim live; no rim vertex's
+    2*delta-ball holds 2n/3, so every sample is rejected and step 1 runs."""
+    rim = np.arange(2, 32)
+    edges = np.column_stack([rim, np.roll(rim, -1)]).tolist()
+    g = build_graph(32, edges + [(0, 1)] + [(1, v) for v in rim.tolist()])
+    out = balanced_separator(g, 4, seed=0, fast_center=True)
+    s = out.stats
+    assert (s["iterations"], s["fast_accepts"], s["fast_rejects"]) == (
+        2, 0, FAST_REJECTION_BUDGET)
+    assert s["ldd_calls"] == 2
+    assert out.kind == "separator" and verify_balanced(g, out.separator).ok
 
 
 def test_fast_center_still_sound_on_structured_inputs():
