@@ -7,7 +7,6 @@ minor-freeness promise turns out to be false.
 
 from .errors import InputError, ModelError, SelfVerificationError
 from .graph import (
-    BfsLayers,
     Graph,
     VertexMask,
     ball,

@@ -11,13 +11,13 @@ Determinism rules implemented here and relied on everywhere else:
 
 * connected components are labelled by rank: rank 0 is the largest, and
   components of equal size rank by their smallest id;
-* BFS parents are the smallest-id neighbor in the previous layer;
-* all layer lists are ascending.
+* a BFS is its depth array; `tree_path` steps from a vertex to its
+  smallest-id neighbor one layer up, so BFS-tree paths need no parents.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -28,7 +28,6 @@ from .errors import InputError
 __all__ = [
     "Graph",
     "VertexMask",
-    "BfsLayers",
     "build_graph",
     "connected_components",
     "bfs_layers",
@@ -146,19 +145,12 @@ def build_graph(n: int, edge_list) -> Graph:
         if (pairs[:, 0] == pairs[:, 1]).any():
             bad = int(pairs[(pairs[:, 0] == pairs[:, 1]).argmax(), 0])
             raise InputError(f"self-loop at vertex {bad}")
-    u = np.minimum(pairs[:, 0], pairs[:, 1])
-    v = np.maximum(pairs[:, 0], pairs[:, 1])
-    # dedupe on the canonical orientation; no pair exists when n = 0
-    u, v = np.divmod(_sorted_unique(u * n + v), max(n, 1))
-    src = np.concatenate([u, v])
-    tgt = np.concatenate([v, u])
-    # the keys src * n + tgt are unique after the dedupe, so this is the
-    # permutation of np.lexsort((tgt, src)) at a fraction of its cost
-    order = np.argsort(src * n + tgt)
-    src, tgt = src[order], tgt[order]
+    u, v = pairs[:, 0], pairs[:, 1]
+    # one sort of both orientations' keys dedupes the edges and orders them
+    # by (source, target); no pair exists when n = 0
+    src, tgt = np.divmod(_sorted_unique(np.concatenate([u * n + v, v * n + u])), max(n, 1))
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     return Graph(n=n, indptr=indptr, indices=tgt)
 
 
@@ -255,66 +247,31 @@ def connected_components(
     return label, sizes[order[:np.count_nonzero(sizes)]]
 
 
-@dataclass
-class BfsLayers:
-    """Layered BFS from one root inside a mask.
-
-    dist[v] is -1 for vertices not reached (outside the mask or in another
-    component); parent[v] is the smallest-id neighbor of v in the previous
-    layer, -1 for the root and unreached vertices.  layers[d] lists layer d
-    ascending.
-    """
-
-    root: int
-    dist: np.ndarray
-    parent: np.ndarray
-    layers: list = field(default_factory=list)
-
-    @property
-    def depth(self) -> int:
-        return len(self.layers) - 1
-
-    def reached(self) -> int:
-        return int((self.dist >= 0).sum())
-
-
-def bfs_layers(g: Graph, live: VertexMask, root: int, radius: int | None = None) -> BfsLayers:
-    """BFS layering of `root`'s component within `live`.
+def bfs_layers(g: Graph, live: VertexMask, root: int, radius: int | None = None) -> np.ndarray:
+    """Depths of the BFS from `root` within `live`: dist[v] is v's live
+    distance from root, -1 outside `live` or unreached.
 
     Stops after `radius` layers when given.  The root must be live.
     """
     if root not in live:
         raise InputError(f"BFS root {root} is not in the mask")
     dist = np.full(g.n, -1, dtype=np.int64)
-    parent = np.full(g.n, -1, dtype=np.int64)
     dist[root] = 0
     frontier = np.array([root], dtype=np.int64)
-    layers = [frontier]
     d = 0
     while frontier.size and (radius is None or d < radius):
-        src, tgt = _gather(g, frontier)
-        ok = live.bits[tgt] & (dist[tgt] < 0)
-        src, tgt = src[ok], tgt[ok]
-        if tgt.size == 0:
-            break
-        order = np.lexsort((src, tgt))
-        tgt, src = tgt[order], src[order]
-        first = np.ones(tgt.size, dtype=bool)
-        first[1:] = tgt[1:] != tgt[:-1]
-        frontier = tgt[first]
+        tgt = _gather(g, frontier)[1]
+        frontier = _sorted_unique(tgt[live.bits[tgt] & (dist[tgt] < 0)])
         d += 1
         dist[frontier] = d
-        parent[frontier] = src[first]
-        layers.append(frontier)
-    return BfsLayers(root=root, dist=dist, parent=parent, layers=layers)
+    return dist
 
 
 def ball(g: Graph, live: VertexMask, v: int, r: int) -> VertexMask:
     """Vertices within live-distance r of v (v included)."""
     if r < 0:
         raise InputError("ball radius must be nonnegative")
-    layers = bfs_layers(g, live, v, radius=r)
-    return VertexMask(layers.dist >= 0)
+    return VertexMask(bfs_layers(g, live, v, radius=r) >= 0)
 
 
 def _ball_sizes(adj: sparse.csr_matrix, r: int, sources: np.ndarray) -> np.ndarray:
@@ -330,12 +287,18 @@ def _ball_sizes(adj: sparse.csr_matrix, r: int, sources: np.ndarray) -> np.ndarr
     return np.isfinite(dist).sum(axis=1)
 
 
-def tree_path(layers: BfsLayers, x: int) -> np.ndarray:
-    """Vertices of the BFS-tree path root..x inclusive, in root-first order."""
-    if layers.dist[x] < 0:
-        raise InputError(f"vertex {x} was not reached from root {layers.root}")
-    path = [x]
-    while path[-1] != layers.root:
-        path.append(int(layers.parent[path[-1]]))
-    path.reverse()
-    return np.asarray(path, dtype=np.int64)
+def tree_path(g: Graph, dist: np.ndarray, x: int) -> np.ndarray:
+    """Vertices of the BFS-tree path root..x inclusive, in root-first order.
+
+    `dist` is a `bfs_layers` depth array; each step goes to the smallest-id
+    neighbor one layer up, the neighbor lists being ascending.
+    """
+    d = int(dist[x])
+    if d < 0:
+        raise InputError(f"vertex {x} was not reached by the BFS")
+    path = np.empty(d + 1, dtype=np.int64)
+    path[d] = x
+    for k in range(d, 0, -1):
+        nb = g.neighbors(path[k])
+        path[k - 1] = nb[np.argmax(dist[nb] == k - 1)]
+    return path

@@ -43,7 +43,6 @@ from .errors import InputError, SelfVerificationError
 from .graph import (
     Graph,
     VertexMask,
-    BfsLayers,
     _ball_sizes,
     _masked_adjacency,
     _sorted_unique,
@@ -117,15 +116,15 @@ class MinorWitness(SeparatorOutcome):
 class LayeredView:
     """BFS layering of live from a center whose base-ball holds >= 2n/3.
 
-    `sizes[d]` counts the live vertices at depth d.  `window` marks the live
-    vertices at depth 0 to base + ell* + ell; a branch whose live neighbors
-    all lie deeper is stuck.
+    `dist` is the `bfs_layers` depth array from `root`; it reaches every
+    live vertex, so dist >= 0 is exactly live.  `sizes[d]` counts the live
+    vertices at depth d.
     """
 
-    layers: BfsLayers
+    root: int
+    dist: np.ndarray
     base: int
     sizes: np.ndarray
-    window: np.ndarray
 
 
 @dataclass
@@ -232,8 +231,8 @@ def _retire_and_trim(st: DriverState) -> list:
 
 
 def _layered_view(st: DriverState, root: int, base: int) -> LayeredView:
-    lay = bfs_layers(st.g, st.live, root)
-    sizes = np.array([len(L) for L in lay.layers], dtype=np.int64)
+    dist = bfs_layers(st.g, st.live, root)
+    sizes = np.bincount(dist[dist >= 0])
     if sizes.sum() != st.live.size:
         raise SelfVerificationError(
             f"iteration {st.iteration}: live is not connected "
@@ -245,10 +244,8 @@ def _layered_view(st: DriverState, root: int, base: int) -> LayeredView:
             f"iteration {st.iteration}: center {root} has base ball "
             f"{base_ball} < 2n/3 of n={st.n}"
         )
-    # every live vertex was reached, so depth >= 0 is exactly live
-    window = (lay.dist >= 0) & (lay.dist <= base + st.ell_star + st.ell)
     st.base_max = max(st.base_max, base)
-    return LayeredView(layers=lay, base=base, sizes=sizes, window=window)
+    return LayeredView(root=root, dist=dist, base=base, sizes=sizes)
 
 
 def _exact_center(g: Graph, live: VertexMask, r: int, n: int) -> int | None:
@@ -327,28 +324,30 @@ def _try_fast_center(st: DriverState):
     return None
 
 
-def _scan_branches(view: LayeredView, nbrs: list):
+def _scan_branches(st: DriverState, view: LayeredView, nbrs: list):
     """One pass over the branches' live neighbors `nbrs`, in index order.
 
-    Returns (i, nbrs[i]) for the first branch i whose live neighbors all
-    lie below the window, or (None, contacts) with the smallest-id window
-    contact of every branch when no branch is stuck.
+    The window is depth 0 to base + ell* + ell.  Returns (i, nbrs[i]) for
+    the first branch i whose live neighbors all lie below it, or (None,
+    contacts) with the smallest-id window contact of every branch when no
+    branch is stuck.
     """
+    top = view.base + st.ell_star + st.ell
     contacts = []
     for i, nb in enumerate(nbrs):
-        hits = nb[view.window[nb]]
+        hits = nb[view.dist[nb] <= top]
         if hits.size == 0:
             return i, nb
         contacts.append(int(hits[0]))
     return None, contacts
 
 
-def step2_grow_model(view: LayeredView, contacts: list) -> np.ndarray:
+def step2_grow_model(g: Graph, view: LayeredView, contacts: list) -> np.ndarray:
     """New-branch candidate: the tree paths to every branch's contact, or
     the center alone when the model is empty."""
     if not contacts:
-        return np.array([view.layers.root], dtype=np.int64)
-    return _sorted_unique(np.concatenate([tree_path(view.layers, xc) for xc in contacts]))
+        return np.array([view.root], dtype=np.int64)
+    return _sorted_unique(np.concatenate([tree_path(g, view.dist, xc) for xc in contacts]))
 
 
 def step3_grow_branch(st: DriverState, view: LayeredView, sel_nbrs: np.ndarray):
@@ -364,8 +363,7 @@ def step3_grow_branch(st: DriverState, view: LayeredView, sel_nbrs: np.ndarray):
             f"iteration {st.iteration}: thinnest layer {y} has "
             f"{view.sizes[y]} vertices, exceeds n/(h*ell)"
         )
-    dist = view.layers.dist
-    W = VertexMask((dist >= y + 1) & st.live.bits)
+    W = VertexMask(view.dist > y)
     label, _ = connected_components(st.g, W)
     touched = label[sel_nbrs]
     return np.flatnonzero(np.isin(label, touched[touched >= 0]))
@@ -492,9 +490,9 @@ def balanced_separator(
             if view is None:
                 break
 
-        stuck, found = _scan_branches(view, nbrs)
+        stuck, found = _scan_branches(st, view, nbrs)
         if stuck is None:
-            cand = step2_grow_model(view, found)
+            cand = step2_grow_model(g, view, found)
             st.model = add_branch(st.model, g, cand)
             st.stats["step2_count"] += 1
             if st.model.size == h:
@@ -515,21 +513,21 @@ def balanced_separator(
         else:
             istar = step4_cut_layer(st, view)
             st.stats["step4_count"] += 1
-            layer = view.layers.layers[istar]
-            dist = view.layers.dist
-            charged_ids = np.flatnonzero((dist >= istar + 1) & st.live.bits)
+            dist = view.dist
+            layer = np.flatnonzero(dist == istar)
+            charged_ids = np.flatnonzero(dist > istar)
             if st.charged[charged_ids].any():
                 raise SelfVerificationError(
                     f"iteration {st.iteration}: double charge at layer cut {istar}"
                 )
-            if st.ell * len(layer) > charged_ids.size:
+            if st.ell * layer.size > charged_ids.size:
                 raise SelfVerificationError(
                     f"iteration {st.iteration}: cut layer {istar} too thick for its charge"
                 )
             st.charged[charged_ids] = True
             st.stats["charged"] += int(charged_ids.size)
             st.x_set = st.x_set.union(VertexMask.from_ids(n, layer))
-            kept = VertexMask((dist >= 0) & (dist < istar) & st.live.bits)
+            kept = VertexMask((dist >= 0) & (dist < istar))
             if debug:
                 whole = _largest_component_mask(g, kept)
                 if whole.size != kept.size:

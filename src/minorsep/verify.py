@@ -62,7 +62,8 @@ def verify_witness(g: Graph, m: MinorModel, h: int) -> VerificationReport:
 
     Pairwise adjacency is one sparse product over a branch-incidence
     matrix.  Its detail counts the pairs without an edge and lists the first
-    ten in row order, i < j, so it stays short when there are millions.
+    ten in row order, i < j, so it stays short when there are millions; the
+    overlap and connectivity details list their first ten offenders too.
     """
     checks = []
     checks.append((
@@ -78,12 +79,13 @@ def verify_witness(g: Graph, m: MinorModel, h: int) -> VerificationReport:
         seen[ids] = i
     checks.append((
         "pairwise_disjoint", not overlaps,
-        "disjoint" if not overlaps else f"overlapping pairs {overlaps}",
+        "disjoint" if not overlaps else f"overlapping pairs {_first_ten(overlaps)}",
     ))
     disconnected = [i for i, ids in enumerate(m.branches) if not _connected(g, ids)]
     checks.append((
         "each_connected", not disconnected,
-        "connected" if not disconnected else f"disconnected branches {disconnected}",
+        "connected" if not disconnected
+        else f"disconnected branches {_first_ten(disconnected)}",
     ))
     # entry (i, j) of inc @ adj @ inc.T counts the edges from branch i to
     # branch j; inc has a row per branch, so overlapping branches are fine
@@ -117,6 +119,10 @@ def verify_witness(g: Graph, m: MinorModel, h: int) -> VerificationReport:
     return VerificationReport(all(ok for _, ok, _ in checks), checks)
 
 
+def _first_ten(items: list) -> str:
+    return f"{items[:10]} ({len(items)} in all)"
+
+
 def certificate(outcome) -> dict:
     """The certificate of a solver outcome, ready for `json.dumps`."""
     if outcome.kind == "separator":
@@ -142,7 +148,9 @@ def verify_certificate(g: Graph, payload) -> VerificationReport:
     if kind == "witness":
         model, h = witness_from_json(g.n, payload)
         return verify_witness(g, model, h)
-    raise InputError(f"unknown certificate type {kind!r}")
+    raise InputError(
+        f"unknown certificate type: need 'separator' or 'witness', got a {type(kind).__name__}"
+    )
 
 
 def _json_ids(value, field: str, n: int) -> np.ndarray:
@@ -167,7 +175,7 @@ def witness_from_json(n: int, payload) -> tuple:
         raise InputError("malformed witness JSON: need an object with 'h' and 'branches'")
     h = payload["h"]
     if type(h) is not int:
-        raise InputError(f"malformed witness JSON: 'h' must be an integer, got {h!r}")
+        raise InputError(f"malformed witness JSON: 'h' must be an integer, got a {type(h).__name__}")
     if h < 3:
         raise InputError(f"malformed witness JSON: 'h' must be >= 3, got {h}")
     raw = payload["branches"]

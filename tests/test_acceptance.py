@@ -281,7 +281,7 @@ def test_criterion_08_decomposition_soundness(verdict):
             for v in members:
                 # all-pairs check via one BFS per member, in the host graph;
                 # stopping at floor(delta) leaves farther members at -1
-                dist = bfs_layers(g, live, v, radius=int(delta)).dist
+                dist = bfs_layers(g, live, v, radius=int(delta))
                 if any(dist[w] < 0 or dist[w] > delta for w in members):
                     diam_violations += 1
                     break

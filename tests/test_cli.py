@@ -407,6 +407,26 @@ def test_verify_failure_lines_stay_short(tmp_path, capsys):
     assert max(len(line.encode()) for line in out.splitlines()) < 1024
 
 
+@pytest.mark.parametrize("payload,code", [
+    ({"type": "witness", "h": "x" * 2**20, "branches": []}, EXIT_INPUT),
+    ({"type": ["x" * 2**20], "vertices": []}, EXIT_INPUT),
+    ({"type": "witness", "h": 3, "branches": [[0]] * 3000}, EXIT_CERT_INVALID),
+    ({"type": "witness", "h": 3, "branches": [[0, 2]] * 3000}, EXIT_CERT_INVALID),
+], ids=["h_1mb_string", "type_1mb_list", "overlapping_3000", "disconnected_3000"])
+def test_verify_echoes_no_unbounded_input(tmp_path, capsys, payload, code):
+    # the error and detail lines name a type or list ten offenders with a
+    # count, where they used to echo the whole value or every offender
+    graph = tmp_path / "g.txt"
+    run("gen", "--family", "path", "--params", "5", "--out", str(graph))
+    capsys.readouterr()
+    cert = tmp_path / "c.json"
+    cert.write_text(json.dumps(payload))
+    assert run("verify", "--input", str(graph), "--certificate", str(cert)) == code
+    captured = capsys.readouterr()
+    lines = (captured.out + captured.err).splitlines()
+    assert lines and max(len(line.encode()) for line in lines) < 1024
+
+
 # -- bench ------------------------------------------------------------------------
 
 def test_bench_csv(tmp_path, capsys):

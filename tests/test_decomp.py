@@ -60,14 +60,14 @@ def test_partition_properties(case, seed):
         sub = VertexMask.from_ids(g.n, members)
         assert len(component_lists(*connected_components(g, sub))) == 1
         # strong radius: every member within shift[c] < delta/2 of the center
-        L = bfs_layers(g, live, c)
+        dist = bfs_layers(g, live, c)
         assert res.shift[c] < delta / 2.0
-        assert np.all(L.dist[members] <= res.shift[c])
+        assert np.all(dist[members] <= res.shift[c])
         # weak diameter <= delta between any two members, via live distances
-        far = members[np.argmax(L.dist[members])]
-        L2 = bfs_layers(g, live, int(far))
-        assert np.all(L2.dist[members] <= delta)
-        assert np.all(L2.dist[members] >= 0)
+        far = members[np.argmax(dist[members])]
+        dist = bfs_layers(g, live, int(far))
+        assert np.all(dist[members] <= delta)
+        assert np.all(dist[members] >= 0)
 
 
 ORACLE_GRAPHS = [
@@ -149,8 +149,7 @@ def test_respects_mask(seed):
     assert not np.any(res.boundary.bits & ~live.bits)
     # distances used are live distances: parts stay inside live components
     for c, members in parts(res.center):
-        L = bfs_layers(g, live, c)
-        assert np.all(L.dist[members] >= 0)
+        assert np.all(bfs_layers(g, live, c)[members] >= 0)
 
 
 def test_deterministic_per_seed():

@@ -78,6 +78,17 @@ def test_build_matches_lexsort_reference():
         # repeats and both orientations of the same edge
         pairs = rng.integers(n, size=(m, 2))
         cases.append((n, pairs[pairs[:, 0] != pairs[:, 1]]))
+    # a 12 x 12 grid's edges, shuffled, each in a random orientation, and
+    # then all of them again reversed
+    ids = np.arange(144).reshape(12, 12)
+    grid = np.concatenate([
+        np.stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()], axis=1),
+        np.stack([ids[:-1].ravel(), ids[1:].ravel()], axis=1),
+    ])
+    grid = rng.permutation(grid)
+    flip = rng.random(len(grid)) < 0.5
+    grid[flip] = grid[flip, ::-1]
+    cases += [(144, grid), (144, np.concatenate([grid, grid[::-1, ::-1]]))]
     for n, pairs in cases:
         g = build_graph(n, pairs)
         indptr, indices = lexsort_csr(n, pairs)
@@ -176,20 +187,16 @@ def test_components_respect_mask(seed):
 
 # -- BFS --------------------------------------------------------------------
 
-def test_bfs_grid_layers_and_parents():
-    full = VertexMask.full(9)
-    L = bfs_layers(GRID3, full, 0)
-    assert [layer.tolist() for layer in L.layers] == [[0], [1, 3], [2, 4, 6], [5, 7], [8]]
-    assert L.parent.tolist() == [-1, 0, 1, 0, 1, 2, 3, 4, 5]
-    assert L.depth == 4
-    assert L.reached() == 9
+def test_bfs_grid_depths():
+    dist = bfs_layers(GRID3, VertexMask.full(9), 0)
+    assert dist.tolist() == [0, 1, 2, 1, 2, 3, 2, 3, 4]
 
 
 def test_bfs_radius_cut():
     full = VertexMask.full(9)
-    L = bfs_layers(GRID3, full, 0, radius=2)
-    assert L.depth == 2
-    assert L.dist[5] == -1 and L.dist[4] == 2
+    dist = bfs_layers(GRID3, full, 0, radius=2)
+    assert dist.max() == 2
+    assert dist[5] == -1 and dist[4] == 2
 
 
 def test_bfs_root_must_be_live():
@@ -206,12 +213,12 @@ def test_ball_on_grid():
 
 
 def test_tree_path_on_grid():
-    L = bfs_layers(GRID3, VertexMask.full(9), 0)
-    assert tree_path(L, 8).tolist() == [0, 1, 2, 5, 8]
-    assert tree_path(L, 0).tolist() == [0]
-    Lcut = bfs_layers(GRID3, VertexMask.from_ids(9, [0, 1, 8]), 0)
+    dist = bfs_layers(GRID3, VertexMask.full(9), 0)
+    assert tree_path(GRID3, dist, 8).tolist() == [0, 1, 2, 5, 8]
+    assert tree_path(GRID3, dist, 0).tolist() == [0]
+    cut = bfs_layers(GRID3, VertexMask.from_ids(9, [0, 1, 8]), 0)
     with pytest.raises(InputError):
-        tree_path(Lcut, 8)
+        tree_path(GRID3, cut, 8)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 35), st.integers(1, 70))
@@ -223,37 +230,36 @@ def test_bfs_dist_matches_plain_bfs(seed, n, m):
     root = int(rng.integers(n))
     keep[root] = True
     live = VertexMask(keep)
-    L = bfs_layers(g, live, root)
+    dist = bfs_layers(g, live, root)
     live_edges = [(u, v) for u, v in edges if keep[u] and keep[v]]
     want = bfs_dist(adjacency(n, live_edges, keep=np.flatnonzero(keep)), [root])
     for v in range(n):
-        assert L.dist[v] == (want.get(v, -1) if keep[v] else -1)
-    # layers partition the reached set, ascending within each layer
-    reached = np.flatnonzero(L.dist >= 0)
-    assert sorted(np.concatenate(L.layers).tolist()) == reached.tolist()
-    for d, layer in enumerate(L.layers):
-        assert np.all(np.diff(layer) > 0) or layer.size <= 1
-        assert np.all(L.dist[layer] == d)
+        assert dist[v] == (want.get(v, -1) if keep[v] else -1)
+    # layers 0..max are nonempty and partition the reached set, ascending
+    layers = [np.flatnonzero(dist == d) for d in range(dist.max() + 1)]
+    assert all(layer.size for layer in layers)
+    assert np.concatenate(layers).size == np.count_nonzero(dist >= 0)
+    for layer in layers:
+        assert np.all(np.diff(layer) > 0)
 
 
-@given(st.integers(0, 2**32 - 1))
-def test_bfs_parent_is_smallest_previous_layer_neighbor(seed):
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_tree_path_steps_to_smallest_neighbor_one_layer_up(seed, masked):
     rng = np.random.default_rng(seed)
     n = 25
     edges = random_edges(rng, n, 60)
     g = build_graph(n, edges)
-    L = bfs_layers(g, VertexMask.full(n), 0)
-    for v in range(n):
-        d = L.dist[v]
-        if d <= 0:
-            continue
-        prev = [int(w) for w in g.neighbors(v) if L.dist[w] == d - 1]
-        assert L.parent[v] == min(prev)
-    # tree paths step one layer at a time through parents
-    far = int(np.argmax(L.dist))
-    if L.dist[far] > 0:
-        p = tree_path(L, far)
-        assert L.dist[p].tolist() == list(range(len(p)))
+    keep = rng.random(n) < 0.7 if masked else np.ones(n, dtype=bool)
+    root = int(rng.integers(n))
+    keep[root] = True
+    dist = bfs_layers(g, VertexMask(keep), root)
+    adj = adjacency(n, edges, keep=np.flatnonzero(keep))
+    for v in np.flatnonzero(dist >= 0).tolist():
+        p = tree_path(g, dist, v).tolist()
+        assert p[0] == root and p[-1] == v
+        assert dist[p].tolist() == list(range(len(p)))
+        for k in range(1, len(p)):
+            assert p[k - 1] == min(w for w in adj[p[k]] if dist[w] == k - 1)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 6))
@@ -262,9 +268,9 @@ def test_ball_matches_distance_threshold(seed, r):
     n = 30
     edges = random_edges(rng, n, 55)
     g = build_graph(n, edges)
-    L = bfs_layers(g, VertexMask.full(n), 3)
+    dist = bfs_layers(g, VertexMask.full(n), 3)
     b = ball(g, VertexMask.full(n), 3, r)
-    want = np.flatnonzero((L.dist >= 0) & (L.dist <= r))
+    want = np.flatnonzero((dist >= 0) & (dist <= r))
     assert b.ids().tolist() == want.tolist()
 
 
