@@ -125,10 +125,11 @@ def ldd(g: Graph, live: VertexMask, delta: float, rng: SplitMix64) -> LddResult:
         np.minimum.at(center, tgt[tie], c_src[tie])
         carry = tgt
 
-    # one pass over every edge of g; an end outside live has center -1
-    src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
-    tgt = g.indices
-    cross = (center[src] >= 0) & (center[tgt] >= 0) & (center[src] != center[tgt])
+    # one pass over every edge of g; an end outside live has center -1.
+    # `cross` is symmetric, so the targets it marks are its sources
+    c_src = np.repeat(center, np.diff(g.indptr))
+    c_tgt = center[g.indices]
+    cross = (c_src >= 0) & (c_tgt >= 0) & (c_src != c_tgt)
     bits = np.zeros(g.n, dtype=bool)
-    bits[src[cross]] = True
+    bits[g.indices[cross]] = True
     return LddResult(center, shift, VertexMask(bits))

@@ -232,8 +232,11 @@ def connected_components(
     """
     keep = np.ones(g.n, dtype=bool) if live is None else live.bits
     # every vertex outside `keep` is a singleton of the masked matrix,
-    # labelled -1 below
-    count, raw = csgraph.connected_components(_masked_adjacency(g, keep), directed=False)
+    # labelled -1 below.  The matrix is symmetric, so its strong components
+    # are its components, found without the transpose an undirected pass builds
+    count, raw = csgraph.connected_components(
+        _masked_adjacency(g, keep), directed=True, connection="strong"
+    )
     ids = np.flatnonzero(keep)
     raw = raw[ids]
     sizes = np.bincount(raw, minlength=count)

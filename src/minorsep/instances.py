@@ -10,12 +10,13 @@ Seeded families (gnp, tree) draw from a SplitMix64 sub-stream named after
 the family; all other families ignore the seed.  gnp iterates the vertex
 pairs (0,1), (0,2), ..., (n-2,n-1) in lexicographic order against the
 stream, one uniform per pair, which pins the exact edge set for a seed.
-It evaluates that stream in chunks of whole rows (pairs with the same
-first vertex) of about GNP_CHUNK draws.  Output k of a SplitMix64 stream
-is a function of k alone, so the chunks draw exactly the uniforms of the
-sequential walk and the edge set per seed is unchanged; memory is
-O(chunk + m).  tree takes its n - 1 draws as one block, with the same
-product and truncation as `SplitMix64.next_below`.
+It takes the positions of the hits from `SplitMix64.hits_below`, which
+draws in cache-sized blocks and tests each uniform against p exactly on
+integers, and maps each position back to its pair.  Output k of a
+SplitMix64 stream is a function of k alone, so the blocks draw exactly the
+uniforms of the sequential walk and the edge set per seed is unchanged;
+memory is O(block + m).  tree takes its n - 1 draws as one block, with the
+same product and truncation as `SplitMix64.next_below`.
 
 Every family but subdivided_clique (which is small) builds its edges as
 numpy arrays.  The reader parses the lines after the header in one call to
@@ -119,31 +120,18 @@ def _gen_complete(k: int) -> Graph:
     return build_graph(k, np.column_stack(np.triu_indices(k, 1)))
 
 
-# Draws per gnp chunk.  A chunk holds whole rows, so a row longer than this
-# is a chunk of its own.
-GNP_CHUNK = 1 << 20
-
-
 def _gen_gnp(n: int, p: float, seed: int) -> Graph:
     if n < 1:
         raise InputError("gnp needs n >= 1")
     if not (0.0 <= p <= 1.0):
         raise InputError("gnp needs 0 <= p <= 1")
-    rng = stream(seed, "gnp")
     # row i holds the pairs (i, i+1..n-1) from pair index start[i] on;
     # start[n-1] is the pair count
     i = np.arange(n, dtype=np.int64)
     start = i * (n - 1) - i * (i - 1) // 2
-    hits = [np.empty((0, 2), dtype=np.int64)]
-    lo = 0
-    while lo < n - 1:
-        # rows lo..hi-1: the most whole rows that fit in GNP_CHUNK draws, at least one
-        hi = max(lo + 1, int(np.searchsorted(start, start[lo] + GNP_CHUNK, side="right")) - 1)
-        t = np.flatnonzero(rng.block_floats(int(start[hi] - start[lo])) < p) + start[lo]
-        row = np.searchsorted(start, t, side="right") - 1
-        hits.append(np.column_stack([row, t - start[row] + row + 1]))
-        lo = hi
-    return build_graph(n, np.concatenate(hits))
+    t = stream(seed, "gnp").hits_below(int(start[-1]), p)
+    row = np.searchsorted(start, t, side="right") - 1
+    return build_graph(n, np.column_stack([row, t - start[row] + row + 1]))
 
 
 def _gen_tree(n: int, seed: int) -> Graph:

@@ -28,6 +28,10 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
+# Outputs per block of `SplitMix64.hits_below`: its two uint64 buffers of
+# this many entries stay in cache.
+HITS_BLOCK = 1 << 15
+
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
@@ -55,9 +59,9 @@ def derive_seed(seed: int, label: str) -> int:
 class SplitMix64:
     """Sequential SplitMix64 stream.
 
-    Output k (1-indexed) equals mix64(seed + k * GAMMA); `block` evaluates a
-    contiguous range of outputs in one vectorized call without disturbing
-    the sequential position.
+    Output k (1-indexed) equals mix64(seed + k * GAMMA); `block_u64`,
+    `block_floats` and `hits_below` evaluate the next contiguous range of
+    outputs vectorized and move the sequential position past it.
     """
 
     __slots__ = ("seed", "_calls")
@@ -83,15 +87,10 @@ class SplitMix64:
         """Consume and return the next `count` outputs as uint64."""
         z = np.arange(self._calls + 1, self._calls + count + 1, dtype=np.uint64)
         self._calls += count
-        # in place: the block is one buffer plus one temporary per shift
         with np.errstate(over="ignore"):
             z *= np.uint64(_GAMMA)
             z += np.uint64(self.seed)
-            z ^= z >> np.uint64(30)
-            z *= np.uint64(_MIX1)
-            z ^= z >> np.uint64(27)
-            z *= np.uint64(_MIX2)
-            z ^= z >> np.uint64(31)
+        _mix_in_place(z, np.empty_like(z))
         return z
 
     def block_floats(self, count: int) -> np.ndarray:
@@ -100,6 +99,50 @@ class SplitMix64:
         u = z.astype(np.float64)
         u *= 2.0**-53
         return u
+
+    def hits_below(self, count: int, p: float) -> np.ndarray:
+        """Consume the next `count` outputs and return, ascending, the
+        positions k in 0..count-1 whose `next_float` value is below `p`.
+
+        The test is exact on integers: `next_float` is j * 2**-53 for the top
+        53 bits j of the output, and j * 2**-53 < p holds iff j < ceil(p *
+        2**53).  Scaling by a power of two is exact, so the threshold is
+        computed without rounding; for 0 <= p <= 1 it lies in 0..2**53 and
+        nothing overflows.  The outputs are mixed HITS_BLOCK at a time in two
+        buffers reused across blocks, so memory is O(HITS_BLOCK + hits).
+        """
+        assert 0.0 <= p <= 1.0, "p out of range"
+        threshold = np.uint64(math.ceil(p * 2.0**53))
+        size = min(HITS_BLOCK, max(count, 1))
+        with np.errstate(over="ignore"):
+            step = np.arange(1, size + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        z = np.empty(size, dtype=np.uint64)
+        tmp = np.empty(size, dtype=np.uint64)
+        hits = [np.empty(0, dtype=np.int64)]
+        for lo in range(0, count, size):
+            k = min(size, count - lo)
+            base = np.uint64((self.seed + (self._calls + lo) * _GAMMA) & _MASK64)
+            zk = z[:k]
+            np.add(step[:k], base, out=zk)
+            _mix_in_place(zk, tmp[:k])
+            zk >>= np.uint64(11)
+            hits.append(np.flatnonzero(zk < threshold) + lo)
+        self._calls += count
+        return np.concatenate(hits)
+
+
+def _mix_in_place(z: np.ndarray, tmp: np.ndarray) -> None:
+    """mix64 of every entry of the uint64 array `z`, in place; `tmp` is a
+    scratch buffer of the same shape."""
+    with np.errstate(over="ignore"):
+        np.right_shift(z, np.uint64(30), out=tmp)
+        z ^= tmp
+        z *= np.uint64(_MIX1)
+        np.right_shift(z, np.uint64(27), out=tmp)
+        z ^= tmp
+        z *= np.uint64(_MIX2)
+        np.right_shift(z, np.uint64(31), out=tmp)
+        z ^= tmp
 
 
 def stream(seed: int, label: str) -> SplitMix64:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from minorsep.errors import InputError
 from minorsep.graph import (
@@ -183,6 +185,34 @@ def test_components_respect_mask(seed):
     assert labels_and_sizes(g, VertexMask(keep)) == uf_labels_and_sizes(n, edges, keep)
     # dropping the edges that leave the mask must not touch the graph itself
     assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
+
+
+def scipy_undirected_labels_and_sizes(g, keep):
+    """(label, sizes) by scipy's undirected component pass on the induced
+    submatrix, relabelled largest first, ties by smallest id."""
+    adj = sparse.csr_matrix((np.ones(g.indices.size), g.indices, g.indptr), shape=(g.n, g.n))
+    ids = np.flatnonzero(keep)
+    count, raw = csgraph.connected_components(adj[ids][:, ids], directed=False)
+    comps = sorted((ids[raw == k] for k in range(count)), key=lambda c: (-c.size, c[0]))
+    label = np.full(g.n, -1)
+    for k, comp in enumerate(comps):
+        label[comp] = k
+    return label.tolist(), [c.size for c in comps]
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.3, 0.5, 0.7]))
+def test_components_match_undirected_scipy_on_sparse_masks(seed, frac):
+    # grid 20x20 and a sparse random graph under masks that cut them into
+    # many components
+    rng = np.random.default_rng(seed)
+    v = np.arange(400).reshape(20, 20)
+    grid = build_graph(400, np.concatenate([
+        np.column_stack([v[:, :-1].ravel(), v[:, 1:].ravel()]),
+        np.column_stack([v[:-1].ravel(), v[1:].ravel()]),
+    ]))
+    for g in (grid, build_graph(300, random_edges(rng, 300, 250))):
+        keep = rng.random(g.n) < frac
+        assert labels_and_sizes(g, VertexMask(keep)) == scipy_undirected_labels_and_sizes(g, keep)
 
 
 # -- BFS --------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -9,7 +10,6 @@ from minorsep.errors import InputError
 from minorsep.graph import build_graph, connected_components
 from minorsep.instances import (
     FAMILIES,
-    GNP_CHUNK,
     MAX_COUNT,
     InstanceSpec,
     generate,
@@ -17,7 +17,7 @@ from minorsep.instances import (
     read_edge_list,
     write_edge_list,
 )
-from minorsep.rng import stream
+from minorsep.rng import HITS_BLOCK, stream
 
 from helpers import component_lists, loop_family, loop_graph_to_text, loop_read_edge_list, uf_components
 
@@ -113,19 +113,30 @@ def test_star_shape():
 # -- seeded families ----------------------------------------------------------
 
 def test_gnp_matches_sequential_oracle(monkeypatch):
-    # chunks of 1 and 7 draws put chunk ends inside and between rows
-    for chunk in (GNP_CHUNK, 1, 7):
-        monkeypatch.setattr("minorsep.instances.GNP_CHUNK", chunk)
-        for n, p, seed in [(25, 0.2, 7), (2, 1.0, 0), (13, 0.5, 1)]:
-            r = stream(seed, "gnp")
-            want = set()
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if r.next_float() < p:
-                        want.add((i, j))
+    # blocks of 1 and 7 draws put block ends inside and between rows; n = 300
+    # has 44,850 pairs, more than one default block
+    for n, p, seed in [(25, 0.2, 7), (2, 1.0, 0), (13, 0.5, 1), (300, 0.05, 2)]:
+        r = stream(seed, "gnp")
+        want = set()
+        for i in range(n):
+            for j in range(i + 1, n):
+                if r.next_float() < p:
+                    want.add((i, j))
+        for block in (HITS_BLOCK, 1, 7):
+            monkeypatch.setattr("minorsep.rng.HITS_BLOCK", block)
             g = gen("gnp", n, p, seed=seed)
             us, vs = g.edges()
-            assert set(zip(us.tolist(), vs.tolist())) == want, (chunk, n, p, seed)
+            assert set(zip(us.tolist(), vs.tolist())) == want, (block, n, p, seed)
+
+
+@pytest.mark.parametrize("n,p,seed,digest", [
+    (5000, 0.0006, 3, "abf00762d83ce728889bb3a6dee6e19d84bb56b4c58d444dd9dbd210c40e2fcf"),
+    (450, 0.045, 7, "63e9ea52872d83a4ed0817f84310b2a8ec24339bf30890829f25ca12ae615785"),
+])
+def test_gnp_frozen_digests(n, p, seed, digest):
+    # the benchmark's gnp edge sets, pinned: a faster draw must not move them
+    text = graph_to_text(gen("gnp", n, p, seed=seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_gnp_determinism_and_extremes():

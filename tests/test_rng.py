@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from minorsep.rng import (
+    HITS_BLOCK,
     SplitMix64,
     derive_seed,
     fnv1a64,
@@ -64,6 +65,29 @@ def test_interleaved_block_and_sequential():
     got += a.block_u64(5).tolist()
     got += [a.next_u64() for _ in range(3)]
     assert got == ref
+
+
+@pytest.mark.parametrize("block", [HITS_BLOCK, 1, 7])
+@given(st.integers(min_value=0, max_value=(1 << 64) - 1), st.integers(0, 300), st.data())
+def test_hits_below_matches_sequential_walk(block, seed, count, data):
+    walk = SplitMix64(seed)
+    u = [walk.next_float() for _ in range(count)]
+    ps = [0.0, 1.0, data.draw(st.floats(0.0, 1.0))]
+    if count:
+        # a drawn value does not hit (the test is strict); the next float up does
+        k = data.draw(st.integers(0, count - 1))
+        ps += [u[k], float(np.nextafter(u[k], 2.0))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("minorsep.rng.HITS_BLOCK", block)
+        for p in ps:
+            r = SplitMix64(seed)
+            assert r.hits_below(count, p).tolist() == [i for i in range(count) if u[i] < p], p
+            # the stream moved on by exactly `count` draws
+            assert r.next_u64() == SplitMix64(seed).block_u64(count + 1)[-1]
+        if count:
+            assert k not in SplitMix64(seed).hits_below(count, u[k]).tolist()
+            assert k in SplitMix64(seed).hits_below(count, ps[-1]).tolist()
+    assert SplitMix64(seed).hits_below(count, 0.0).dtype == np.int64
 
 
 @given(st.integers(min_value=1, max_value=1 << 50))
