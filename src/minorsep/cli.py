@@ -24,13 +24,14 @@ from .graph import Graph
 from .instances import (
     FAMILIES,
     InstanceSpec,
+    bench_spec,
     edge_list_chunks,
     generate,
     read_edge_list,
     write_edge_list,
 )
 from .rng import derive_seed
-from .separator import BalancedSeparator, balanced_separator, ceil_log2
+from .separator import BalancedSeparator, balanced_separator, cluster_diameter
 from .verify import certificate, verify_certificate
 
 __all__ = ["main"]
@@ -58,21 +59,12 @@ def _parse_params(text: str) -> tuple:
     return tuple(vals)
 
 
-def _parse_gen_spec(text: str, seed: int) -> InstanceSpec:
-    """Compact form family:p1,p2 e.g. grid:30,30 or gnp:200,0.015."""
-    family, _, rest = text.partition(":")
-    if family not in FAMILIES:
-        raise InputError(f"unknown family {family!r}; know {sorted(FAMILIES)}")
-    return InstanceSpec(family, _parse_params(rest), seed)
-
-
 def _load_graph(args) -> tuple:
     """Returns (graph, description) from --input or --gen."""
-    if getattr(args, "input", None):
-        g = read_edge_list(args.input)
-        return g, args.input
-    spec = _parse_gen_spec(args.gen, getattr(args, "seed", 0))
-    return generate(spec), args.gen
+    if args.input:
+        return read_edge_list(args.input), args.input
+    family, _, params = args.gen.partition(":")
+    return generate(InstanceSpec(family, _parse_params(params), args.seed)), args.gen
 
 
 def _digest(g: Graph) -> str:
@@ -86,9 +78,9 @@ def _canonical_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _report(g: Graph, source: str, args, outcome) -> dict:
+def _report(g: Graph, source: str, args, outcome, cert: dict) -> dict:
     ell = outcome.stats["ell"]
-    outcome_body = certificate(outcome)
+    outcome_body = dict(cert)
     outcome_body["kind"] = outcome_body.pop("type")
     if isinstance(outcome, BalancedSeparator):
         outcome_body.update({
@@ -103,7 +95,7 @@ def _report(g: Graph, source: str, args, outcome) -> dict:
         "params": {
             "h": args.h,
             "ell": ell,
-            "delta": ell * ceil_log2(args.h),
+            "delta": cluster_diameter(ell, args.h),
             "seed": args.seed,
             "fast": bool(args.fast),
         },
@@ -127,12 +119,13 @@ def cmd_separate(args) -> int:
     wall_ms = (time.perf_counter() - t0) * 1000.0
     print(f"wall_ms={wall_ms:.1f}", file=sys.stderr)
 
+    cert = certificate(outcome) if args.json or args.certificate else None
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(_canonical_json(_report(g, source, args, outcome)))
+            fh.write(_canonical_json(_report(g, source, args, outcome, cert)))
     if args.certificate:
         with open(args.certificate, "w", encoding="utf-8") as fh:
-            fh.write(_canonical_json(certificate(outcome)))
+            fh.write(_canonical_json(cert))
 
     if isinstance(outcome, BalancedSeparator):
         print(
@@ -173,27 +166,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    spec = InstanceSpec(args.family, _parse_params(args.params), args.seed)
-    g = generate(spec)
+    g = generate(InstanceSpec(args.family, _parse_params(args.params), args.seed))
     write_edge_list(g, args.out)
     print(f"wrote {args.out}: n={g.n} m={g.m}")
     return 0
-
-
-def _bench_spec(family: str, n: int, seed: int) -> InstanceSpec:
-    if family in ("grid", "torus"):
-        side = math.isqrt(n)
-        if side * side != n:
-            raise InputError(f"{family} bench sizes must be perfect squares, got {n}")
-        return InstanceSpec(family, (side, side), seed)
-    if family == "gnp":
-        # about three edges per vertex; p stays a probability below n = 3
-        return InstanceSpec(family, (n, min(1.0, 3.0 / n)), seed)
-    if family in ("path", "cycle", "tree", "complete"):
-        return InstanceSpec(family, (n,), seed)
-    if family == "star":
-        return InstanceSpec(family, (n - 1,), seed)
-    raise InputError(f"family {family!r} not supported by bench")
 
 
 def cmd_bench(args) -> int:
@@ -209,7 +185,7 @@ def cmd_bench(args) -> int:
     for n in sizes:
         for trial in range(args.trials):
             run_seed = derive_seed(args.seed, f"bench:{n}:{trial}")
-            g = generate(_bench_spec(args.family, n, run_seed))
+            g = generate(bench_spec(args.family, n, run_seed))
             t0 = time.perf_counter()
             outcome = balanced_separator(g, args.h, ell=args.ell, seed=run_seed)
             ms = (time.perf_counter() - t0) * 1000.0
@@ -252,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sep = sub.add_parser("separate", help="compute a balanced separator or witness")
     src = sep.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="edge-list file")
-    src.add_argument("--gen", help="instance spec, e.g. grid:30,30 or gnp:200,0.015")
+    src.add_argument("--gen", help="instance spec FAMILY:P1,P2,..., as for gen")
     sep.add_argument("--h", type=int, required=True, help="minor parameter h >= 3")
     sep.add_argument("--ell", type=int, default=None, help="tradeoff parameter (default: balanced)")
     sep.add_argument("--seed", type=int, default=0)
@@ -275,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(fn=cmd_gen)
 
     ben = sub.add_parser("bench", help="scaling benchmark over instance sizes")
-    ben.add_argument("--family", default="grid")
+    ben.add_argument("--family", default=next(iter(FAMILIES)))
     ben.add_argument("--sizes", required=True, help="comma-separated vertex counts")
     ben.add_argument("--h", type=int, required=True)
     ben.add_argument("--ell", type=int, default=None)

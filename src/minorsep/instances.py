@@ -6,17 +6,20 @@ trailing) and blank lines are ignored.  Writing is canonical: edges are
 emitted with u < v in lexicographic order, so equal graphs serialize to
 identical bytes.
 
-Seeded families (gnp, tree) draw from a SplitMix64 sub-stream named after
-the family; all other families ignore the seed.  gnp iterates the vertex
-pairs (0,1), (0,2), ..., (n-2,n-1) in lexicographic order against the
-stream, one uniform per pair, which pins the exact edge set for a seed.
-It takes the positions of the hits from `SplitMix64.hits_below`, which
-draws in cache-sized blocks and tests each uniform against p exactly on
-integers, and maps each position back to its pair.  Output k of a
-SplitMix64 stream is a function of k alone, so the blocks draw exactly the
-uniforms of the sequential walk and the edge set per seed is unchanged;
-memory is O(block + m).  tree takes its n - 1 draws as one block, with the
-same product and truncation as `SplitMix64.next_below`.
+`generate` checks every spec against its family's row in `FAMILIES`, so
+the builders only build; a seeded row's builder draws from a SplitMix64
+sub-stream named after the family.
+
+gnp iterates the vertex pairs (0,1), (0,2), ..., (n-2,n-1) in
+lexicographic order against its stream, one uniform per pair, which pins
+the exact edge set for a seed.  It takes the positions of the hits from
+`SplitMix64.hits_below`, which draws in cache-sized blocks and tests each
+uniform against p exactly on integers, and maps each position back to
+its pair.  Output k of a SplitMix64 stream is a function of k alone, so
+the blocks draw exactly the uniforms of the sequential walk and the edge
+set per seed is unchanged; memory is O(block + m).  tree takes its n - 1
+draws as one block, with the same product and truncation as
+`SplitMix64.next_below`.
 
 Every family but subdivided_clique (which is small) builds its edges as
 numpy arrays.  The reader parses the lines after the header in one call to
@@ -29,8 +32,12 @@ does not, such as ``1_0`` or non-ASCII digits.
 
 from __future__ import annotations
 
+import math
+import os
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -42,6 +49,7 @@ __all__ = [
     "InstanceSpec",
     "FAMILIES",
     "generate",
+    "bench_spec",
     "read_edge_list",
     "write_edge_list",
     "graph_to_text",
@@ -69,62 +77,35 @@ class InstanceSpec:
     seed: int = 0
 
 
-def _grid_edges(rows: int, cols: int, wrap: bool) -> np.ndarray:
+def _gen_grid(rows: int, cols: int, wrap: bool = False) -> Graph:
+    """The rows x cols lattice; with `wrap`, the torus."""
     _check_count("vertex count", rows * cols)
     v = np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
     if wrap:
         ends = [(v, np.roll(v, -1, axis=1)), (v, np.roll(v, -1, axis=0))]
     else:
         ends = [(v[:, :-1], v[:, 1:]), (v[:-1], v[1:])]
-    return np.concatenate([np.column_stack([a.ravel(), b.ravel()]) for a, b in ends])
+    edges = np.concatenate([np.column_stack([a.ravel(), b.ravel()]) for a, b in ends])
+    return build_graph(rows * cols, edges)
 
 
-def _gen_grid(rows: int, cols: int) -> Graph:
-    if rows < 1 or cols < 1:
-        raise InputError("grid needs rows, cols >= 1")
-    return build_graph(rows * cols, _grid_edges(rows, cols, wrap=False))
-
-
-def _gen_torus(rows: int, cols: int) -> Graph:
-    # wraparound on a side of length < 3 collapses to parallel edges
-    if rows < 3 or cols < 3:
-        raise InputError("torus needs rows, cols >= 3")
-    return build_graph(rows * cols, _grid_edges(rows, cols, wrap=True))
-
-
-def _gen_path(n: int) -> Graph:
-    if n < 1:
-        raise InputError("path needs n >= 1")
+def _gen_path(n: int, closed: bool = False) -> Graph:
+    """The path on n vertices; with `closed`, the cycle."""
     v = np.arange(n, dtype=np.int64)
-    return build_graph(n, np.column_stack([v[:-1], v[1:]]))
-
-
-def _gen_cycle(n: int) -> Graph:
-    if n < 3:
-        raise InputError("cycle needs n >= 3")
-    v = np.arange(n, dtype=np.int64)
-    return build_graph(n, np.column_stack([v, np.roll(v, -1)]))
+    return build_graph(n, np.column_stack([v, np.roll(v, -1)] if closed else [v[:-1], v[1:]]))
 
 
 def _gen_star(leaves: int) -> Graph:
-    if leaves < 0:
-        raise InputError("star needs leaves >= 0")
     leaf = np.arange(1, leaves + 1, dtype=np.int64)
     return build_graph(leaves + 1, np.column_stack([np.zeros_like(leaf), leaf]))
 
 
 def _gen_complete(k: int) -> Graph:
-    if k < 1:
-        raise InputError("complete needs k >= 1")
     _check_count("edge count", k * (k - 1) // 2)
     return build_graph(k, np.column_stack(np.triu_indices(k, 1)))
 
 
 def _gen_gnp(n: int, p: float, seed: int) -> Graph:
-    if n < 1:
-        raise InputError("gnp needs n >= 1")
-    if not (0.0 <= p <= 1.0):
-        raise InputError("gnp needs 0 <= p <= 1")
     # row i holds the pairs (i, i+1..n-1) from pair index start[i] on;
     # start[n-1] is the pair count
     i = np.arange(n, dtype=np.int64)
@@ -136,8 +117,6 @@ def _gen_gnp(n: int, p: float, seed: int) -> Graph:
 
 def _gen_tree(n: int, seed: int) -> Graph:
     """Random recursive tree: vertex k attaches to a uniform vertex < k."""
-    if n < 1:
-        raise InputError("tree needs n >= 1")
     rng = stream(seed, "tree")
     k = np.arange(1, n, dtype=np.int64)
     # the product and truncation of SplitMix64.next_below(k), one draw per k
@@ -152,8 +131,6 @@ def _gen_subdivided_clique(h: int, t: int) -> Graph:
     number e (edges ordered lexicographically) are h+e*t .. h+e*t+t-1,
     in order from the smaller endpoint to the larger.
     """
-    if h < 2 or t < 0:
-        raise InputError("subdivided_clique needs h >= 2, t >= 0")
     # t + 1 edges and t vertices per edge of K_h
     _check_count("edge count", (t + 1) * (h * (h - 1) // 2))
     edges = []
@@ -166,42 +143,81 @@ def _gen_subdivided_clique(h: int, t: int) -> Graph:
     return build_graph(nxt, edges)
 
 
-FAMILIES = {
-    "grid": (2, _gen_grid),
-    "torus": (2, _gen_torus),
-    "path": (1, _gen_path),
-    "cycle": (1, _gen_cycle),
-    "star": (1, _gen_star),
-    "complete": (1, _gen_complete),
-    "gnp": (2, _gen_gnp),
-    "tree": (1, _gen_tree),
-    "subdivided_clique": (2, _gen_subdivided_clique),
-}
+@dataclass(frozen=True)
+class Family:
+    """One instance family.  `params` holds a (name, lower bound) pair per
+    parameter, an integer size or count; a bound of None marks a probability
+    in [0, 1].  `build` takes the parameters, then the seed when `seeded`.
+    `bench` turns a vertex count n into parameters; None when it cannot."""
+    build: Callable
+    params: tuple
+    seeded: bool = False
+    bench: Callable | None = None
 
-_SEEDED = {"gnp", "tree"}
+
+def _square(n: int) -> tuple:
+    side = math.isqrt(n)
+    if side * side != n:
+        raise InputError(f"bench sizes must be perfect squares, got {n}")
+    return side, side
+
+
+# bench runs the first row when no family is named
+FAMILIES = {
+    "grid": Family(_gen_grid, (("rows", 1), ("cols", 1)), bench=_square),
+    # wraparound on a side of length < 3 collapses to parallel edges
+    "torus": Family(partial(_gen_grid, wrap=True), (("rows", 3), ("cols", 3)), bench=_square),
+    "path": Family(_gen_path, (("n", 1),), bench=lambda n: (n,)),
+    "cycle": Family(partial(_gen_path, closed=True), (("n", 3),), bench=lambda n: (n,)),
+    "star": Family(_gen_star, (("leaves", 0),), bench=lambda n: (n - 1,)),
+    "complete": Family(_gen_complete, (("k", 1),), bench=lambda n: (n,)),
+    # bench: about three edges per vertex; p stays a probability below n = 3
+    "gnp": Family(_gen_gnp, (("n", 1), ("p", None)), seeded=True,
+                  bench=lambda n: (n, min(1.0, 3.0 / n))),
+    "tree": Family(_gen_tree, (("n", 1),), seeded=True, bench=lambda n: (n,)),
+    "subdivided_clique": Family(_gen_subdivided_clique, (("h", 2), ("t", 0))),
+}
 
 
 def generate(spec: InstanceSpec) -> Graph:
-    """Build the graph described by `spec`; pure in (family, params, seed)."""
+    """Build the graph described by `spec`; pure in (family, params, seed).
+    A spec that does not fit its row is an InputError naming the family."""
     if spec.family not in FAMILIES:
         raise InputError(f"unknown family {spec.family!r}; know {sorted(FAMILIES)}")
-    arity, fn = FAMILIES[spec.family]
-    if len(spec.params) != arity:
-        raise InputError(f"{spec.family} takes {arity} parameter(s), got {len(spec.params)}")
-    # every parameter is a size or a count, except gnp's edge probability
-    sizes = spec.params[:1] if spec.family == "gnp" else spec.params
-    for v in sizes:
+    row = FAMILIES[spec.family]
+    if len(spec.params) != len(row.params):
+        raise InputError(
+            f"{spec.family} takes {len(row.params)} parameter(s), got {len(spec.params)}")
+    for (name, low), v in zip(row.params, spec.params):
+        if low is None:
+            if not 0.0 <= v <= 1.0:
+                raise InputError(f"{spec.family} needs 0 <= {name} <= 1")
+            continue
         if not isinstance(v, (int, np.integer)):
             raise InputError(f"{spec.family} size parameters must be integers, got {v!r}")
         _check_count(f"{spec.family} size parameter", v)
-    if spec.family in _SEEDED:
-        return fn(*spec.params, spec.seed)
-    return fn(*spec.params)
+        if v < low:
+            raise InputError(f"{spec.family} needs {name} >= {low}, got {v}")
+    if row.seeded:
+        return row.build(*spec.params, spec.seed)
+    return row.build(*spec.params)
+
+
+def bench_spec(family: str, n: int, seed: int) -> InstanceSpec:
+    """The instance `bench` runs at vertex count n."""
+    row = FAMILIES.get(family)
+    if row is None or row.bench is None:
+        raise InputError(f"family {family!r} not supported by bench")
+    try:
+        return InstanceSpec(family, row.bench(n), seed)
+    except InputError as exc:
+        raise InputError(f"{family} {exc}") from None
 
 
 def read_edge_list(source) -> Graph:
-    """Parse the ``p n m`` edge-list format; errors carry 1-based line numbers."""
-    if isinstance(source, (str, bytes)):
+    """Parse the ``p n m`` edge-list format from a path or an open text
+    file; errors carry 1-based line numbers."""
+    if isinstance(source, (str, bytes, os.PathLike)):
         try:
             with open(source, "r", encoding="utf-8") as fh:
                 lines = fh.readlines()

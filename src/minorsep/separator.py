@@ -68,6 +68,7 @@ __all__ = [
     "MinorWitness",
     "default_ell",
     "ceil_log2",
+    "cluster_diameter",
     "balanced_separator",
 ]
 
@@ -78,6 +79,11 @@ FAST_REJECTION_BUDGET = 64
 def ceil_log2(h: int) -> int:
     """Smallest k with 2**k >= h (h >= 1)."""
     return (h - 1).bit_length()
+
+
+def cluster_diameter(ell: int, h: int) -> int:
+    """delta = ell * ceil(log2 h), the weak diameter bound of step 1's clusters."""
+    return ell * ceil_log2(h)
 
 
 def default_ell(n: int, h: int) -> int:
@@ -446,8 +452,7 @@ def balanced_separator(
             "degenerate-case separator failed verification",
         )
 
-    log_h = ceil_log2(h)
-    delta = ell * log_h
+    delta = cluster_diameter(ell, h)
     st = DriverState(
         g=g, n=n, h=h, ell=ell,
         model=new_model(n, x),
@@ -457,7 +462,7 @@ def balanced_separator(
         stats=stats,
         charged=np.zeros(n, dtype=bool),
         delta=delta,
-        ell_star=(log_h + 1) * ell,
+        ell_star=delta + ell,
         base_max=delta,
         rng_ldd=stream(seed, "ldd"),
         rng_fast=stream(seed, "fast_center"),

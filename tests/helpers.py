@@ -15,7 +15,13 @@ import numpy as np
 
 from minorsep.errors import InputError
 from minorsep.graph import VertexMask, ball, build_graph, connected_components
+from minorsep.instances import InstanceSpec, generate
 from minorsep.rng import stream, truncated_exponential
+
+
+def gen(family, *params, seed=0):
+    """The instance of `family` with these parameters and seed."""
+    return generate(InstanceSpec(family, params, seed))
 
 
 def heap_partition(g, live, delta, rng):

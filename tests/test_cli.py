@@ -15,7 +15,8 @@ from minorsep.cli import (
     _build_parser,
     main,
 )
-from minorsep.instances import TEXT_CHUNK, InstanceSpec, generate
+from minorsep.instances import FAMILIES, TEXT_CHUNK, InstanceSpec, generate
+from minorsep.verify import certificate
 
 from helpers import loop_graph_to_text
 
@@ -45,6 +46,13 @@ def test_gen_seeded_family(tmp_path):
     run("gen", "--family", "gnp", "--params", "50,0.1", "--seed", "5", "--out", str(c))
     assert a.read_text() == b.read_text()
     assert a.read_text() != c.read_text()
+
+
+def test_gen_skips_empty_parameters(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run("gen", "--family", "grid", "--params", "30,,30", "--out", str(a)) == 0
+    assert run("gen", "--family", "grid", "--params", "30,30", "--out", str(b)) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_gen_bad_params(tmp_path):
@@ -237,6 +245,22 @@ def test_separate_without_json_builds_no_report(monkeypatch, tmp_path):
     cert = tmp_path / "c.json"
     assert run("separate", "--gen", "grid:8,8", "--h", "5", "--certificate", str(cert)) == 0
     assert json.loads(cert.read_text())["type"] == "separator"
+
+
+def test_separate_builds_one_certificate(monkeypatch, tmp_path):
+    calls = []
+
+    def counted(outcome):
+        calls.append(outcome)
+        return certificate(outcome)
+
+    monkeypatch.setattr("minorsep.cli.certificate", counted)
+    rep, cert = tmp_path / "r.json", tmp_path / "c.json"
+    assert run("separate", "--gen", "grid:8,8", "--h", "5",
+               "--json", str(rep), "--certificate", str(cert)) == 0
+    assert len(calls) == 1
+    assert json.loads(rep.read_text())["outcome"]["vertices"] == \
+        json.loads(cert.read_text())["vertices"]
 
 
 # -- verify ---------------------------------------------------------------------
@@ -445,8 +469,32 @@ def test_bench_csv(tmp_path, capsys):
 
 
 def test_bench_rejects_bad_grid_size(capsys):
-    assert run("bench", "--family", "grid", "--sizes", "15", "--h", "5") == EXIT_INPUT
-    assert "perfect squares" in capsys.readouterr().err
+    for family in ("grid", "torus"):
+        assert run("bench", "--family", family, "--sizes", "15", "--h", "5") == EXIT_INPUT
+        assert capsys.readouterr().err == \
+            f"error: {family} bench sizes must be perfect squares, got 15\n"
+
+
+def test_bench_runs_every_family_it_can_size(capsys):
+    for family, row in FAMILIES.items():
+        code = run("bench", "--family", family, "--sizes", "16", "--h", "4", "--trials", "1")
+        captured = capsys.readouterr()
+        if row.bench is None:
+            assert code == EXIT_INPUT, family
+            assert captured.err == f"error: family {family!r} not supported by bench\n"
+            assert "summary" not in captured.out
+        else:
+            assert code == 0, family
+            assert captured.out.startswith("n=16 trial=0 size="), family
+
+
+def test_bench_all_witnesses(tmp_path, capsys):
+    csv = tmp_path / "rows.csv"
+    assert run("bench", "--family", "complete", "--sizes", "9", "--h", "4",
+               "--trials", "2", "--csv", str(csv)) == 0
+    rows = [line.split(",") for line in csv.read_text().split("\n")[1:-1]]
+    assert [row[3:5] for row in rows] == [["-1", "-1.000"]] * 2
+    assert "n=9: all trials returned witnesses" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("trials", ["0", "-2"])
@@ -508,3 +556,18 @@ def test_readme_names_every_subcommand_option():
         for name, parser in sub.choices.items()
     }
     assert documented == parsed
+
+
+def test_readme_family_docs_match_the_table():
+    """README's family list, seeded families and bench families follow FAMILIES."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed, seeded = re.search(
+        r"^Families: (.*?)\. Only (.*?) consumes? the seed\.", text, re.M | re.S).groups()
+    assert re.findall(r"`(\w+)`", listed) == list(FAMILIES)
+    assert set(re.findall(r"`(\w+)`", seeded)) == {f for f, row in FAMILIES.items() if row.seeded}
+    bench = re.search(r"`--family` \(default (.*?)`--ell`", text, re.S).group(1)
+    names = re.findall(r"`(\w+)`", bench)
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    default = next(a.default for a in sub.choices["bench"]._actions if a.dest == "family")
+    assert names[0] == default
+    assert sorted(names) == sorted(f for f, row in FAMILIES.items() if row.bench)

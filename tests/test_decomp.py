@@ -7,14 +7,9 @@ from minorsep import decomp
 from minorsep.decomp import ldd
 from minorsep.errors import InputError
 from minorsep.graph import VertexMask, bfs_layers, connected_components
-from minorsep.instances import InstanceSpec, generate
 from minorsep.rng import stream
 
-from helpers import adjacency, bfs_dist, component_lists, heap_partition, np_edges, parts
-
-
-def gen(family, *params, seed=0):
-    return generate(InstanceSpec(family, params, seed))
+from helpers import adjacency, bfs_dist, component_lists, gen, heap_partition, np_edges, parts
 
 
 CASES = [

@@ -19,11 +19,14 @@ from minorsep.instances import (
 )
 from minorsep.rng import HITS_BLOCK, stream
 
-from helpers import component_lists, loop_family, loop_graph_to_text, loop_read_edge_list, uf_components
-
-
-def gen(family, *params, seed=0):
-    return generate(InstanceSpec(family, params, seed))
+from helpers import (
+    component_lists,
+    gen,
+    loop_family,
+    loop_graph_to_text,
+    loop_read_edge_list,
+    uf_components,
+)
 
 
 # -- closed-form vertex/edge counts ------------------------------------------
@@ -169,17 +172,35 @@ def test_tree_determinism():
 # -- parameter validation ------------------------------------------------------
 
 def test_generate_validates():
-    with pytest.raises(InputError):
-        generate(InstanceSpec("mystery", (3,)))
-    with pytest.raises(InputError):
-        generate(InstanceSpec("grid", (3,)))
     for family, params in [
+        ("mystery", (3,)), ("grid", (3,)),
         ("grid", (0, 3)), ("torus", (2, 5)), ("path", (0,)), ("cycle", (2,)),
         ("star", (-1,)), ("complete", (0,)), ("gnp", (5, 1.5)), ("gnp", (0, 0.5)),
         ("tree", (0,)), ("subdivided_clique", (1, 2)), ("subdivided_clique", (3, -1)),
     ]:
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=family):
             generate(InstanceSpec(family, params))
+
+
+def test_every_row_checks_its_bounds():
+    # each parameter at its bound builds; one step past it is an error that
+    # names the family, the parameter, the bound and the value
+    for family, row in FAMILIES.items():
+        lows = tuple(0 if low is None else low for _, low in row.params)
+        generate(InstanceSpec(family, lows))
+        for i, (name, low) in enumerate(row.params):
+            def spec(v):
+                return InstanceSpec(family, lows[:i] + (v,) + lows[i + 1:])
+            if low is None:
+                generate(spec(1.0))
+                for v in (-0.5, 1.5, float("nan")):
+                    with pytest.raises(InputError) as exc:
+                        generate(spec(v))
+                    assert str(exc.value) == f"{family} needs 0 <= {name} <= 1"
+            else:
+                with pytest.raises(InputError) as exc:
+                    generate(spec(low - 1))
+                assert str(exc.value) == f"{family} needs {name} >= {low}, got {low - 1}"
 
 
 def test_counts_beyond_an_int64_array_are_input_errors():
@@ -196,8 +217,9 @@ def test_counts_beyond_an_int64_array_are_input_errors():
 
 
 def test_families_registry_arity():
-    for family, (arity, _) in FAMILIES.items():
-        assert arity in (1, 2), family
+    for family, row in FAMILIES.items():
+        assert len(row.params) in (1, 2), family
+        assert len({name for name, _ in row.params}) == len(row.params), family
 
 
 # -- edge-list text format -----------------------------------------------------
@@ -210,6 +232,14 @@ def test_write_read_roundtrip(tmp_path):
     assert text.startswith("p 20 31\n")
     g2 = read_edge_list(str(path))
     assert graph_to_text(g2) == text
+
+
+def test_write_read_roundtrip_on_a_path_object(tmp_path):
+    # read_edge_list used to call .readlines() on a pathlib.Path
+    g = gen("grid", 4, 5)
+    path = tmp_path / "g.txt"
+    write_edge_list(g, path)
+    assert graph_to_text(read_edge_list(path)) == graph_to_text(g)
 
 
 def test_text_is_canonical():

@@ -10,7 +10,6 @@ from minorsep import separator, verify
 from minorsep.decomp import ldd
 from minorsep.errors import InputError
 from minorsep.graph import VertexMask, build_graph, connected_components
-from minorsep.instances import InstanceSpec, generate
 from minorsep.rng import stream
 from minorsep.separator import (
     FAST_REJECTION_BUDGET,
@@ -28,14 +27,11 @@ from minorsep.verify import verify_balanced, verify_witness
 from helpers import (
     deep_anchor,
     fallback_tree,
+    gen,
     loop_exact_center,
     retired_fallback,
     two_pass_prologue,
 )
-
-
-def gen(family, *params, seed=0):
-    return generate(InstanceSpec(family, params, seed))
 
 
 # -- parameter helpers -----------------------------------------------------------

@@ -5,15 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from minorsep.graph import Graph, VertexMask, build_graph
-from minorsep.instances import InstanceSpec, generate
 from minorsep.minor_model import MinorModel
 from minorsep.verify import check_invariants, verify_balanced, verify_witness
 
-from helpers import brute_balanced
-
-
-def gen(family, *params, seed=0):
-    return generate(InstanceSpec(family, params, seed))
+from helpers import brute_balanced, gen
 
 
 def model_from(branches, n):
