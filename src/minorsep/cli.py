@@ -97,7 +97,6 @@ def _report(g: Graph, source: str, args, outcome, cert: dict) -> dict:
             "ell": ell,
             "delta": cluster_diameter(ell, args.h),
             "seed": args.seed,
-            "fast": bool(args.fast),
         },
         "stats": outcome.stats,
         "verification": outcome.verification.to_dict(),
@@ -113,7 +112,6 @@ def cmd_separate(args) -> int:
         args.h,
         ell=args.ell,
         seed=args.seed,
-        fast_center=args.fast,
         debug=args.debug,
     )
     wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -232,7 +230,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sep.add_argument("--h", type=int, required=True, help="minor parameter h >= 3")
     sep.add_argument("--ell", type=int, default=None, help="tradeoff parameter (default: balanced)")
     sep.add_argument("--seed", type=int, default=0)
-    sep.add_argument("--fast", action="store_true", help="sampled centers after the first iteration")
     sep.add_argument("--json", help="write the run report here")
     sep.add_argument("--certificate", help="write a standalone certificate here")
     sep.add_argument("--debug", action="store_true", help="assert invariants every iteration")

@@ -12,7 +12,7 @@ against each other in the tests.
 Reference outputs for seed 0 (first three calls), matching the published
 test vectors: 0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F.
 
-Independent named sub-streams ("ldd", "fast_center", "gnp", ...) are derived
+Independent named sub-streams ("ldd", "gnp", "tree") are derived
 by folding an FNV-1a hash of the label into the seed and re-mixing, so two
 labels collide only if their hashes do.
 """

@@ -11,8 +11,8 @@ branches, a K_h minor witness.
 
 All tie-breaking is by smallest id/index, all thresholds compare in exact
 integer arithmetic against the original vertex count n, and all randomness
-comes from two named sub-streams of the run seed ("ldd", "fast_center"),
-so a run is a pure function of (graph, h, ell, seed, flags).
+comes from the run seed's "ldd" sub-stream, so a run is a pure function of
+(graph, h, ell, seed).
 
 The returned separator is assembled in up to three attempts, each verified
 before being accepted: the literal X | S | F(model, live) form first; if
@@ -73,7 +73,6 @@ __all__ = [
 ]
 
 EXACT_CENTER_LIMIT = 512
-FAST_REJECTION_BUDGET = 64
 
 
 def ceil_log2(h: int) -> int:
@@ -120,7 +119,7 @@ class MinorWitness(SeparatorOutcome):
 
 @dataclass
 class LayeredView:
-    """BFS layering of live from a center whose base-ball holds >= 2n/3.
+    """BFS layering of live from a center whose delta-ball holds >= 2n/3.
 
     `dist` is the `bfs_layers` depth array from `root`; it reaches every
     live vertex, so dist >= 0 is exactly live.  `sizes[d]` counts the live
@@ -129,7 +128,6 @@ class LayeredView:
 
     root: int
     dist: np.ndarray
-    base: int
     sizes: np.ndarray
 
 
@@ -149,13 +147,11 @@ class DriverState:
     retired: list = field(default_factory=list)
     delta: int = 0
     ell_star: int = 0
-    base_max: int = 0
     rng_ldd: object = None
-    rng_fast: object = None
 
     @property
     def branch_budget(self) -> int:
-        return (self.h - 1) * (self.base_max + self.ell_star + self.ell) + 1
+        return (self.h - 1) * (self.delta + self.ell_star + self.ell) + 1
 
 
 def _new_stats() -> dict:
@@ -166,8 +162,6 @@ def _new_stats() -> dict:
         "step2_count": 0,
         "step3_count": 0,
         "step4_count": 0,
-        "fast_accepts": 0,
-        "fast_rejects": 0,
         "exact_center_used": 0,
         "charged": 0,
         "retired_branches": 0,
@@ -236,7 +230,7 @@ def _retire_and_trim(st: DriverState) -> list:
     return nbrs
 
 
-def _layered_view(st: DriverState, root: int, base: int) -> LayeredView:
+def _layered_view(st: DriverState, root: int) -> LayeredView:
     dist = bfs_layers(st.g, st.live, root)
     sizes = np.bincount(dist[dist >= 0])
     if sizes.sum() != st.live.size:
@@ -244,14 +238,13 @@ def _layered_view(st: DriverState, root: int, base: int) -> LayeredView:
             f"iteration {st.iteration}: live is not connected "
             f"(BFS from {root} reached {sizes.sum()} of {st.live.size})"
         )
-    base_ball = int(sizes[:base + 1].sum())
-    if 3 * base_ball < 2 * st.n:
+    delta_ball = int(sizes[:st.delta + 1].sum())
+    if 3 * delta_ball < 2 * st.n:
         raise SelfVerificationError(
-            f"iteration {st.iteration}: center {root} has base ball "
-            f"{base_ball} < 2n/3 of n={st.n}"
+            f"iteration {st.iteration}: center {root} has delta ball "
+            f"{delta_ball} < 2n/3 of n={st.n}"
         )
-    st.base_max = max(st.base_max, base)
-    return LayeredView(root=root, dist=dist, base=base, sizes=sizes)
+    return LayeredView(root=root, dist=dist, sizes=sizes)
 
 
 def _exact_center(g: Graph, live: VertexMask, r: int, n: int) -> int | None:
@@ -308,37 +301,26 @@ def step1_decompose(st: DriverState) -> LayeredView | None:
     if 3 * _interior_bound(res, inner) > 2 * st.n:
         label, sizes = connected_components(st.g, VertexMask(inner))
         if 3 * int(sizes[0]) > 2 * st.n:
-            return _layered_view(st, int(np.argmax(label == 0)), st.delta)
+            return _layered_view(st, int(np.argmax(label == 0)))
     if st.live.size <= EXACT_CENTER_LIMIT:
         v = _exact_center(st.g, st.live, st.delta, st.n)
         if v is not None:
             st.stats["exact_center_used"] += 1
-            return _layered_view(st, v, st.delta)
+            return _layered_view(st, v)
     st.step1_sep = res.boundary
     st.stats["step1_finished"] = 1
-    return None
-
-
-def _try_fast_center(st: DriverState):
-    ids = st.live.ids()
-    for _ in range(FAST_REJECTION_BUDGET):
-        s = int(ids[st.rng_fast.next_below(ids.size)])
-        if 3 * ball(st.g, st.live, s, 2 * st.delta).size >= 2 * st.n:
-            st.stats["fast_accepts"] += 1
-            return _layered_view(st, s, 2 * st.delta)
-        st.stats["fast_rejects"] += 1
     return None
 
 
 def _scan_branches(st: DriverState, view: LayeredView, nbrs: list):
     """One pass over the branches' live neighbors `nbrs`, in index order.
 
-    The window is depth 0 to base + ell* + ell.  Returns (i, nbrs[i]) for
+    The window is depth 0 to delta + ell* + ell.  Returns (i, nbrs[i]) for
     the first branch i whose live neighbors all lie below it, or (None,
     contacts) with the smallest-id window contact of every branch when no
     branch is stuck.
     """
-    top = view.base + st.ell_star + st.ell
+    top = st.delta + st.ell_star + st.ell
     contacts = []
     for i, nb in enumerate(nbrs):
         hits = nb[view.dist[nb] <= top]
@@ -361,7 +343,7 @@ def step3_grow_branch(st: DriverState, view: LayeredView, sel_nbrs: np.ndarray):
     branch can reach through its live neighbors `sel_nbrs` (nonempty, as
     `trim` keeps only branches that touch live); afterwards its live
     neighborhood fits in that layer."""
-    lo = view.base + st.ell_star + 1
+    lo = st.delta + st.ell_star + 1
     window = view.sizes[lo:lo + st.ell]
     y = lo + int(np.argmin(window))
     if st.h * st.ell * int(view.sizes[y]) > st.n:
@@ -379,14 +361,14 @@ def step4_cut_layer(st: DriverState, view: LayeredView) -> int:
     """Smallest layer index in the middle band whose size is at most 1/ell
     of everything below it."""
     sizes = view.sizes
-    top = view.base + st.ell_star
+    top = st.delta + st.ell_star
     suffix = np.concatenate([np.cumsum(sizes[::-1])[::-1], [0]])
-    for i in range(view.base + 1, top + 1):
+    for i in range(st.delta + 1, top + 1):
         if i < sizes.size and st.ell * int(sizes[i]) <= int(suffix[i + 1]):
             return i
     raise SelfVerificationError(
         f"iteration {st.iteration}: no cuttable layer in "
-        f"[{view.base + 1}, {top}] (sizes {sizes[view.base + 1:top + 1].tolist()})"
+        f"[{st.delta + 1}, {top}] (sizes {sizes[st.delta + 1:top + 1].tolist()})"
     )
 
 
@@ -431,7 +413,6 @@ def balanced_separator(
     h: int,
     ell: int | None = None,
     seed: int = 0,
-    fast_center: bool = False,
     debug: bool = False,
 ) -> SeparatorOutcome:
     """Run the driver to a verified balanced separator or K_h witness."""
@@ -443,7 +424,7 @@ def balanced_separator(
     if ell < 1:
         raise InputError("ell must be >= 1")
     stats = _new_stats()
-    stats.update({"n": n, "m": g.m, "h": h, "ell": ell, "fast": int(fast_center)})
+    stats.update({"n": n, "m": g.m, "h": h, "ell": ell})
 
     x, live, lone = _prologue(g)
     if lone is not None:
@@ -463,9 +444,7 @@ def balanced_separator(
         charged=np.zeros(n, dtype=bool),
         delta=delta,
         ell_star=delta + ell,
-        base_max=delta,
         rng_ldd=stream(seed, "ldd"),
-        rng_fast=stream(seed, "fast_center"),
     )
 
     while True:
@@ -487,13 +466,9 @@ def balanced_separator(
         if st.iteration > n:
             raise SelfVerificationError("iteration count exceeded n; live not shrinking")
 
-        view = None
-        if fast_center and st.iteration >= 2:
-            view = _try_fast_center(st)
+        view = step1_decompose(st)
         if view is None:
-            view = step1_decompose(st)
-            if view is None:
-                break
+            break
 
         stuck, found = _scan_branches(st, view, nbrs)
         if stuck is None:
@@ -510,7 +485,7 @@ def balanced_separator(
                     model=st.model, h=h, stats=dict(st.stats), verification=report
                 )
             st.live = _largest_component_mask(g, st.live.minus_ids(cand))
-        elif st.h * int(view.sizes[view.base + st.ell_star + 1:].sum()) <= n:
+        elif st.h * int(view.sizes[st.delta + st.ell_star + 1:].sum()) <= n:
             z = step3_grow_branch(st, view, found)
             st.stats["step3_count"] += 1
             st.model = grow_branch(st.model, g, stuck, z)

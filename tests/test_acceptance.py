@@ -43,39 +43,37 @@ def verdict(capsys):
 # -- shared fuzz corpus ---------------------------------------------------------
 
 def corpus_specs():
-    """(label, instance spec, h, ell, run seed, fast) for every corpus run."""
+    """(label, instance spec, h, ell, run seed) for every corpus run."""
     specs = []
     for side in range(5, 41):
         for seed in (0, 1, 2, 3, 4):
             specs.append((f"grid{side}x{side}", InstanceSpec("grid", (side, side)),
-                          5, None, seed, False))
+                          5, None, seed))
     for n in (50, 100, 200, 400, 700, 1000, 1400, 2000):
         for h in (4, 5, 6, 7, 8):
             for gseed in (0, 1, 2, 3):
                 specs.append((f"gnp{n}", InstanceSpec("gnp", (n, 3.0 / n), gseed),
-                              h, None, gseed, False))
+                              h, None, gseed))
     for n in (10, 60, 120, 300, 600, 1000):
         for gseed in range(6):
             for h in (4, 6):
                 specs.append((f"tree{n}", InstanceSpec("tree", (n,), gseed),
-                              h, None, gseed, False))
+                              h, None, gseed))
     for hp, t in ((5, 1), (6, 1), (6, 2), (7, 1), (8, 2), (9, 1), (10, 3), (13, 1)):
         for h in (4, 5, 8):
             for ell in (1, 2):
                 specs.append((f"subdiv{hp}_{t}", InstanceSpec("subdivided_clique", (hp, t)),
-                              h, ell, 0, False))
+                              h, ell, 0))
     for n in (30, 100, 500):
-        specs.append((f"cycle{n}", InstanceSpec("cycle", (n,)), 4, None, 0, False))
-        specs.append((f"path{n}", InstanceSpec("path", (n,)), 4, None, 1, False))
-        specs.append((f"star{n}", InstanceSpec("star", (n,)), 3, None, 0, False))
+        specs.append((f"cycle{n}", InstanceSpec("cycle", (n,)), 4, None, 0))
+        specs.append((f"path{n}", InstanceSpec("path", (n,)), 4, None, 1))
+        specs.append((f"star{n}", InstanceSpec("star", (n,)), 3, None, 0))
     for rc in ((5, 5), (8, 8), (12, 12)):
-        specs.append((f"torus{rc[0]}x{rc[1]}", InstanceSpec("torus", rc), 5, None, 0, False))
+        specs.append((f"torus{rc[0]}x{rc[1]}", InstanceSpec("torus", rc), 5, None, 0))
     for side in range(5, 25):
-        specs.append((f"grid{side}fast", InstanceSpec("grid", (side, side)),
-                      5, None, 7, True))
+        specs.append((f"grid{side}x{side}", InstanceSpec("grid", (side, side)), 5, None, 7))
     for n in (100, 400, 1000):
-        specs.append((f"gnp{n}fast", InstanceSpec("gnp", (n, 3.0 / n), 1),
-                      5, None, 1, True))
+        specs.append((f"gnp{n}", InstanceSpec("gnp", (n, 3.0 / n), 1), 5, None, 1))
     return specs
 
 
@@ -94,11 +92,11 @@ def extra_graphs():
 def corpus():
     records = []
     t0 = time.perf_counter()
-    for label, spec, h, ell, seed, fast in corpus_specs():
+    for label, spec, h, ell, seed in corpus_specs():
         g = generate(spec)
         rec = {"label": label, "n": g.n, "h": h, "error": None}
         try:
-            out = balanced_separator(g, h, ell=ell, seed=seed, fast_center=fast, debug=True)
+            out = balanced_separator(g, h, ell=ell, seed=seed, debug=True)
             rec["stats"] = out.stats
             rec["kind"] = out.kind
             if isinstance(out, BalancedSeparator):
@@ -352,7 +350,7 @@ def test_criterion_09_small_instance_oracle(verdict):
 def test_criterion_10_deterministic_reports(tmp_path, verdict):
     jobs = [
         (["separate", "--gen", "grid:20,20", "--h", "5"], "grid"),
-        (["separate", "--gen", "gnp:200,0.015", "--h", "5", "--seed", "3", "--fast"], "gnp"),
+        (["separate", "--gen", "gnp:200,0.015", "--h", "5", "--seed", "3"], "gnp"),
         (["separate", "--gen", "complete:9", "--h", "4"], "witness"),
         (["separate", "--gen", "tree:300", "--h", "4", "--seed", "2", "--debug"], "tree"),
     ]

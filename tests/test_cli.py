@@ -165,16 +165,16 @@ def test_separate_reports_are_byte_identical(tmp_path):
 # the schema-v1 report was frozen; a refactor must reproduce them exactly.
 FROZEN_DIGESTS = [
     (["--gen", "grid:20,20", "--h", "5"],
-     "04945905475b860712bf80d7cba36ae6968e9b0004f241ebada40d870371de2d",
+     "09bc02a2efe82bb4d67b8e6bfc6c92b479f797b57ccd7957bfbc07d40e15665f",
      "4ba5b5866c7727826997d213856cd0f6c41d2e58b9bbfe9e13b3d6ffb39b41a8"),
-    (["--gen", "gnp:200,0.015", "--h", "5", "--seed", "3", "--fast"],
-     "d8c1b42663c0c99beb2578787af814746c70d15ba259df9eaf6cf20efd47477b",
-     "930de78334884078b45ef02084939e20dfed4d7cadbe583d10bec9f948fafa0a"),
+    (["--gen", "gnp:200,0.015", "--h", "5", "--seed", "3"],
+     "d041afdcf018363b867449b969aba8dd6de25ff4ac6fe043483f8ddd65076cc6",
+     "eacd5d306518e6ba13c4dcf9ca5da0692aef105d88d21159d50ce0c8facc71b0"),
     (["--gen", "complete:9", "--h", "4"],
-     "c59a66c31b519c0d997ee6aea61c8d28d0b40b1d98441533e9cfc9b17ffffb2d",
+     "b88ec8147c2051ef0fe46912b434b1bf43e1207cd823d87b23b418a68aeaaabd",
      "aa15305caf54161f51fddee99a921fd96731f41a8863bc35de19bfc188245295"),
     (["--gen", "tree:300", "--h", "4", "--seed", "2", "--debug"],
-     "cc62b3b5039c96b23c180399ae5a3f0dbcc9051efad8efd919f642363a700982",
+     "187ad25ed824c4f3781268999e4472810b5ab189ea9aeb787c39c2972f0beb44",
      "68a2441062347dcc52290a7e43186411e713c19560123f60a910c1fce68cb01e"),
 ]
 
@@ -216,6 +216,14 @@ def test_separate_input_errors(tmp_path, capsys):
     assert run("separate", "--input", str(tmp_path / "nope.txt"), "--h", "4") == EXIT_INPUT
     assert run("separate", "--gen", "grid:5,5", "--h", "2") == EXIT_INPUT
     assert run("separate", "--gen", "mystery:5", "--h", "4") == EXIT_INPUT
+
+
+def test_separate_rejects_the_removed_fast_flag(capsys):
+    # README's exit-code table: a bad flag is exit code 2, argparse's usage error
+    with pytest.raises(SystemExit) as exc:
+        run("separate", "--gen", "grid:5,5", "--h", "4", "--fast")
+    assert exc.value.code == EXIT_INPUT
+    assert "--fast" in capsys.readouterr().err
 
 
 def test_non_utf8_edge_list_is_an_input_error(tmp_path, capsys):
@@ -556,6 +564,20 @@ def test_readme_names_every_subcommand_option():
         for name, parser in sub.choices.items()
     }
     assert documented == parsed
+
+
+def test_readme_lists_every_stats_key(tmp_path):
+    """README's report paragraph lists exactly the `stats` keys of a
+    separator run and of a witness run, one bullet each."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("**Report** (`--json`).", 1)[1].split("\n## ", 1)[0]
+    documented = re.findall(r"^- `(\w+)`: ", section, re.M)
+    assert len(documented) == len(set(documented))
+    rep = tmp_path / "r.json"
+    for argv, code in ((["--gen", "grid:12,12", "--h", "5"], EXIT_SEPARATOR),
+                       (["--gen", "complete:9", "--h", "4"], EXIT_WITNESS)):
+        assert run("separate", *argv, "--json", str(rep)) == code
+        assert set(documented) == set(json.loads(rep.read_text())["stats"]), argv
 
 
 def test_readme_family_docs_match_the_table():

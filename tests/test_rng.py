@@ -99,7 +99,7 @@ def test_next_below_in_range(bound):
 
 
 def test_derive_seed_separates_labels():
-    seen = {derive_seed(5, lab) for lab in ("ldd", "fast_center", "gnp", "tree", "")}
+    seen = {derive_seed(5, lab) for lab in ("ldd", "ld", "gnp", "tree", "")}
     assert len(seen) == 5
     assert derive_seed(5, "ldd") == derive_seed(5, "ldd")
     assert derive_seed(5, "ldd") != derive_seed(6, "ldd")

@@ -12,7 +12,6 @@ from minorsep.errors import InputError
 from minorsep.graph import VertexMask, build_graph, connected_components
 from minorsep.rng import stream
 from minorsep.separator import (
-    FAST_REJECTION_BUDGET,
     BalancedSeparator,
     MinorWitness,
     _exact_center,
@@ -413,21 +412,20 @@ def test_fallback_when_selector_would_unbalance():
 
 # sha256 of (kind, separator ids or branches, size_breakdown, stats) for runs
 # that reach the steps the CLI frozen digests do not: branch growth (step 3),
-# a layer cut (step 4), fallback levels 1 and 2, sampled centers and a witness.
+# a layer cut (step 4), fallback levels 1 and 2 and a witness.
 FROZEN_PATHS = [
     ("deep_anchor_22", lambda: balanced_separator(deep_anchor(68, 22), 5, ell=1),
-     "8c18f04e3607c0da60d3cf8d3fab8d730a71f9b96dc180bdb71e1188d9017ec6"),
+     "45d93194d9b95adeb6c64471851f8cb13cd0a9f807ec8c337b87f6c75248cdc5"),
     ("deep_anchor_30", lambda: balanced_separator(deep_anchor(68, 30), 5, ell=1),
-     "1a71eb48d3740fb7916de1b26ece486a295664e8a89e0d42a8b0ca8d7dde0be1"),
+     "b42c7b332b3bf81966e220dbf26a531374e53a25badce9e8a9a63dca8d59ac1f"),
     ("fallback_tree", lambda: balanced_separator(fallback_tree(), 3, ell=1),
-     "890ae544c57d9cb0bb147dadfeb892e95db00e9d7e0e1b47ac9b11cebaf7f882"),
-    ("gnp200_fast", lambda: balanced_separator(
-        gen("gnp", 200, 0.015, seed=3), 5, seed=3, fast_center=True),
-     "e2f28711acddf5913e66815aa647e431bf9da324b52a465dd6194ed83f28a724"),
+     "84bd1a1bcfff0996d53cb0e58dccfed816120c1b8e3fcf9be1e73204e38009c4"),
+    ("gnp200", lambda: balanced_separator(gen("gnp", 200, 0.015, seed=3), 5, seed=3),
+     "a3965440dd69fba2f38fbcfd7386829f5d5b11ae2a7f5fe53b88b734da15a4da"),
     ("complete9", lambda: balanced_separator(gen("complete", 9), 4),
-     "bf4c3ea70afee793822c9d61c25a148d35152eb45823cc4c5d26b0835882e2d9"),
+     "91b0cbfae1f7943775274c6f13f315921d4fa04b09ccf1a7bd92c82cd21ca418"),
     ("retired_fallback", lambda: balanced_separator(retired_fallback(), 6, ell=3),
-     "1e25e33fc631c895315257e0ea5be17e597d21b09ab02a296c4bfeb954d3c409"),
+     "66cb6d3e8c33f0fdaa300ddca6a09ee48788615ec022611b3d5590c89972c7bd"),
 ]
 
 
@@ -450,7 +448,7 @@ def test_deep_instances_stable_across_seeds(seed):
     assert sorted(b.separator.ids().tolist()) == [1, 2]
 
 
-# -- determinism and the sampled-center variant --------------------------------------
+# -- determinism ----------------------------------------------------------------------
 
 def test_deterministic_per_seed():
     g = gen("gnp", 150, 0.03, seed=5)
@@ -459,55 +457,6 @@ def test_deterministic_per_seed():
     assert a.kind == b.kind == "separator"
     assert np.array_equal(a.separator.bits, b.separator.bits)
     assert a.stats == b.stats
-
-
-def test_fast_center_deterministic_and_verified():
-    g = gen("gnp", 300, 0.01, seed=7)
-    a = balanced_separator(g, 5, seed=3, fast_center=True, debug=True)
-    b = balanced_separator(g, 5, seed=3, fast_center=True, debug=True)
-    assert a.kind == b.kind
-    assert a.stats == b.stats
-    assert a.stats["fast_accepts"] + a.stats["fast_rejects"] > 0
-    if a.kind == "separator":
-        assert np.array_equal(a.separator.bits, b.separator.bits)
-        assert a.verification.ok
-    else:
-        assert a.verification.ok
-
-
-def test_fast_center_rejects_then_accepts():
-    """K20 on 0..19 with the path 19-20-...-29 hanging off it: some sampled
-    centers on the path are rejected before one in the clique passes."""
-    edges = [(u, v) for u in range(20) for v in range(u + 1, 20)]
-    g = build_graph(30, edges + [(v, v + 1) for v in range(19, 29)])
-    out = balanced_separator(g, 6, seed=0, fast_center=True)
-    s = out.stats
-    assert (s["iterations"], s["fast_accepts"], s["fast_rejects"]) == (4, 3, 4)
-    assert out.kind == "separator" and verify_balanced(g, out.separator).ok
-
-
-def test_fast_center_falls_back_to_step1_after_every_sample_fails():
-    """A wheel: hub 1 joined to 0 and to the rim cycle 2..31.  Iteration 1
-    makes a branch of the hub, which leaves the rim live; no rim vertex's
-    2*delta-ball holds 2n/3, so every sample is rejected and step 1 runs."""
-    rim = np.arange(2, 32)
-    edges = np.column_stack([rim, np.roll(rim, -1)]).tolist()
-    g = build_graph(32, edges + [(0, 1)] + [(1, v) for v in rim.tolist()])
-    out = balanced_separator(g, 4, seed=0, fast_center=True)
-    s = out.stats
-    assert (s["iterations"], s["fast_accepts"], s["fast_rejects"]) == (
-        2, 0, FAST_REJECTION_BUDGET)
-    assert s["ldd_calls"] == 2
-    assert out.kind == "separator" and verify_balanced(g, out.separator).ok
-
-
-def test_fast_center_still_sound_on_structured_inputs():
-    for fam, params, h in [("grid", (15, 15), 5), ("cycle", (60,), 3), ("tree", (300,), 4)]:
-        out = balanced_separator(gen(fam, *params), h, fast_center=True, debug=True)
-        if out.kind == "separator":
-            assert verify_balanced(gen(fam, *params), out.separator).ok
-        else:
-            assert out.verification.ok
 
 
 # -- randomized soundness sweep -------------------------------------------------------
