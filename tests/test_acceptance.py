@@ -71,9 +71,10 @@ def corpus_specs():
     for rc in ((5, 5), (8, 8), (12, 12)):
         specs.append((f"torus{rc[0]}x{rc[1]}", InstanceSpec("torus", rc), 5, None, 0))
     for side in range(5, 25):
-        specs.append((f"grid{side}x{side}", InstanceSpec("grid", (side, side)), 5, None, 7))
+        specs.append((f"grid{side}x{side}_s7", InstanceSpec("grid", (side, side)),
+                      5, None, 7))
     for n in (100, 400, 1000):
-        specs.append((f"gnp{n}", InstanceSpec("gnp", (n, 3.0 / n), 1), 5, None, 1))
+        specs.append((f"gnp{n}_s7", InstanceSpec("gnp", (n, 3.0 / n), 1), 5, None, 7))
     return specs
 
 

@@ -412,7 +412,8 @@ def test_fallback_when_selector_would_unbalance():
 
 # sha256 of (kind, separator ids or branches, size_breakdown, stats) for runs
 # that reach the steps the CLI frozen digests do not: branch growth (step 3),
-# a layer cut (step 4), fallback levels 1 and 2 and a witness.
+# a layer cut (step 4), fallback levels 1 and 2, a witness, and a view
+# centered by step 1's component pass rather than the exact scan.
 FROZEN_PATHS = [
     ("deep_anchor_22", lambda: balanced_separator(deep_anchor(68, 22), 5, ell=1),
      "45d93194d9b95adeb6c64471851f8cb13cd0a9f807ec8c337b87f6c75248cdc5"),
@@ -420,8 +421,9 @@ FROZEN_PATHS = [
      "b42c7b332b3bf81966e220dbf26a531374e53a25badce9e8a9a63dca8d59ac1f"),
     ("fallback_tree", lambda: balanced_separator(fallback_tree(), 3, ell=1),
      "84bd1a1bcfff0996d53cb0e58dccfed816120c1b8e3fcf9be1e73204e38009c4"),
-    ("gnp200", lambda: balanced_separator(gen("gnp", 200, 0.015, seed=3), 5, seed=3),
-     "a3965440dd69fba2f38fbcfd7386829f5d5b11ae2a7f5fe53b88b734da15a4da"),
+    ("gnp200_ldd_center",
+     lambda: balanced_separator(gen("gnp", 200, 0.015, seed=3), 5, ell=20, seed=3),
+     "d927a14456d19515a5a992547c0043746ce31dc1267f35af8eb84eccf4c0dcfd"),
     ("complete9", lambda: balanced_separator(gen("complete", 9), 4),
      "91b0cbfae1f7943775274c6f13f315921d4fa04b09ccf1a7bd92c82cd21ca418"),
     ("retired_fallback", lambda: balanced_separator(retired_fallback(), 6, ell=3),
