@@ -216,13 +216,22 @@ def bench_spec(family: str, n: int, seed: int) -> InstanceSpec:
 
 def read_edge_list(source) -> Graph:
     """Parse the ``p n m`` edge-list format from a path or an open text
-    file; errors carry 1-based line numbers."""
+    file; errors carry 1-based line numbers.
+
+    A path is read with universal newlines, so CR LF and a lone CR end a
+    line as LF does.  An open file is read as it yields lines: an
+    ``io.StringIO`` ends them at LF only.  A path is decoded in one piece,
+    so a decoding error names the bad byte's offset in the file.
+    """
     if isinstance(source, (str, bytes, os.PathLike)):
         try:
             with open(source, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
+                text = fh.read()
         except UnicodeDecodeError as exc:
             raise InputError(f"{source}: not UTF-8 text (byte {exc.start})") from None
+        # every line ends in LF by now; str.splitlines would also split at
+        # characters such as form feed (0x0c) that readlines keeps in a line
+        lines = text.split("\n")
     else:
         lines = source.readlines()
     head, n, m = _read_header(lines)

@@ -29,6 +29,13 @@ which yields g's largest component, the first branch's vertex and the first
 live part together (see `_prologue`), and once to verify the separator.
 Step 1 labels live minus the LDD boundary only when some part's interior
 could hold a component over 2n/3.
+
+On a live part of at most EXACT_CENTER_LIMIT vertices one BFS from its
+smallest id serves three purposes (see `_first_id_depths`): it tests that id
+as step 1's center, its depth array is the view's layering, and after step
+2 or 3 it finds the new live part, which is then the search's reach, with
+no component pass.  The array is kept in `DriverState.center_dist` from
+the live update to the next step 1, so a centred iteration searches once.
 """
 
 from __future__ import annotations
@@ -46,7 +53,6 @@ from .graph import (
     _ball_sizes,
     _masked_adjacency,
     _sorted_unique,
-    ball,
     bfs_layers,
     connected_components,
     tree_path,
@@ -148,6 +154,9 @@ class DriverState:
     delta: int = 0
     ell_star: int = 0
     rng_ldd: object = None
+    # `_first_id_depths` of live when the last live update found it passing,
+    # else None; every assignment to live sets or clears it
+    center_dist: np.ndarray | None = None
 
     @property
     def branch_budget(self) -> int:
@@ -230,8 +239,9 @@ def _retire_and_trim(st: DriverState) -> list:
     return nbrs
 
 
-def _layered_view(st: DriverState, root: int) -> LayeredView:
-    dist = bfs_layers(st.g, st.live, root)
+def _layered_view(st: DriverState, dist: np.ndarray) -> LayeredView:
+    """The view of `dist`, a full `bfs_layers` depth array within live."""
+    root = int(np.argmax(dist == 0))
     sizes = np.bincount(dist[dist >= 0])
     if sizes.sum() != st.live.size:
         raise SelfVerificationError(
@@ -247,22 +257,63 @@ def _layered_view(st: DriverState, root: int) -> LayeredView:
     return LayeredView(root=root, dist=dist, sizes=sizes)
 
 
-def _exact_center(g: Graph, live: VertexMask, r: int, n: int) -> int | None:
-    """Smallest live id whose radius-r live ball holds 2n/3 of n, or None.
+def _first_id_depths(g: Graph, live: VertexMask, r: int, n: int) -> np.ndarray | None:
+    """The depth array of the BFS within live from its smallest id, when
+    that id's radius-r ball holds 2n/3 of n; else None.  live is nonempty.
 
-    The first id is tested with one BFS, which is where dense inputs pass,
-    so they build no matrix.  The other ids are tested in one csgraph pass
-    on the masked matrix, and the first passing one is the answer.  Step 1
+    The radius-r search decides.  When it passes with vertices left at depth
+    r it may have stopped short, so it runs once more without the radius;
+    otherwise it already reached the root's whole component.  That is never
+    more than the ball and the full BFS that a separate test and layering
+    would take.
+    """
+    root = int(np.argmax(live.bits))
+    dist = bfs_layers(g, live, root, radius=r)
+    if 3 * np.count_nonzero(dist >= 0) < 2 * n:
+        return None
+    if (dist == r).any():
+        dist = bfs_layers(g, live, root)
+    return dist
+
+
+def _exact_center(g: Graph, live: VertexMask, r: int, n: int) -> np.ndarray | None:
+    """The BFS depth array within live from its smallest id whose radius-r
+    live ball holds 2n/3 of n, or None when no id passes.
+
+    The first id is tested by `_first_id_depths`, whose passing search is
+    the answer: that is where dense inputs pass, so they build no matrix and
+    search once.  The other ids are tested in one csgraph pass on the masked
+    matrix, and the first passing one is searched again in full.  Step 1
     calls this only on at most EXACT_CENTER_LIMIT live ids, and only while
     3|live| >= 2n, so the pass's distance matrix is at most 511 x 768
     float64 entries (about 3.1 MB).
     """
-    ids = live.ids()
-    if 3 * ball(g, live, int(ids[0]), r).size >= 2 * n:
-        return int(ids[0])
-    rest = ids[1:]
+    dist = _first_id_depths(g, live, r, n)
+    if dist is not None:
+        return dist
+    rest = live.ids()[1:]
     hits = rest[3 * _ball_sizes(_masked_adjacency(g, live.bits), r, rest) >= 2 * n]
-    return int(hits[0]) if hits.size else None
+    return bfs_layers(g, live, int(hits[0])) if hits.size else None
+
+
+def _update_live(st: DriverState, rest: VertexMask) -> None:
+    """Set live to the largest component of `rest`, what step 2 or 3 leaves.
+
+    On a rest of at most EXACT_CENTER_LIMIT vertices the next step 1 may
+    test rest's smallest id as a center, so that search runs here first.
+    When it passes, its reach holds at least 2n/3 >= 2|rest|/3 > |rest|/2
+    vertices, so it is rank 0 of `connected_components` (its root is rest's
+    smallest id, so it would also win a tie); live becomes that reach and
+    the depth array waits in `center_dist`.  Otherwise a component pass
+    labels rest.
+    """
+    st.center_dist = None
+    if 0 < rest.size <= EXACT_CENTER_LIMIT:
+        st.center_dist = _first_id_depths(st.g, rest, st.delta, st.n)
+    if st.center_dist is None:
+        st.live = _largest_component_mask(st.g, rest)
+    else:
+        st.live = VertexMask(st.center_dist >= 0)
 
 
 def _interior_bound(res: LddResult, inner: np.ndarray) -> int:
@@ -288,9 +339,11 @@ def step1_decompose(st: DriverState) -> LayeredView | None:
     exact scan may still find a vertex whose delta-ball holds 2n/3 of the
     graph (dense instances collapse to singleton partitions whose boundary
     hides them); the scan keeps the branch-growing path reachable there and
-    is skipped above EXACT_CENTER_LIMIT live vertices.  It returns the
-    smallest passing id (see `_exact_center`).  On dense witness inputs
-    that is the first live id, found by one BFS.  A scan that rejects every
+    is skipped above EXACT_CENTER_LIMIT live vertices.  It centers the view
+    on the smallest passing id (see `_exact_center`).  On dense witness
+    inputs that is the first live id, found by one BFS whose depth array
+    is the view; when the last live update already ran that search and it
+    passed, its array in `center_dist` is the view.  A scan that rejects every
     id, as on sparse inputs, costs one BFS and one csgraph pass rather than
     one BFS per live vertex: a whole solve of grid 22², cycle 500 or path
     500 takes 2-8 ms (2 vCPUs).
@@ -301,12 +354,14 @@ def step1_decompose(st: DriverState) -> LayeredView | None:
     if 3 * _interior_bound(res, inner) > 2 * st.n:
         label, sizes = connected_components(st.g, VertexMask(inner))
         if 3 * int(sizes[0]) > 2 * st.n:
-            return _layered_view(st, int(np.argmax(label == 0)))
+            return _layered_view(st, bfs_layers(st.g, st.live, int(np.argmax(label == 0))))
     if st.live.size <= EXACT_CENTER_LIMIT:
-        v = _exact_center(st.g, st.live, st.delta, st.n)
-        if v is not None:
+        dist = st.center_dist
+        if dist is None:
+            dist = _exact_center(st.g, st.live, st.delta, st.n)
+        if dist is not None:
             st.stats["exact_center_used"] += 1
-            return _layered_view(st, v)
+            return _layered_view(st, dist)
     st.step1_sep = res.boundary
     st.stats["step1_finished"] = 1
     return None
@@ -484,12 +539,12 @@ def balanced_separator(
                 return MinorWitness(
                     model=st.model, h=h, stats=dict(st.stats), verification=report
                 )
-            st.live = _largest_component_mask(g, st.live.minus_ids(cand))
+            _update_live(st, st.live.minus_ids(cand))
         elif st.h * int(view.sizes[st.delta + st.ell_star + 1:].sum()) <= n:
             z = step3_grow_branch(st, view, found)
             st.stats["step3_count"] += 1
             st.model = grow_branch(st.model, g, stuck, z)
-            st.live = _largest_component_mask(g, st.live.minus_ids(z))
+            _update_live(st, st.live.minus_ids(z))
         else:
             istar = step4_cut_layer(st, view)
             st.stats["step4_count"] += 1
@@ -515,6 +570,7 @@ def balanced_separator(
                         f"iteration {st.iteration}: layers below the cut are disconnected"
                     )
             st.live = kept
+            st.center_dist = None
 
     if st.ell * st.x_set.size > st.stats["charged"]:
         raise SelfVerificationError(

@@ -301,6 +301,33 @@ def test_read_missing_file():
         read_edge_list("/nonexistent/graph.txt")
 
 
+def test_read_names_the_file_offset_of_a_bad_byte(tmp_path):
+    # more than one 8 KiB decoding chunk of valid lines comes first
+    head = b"p 3 3000\n" + b"0 1\n" * 2999
+    assert len(head) > 8192
+    path = tmp_path / "bad.txt"
+    path.write_bytes(head + b"1 \xff\n")
+    with pytest.raises(InputError) as exc:
+        read_edge_list(str(path))
+    assert str(exc.value) == f"{path}: not UTF-8 text (byte {len(head) + 2})"
+
+
+def test_read_newline_rule_by_source(tmp_path):
+    # a path is read with universal newlines, an open file as it yields lines
+    text = "p 4 2\n0 1\r2 3\n"
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.encode())
+    assert graph_to_text(read_edge_list(str(path))) == "p 4 2\n0 1\n2 3\n"
+    with pytest.raises(InputError) as exc:
+        read_edge_list(io.StringIO(text))
+    assert str(exc.value) == "line 2: expected 'u v'"
+    # neither ends a line at a form feed, which separates tokens as a space does
+    text = "p 3 1\n0\x0c1\n"
+    path.write_bytes(text.encode())
+    for source in (str(path), io.StringIO(text)):
+        assert graph_to_text(read_edge_list(source)) == "p 3 1\n0 1\n"
+
+
 @given(st.sampled_from(["grid", "path", "cycle", "complete", "tree"]),
        st.integers(3, 30), st.integers(0, 2**31))
 def test_roundtrip_any_family(family, n, seed):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from minorsep import separator, verify
 from minorsep.decomp import ldd
 from minorsep.errors import InputError
-from minorsep.graph import VertexMask, build_graph, connected_components
+from minorsep.graph import VertexMask, ball, bfs_layers, build_graph, connected_components
 from minorsep.rng import stream
 from minorsep.separator import (
     BalancedSeparator,
@@ -290,6 +290,29 @@ def test_step1_pass_centers_the_view_when_an_interior_is_large(pass_count):
     assert len(pass_count) == 4
 
 
+def test_centred_iterations_search_once(monkeypatch):
+    # 7 iterations, each centred on the first live id by the exact scan: the
+    # first step 1 searches, and each live update after step 2 makes the one
+    # search that both finds the live part and centres the next iteration.
+    # The only component pass is the prologue's; a witness needs no other.
+    calls = {"bfs_layers": 0, "ball": 0, "connected_components": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, fn in (("bfs_layers", bfs_layers), ("ball", ball),
+                     ("connected_components", connected_components)):
+        monkeypatch.setattr(separator, name, counted(name, fn), raising=False)
+    out = balanced_separator(gen("gnp", 450, 0.045, seed=7), 8, seed=1)
+    assert out.kind == "witness"
+    s = out.stats
+    assert (s["iterations"], s["exact_center_used"], s["step2_count"]) == (7, 7, 7)
+    assert calls == {"bfs_layers": 7, "ball": 0, "connected_components": 1}
+
+
 # -- exact center scan -------------------------------------------------------------
 
 def hubs(n, centers):
@@ -298,9 +321,13 @@ def hubs(n, centers):
 
 
 def scan(g, live, r):
-    """The batched scan's vertex, after checking it against the per-vertex loop."""
-    got = _exact_center(g, live, r, g.n)
+    """The batched scan's center, after checking it against the per-vertex
+    loop and its depth array against a full BFS from that center."""
+    dist = _exact_center(g, live, r, g.n)
+    got = None if dist is None else int(np.argmax(dist == 0))
     assert got == loop_exact_center(g, live, r, g.n)
+    if dist is not None:
+        assert np.array_equal(dist, bfs_layers(g, live, got))
     return got
 
 
@@ -428,6 +455,14 @@ FROZEN_PATHS = [
      "91b0cbfae1f7943775274c6f13f315921d4fa04b09ccf1a7bd92c82cd21ca418"),
     ("retired_fallback", lambda: balanced_separator(retired_fallback(), 6, ell=3),
      "66cb6d3e8c33f0fdaa300ddca6a09ee48788615ec022611b3d5590c89972c7bd"),
+    # witnesses grown by 7, 11 and 14 exactly centred iterations, whose live
+    # updates find the next center's search
+    ("gnp450_h8", lambda: balanced_separator(gen("gnp", 450, 0.045, seed=7), 8, seed=1),
+     "c579a5e0ef754aafbf73729d96cd7bc7070de9dc8e7b36066087e271ff1af350"),
+    ("gnp450_h12", lambda: balanced_separator(gen("gnp", 450, 0.045, seed=7), 12, seed=1),
+     "5b3dc2195eeafb8b2c2208499d790e6bf72ed4c7b8a93e52cddee998e74f6b07"),
+    ("complete150_h15", lambda: balanced_separator(gen("complete", 150), 15, seed=1),
+     "e5902f3c4bc3b516ba7b13d0b90bc0ae6fda5c2ce15d3e0d967efff360559c81"),
 ]
 
 
