@@ -70,7 +70,7 @@ def _load_graph(args) -> tuple:
 def _digest(g: Graph) -> str:
     digest = hashlib.sha256()
     for chunk in edge_list_chunks(g):
-        digest.update(chunk.encode())
+        digest.update(chunk)
     return digest.hexdigest()
 
 
@@ -118,11 +118,12 @@ def cmd_separate(args) -> int:
     print(f"wall_ms={wall_ms:.1f}", file=sys.stderr)
 
     cert = certificate(outcome) if args.json or args.certificate else None
+    # newline="\n": canonical bytes end lines in LF on every platform
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
+        with open(args.json, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(_canonical_json(_report(g, source, args, outcome, cert)))
     if args.certificate:
-        with open(args.certificate, "w", encoding="utf-8") as fh:
+        with open(args.certificate, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(_canonical_json(cert))
 
     if isinstance(outcome, BalancedSeparator):

@@ -22,19 +22,21 @@ draws as one block, with the same product and truncation as
 `SplitMix64.next_below`.
 
 Every family but subdivided_clique (which is small) builds its edges as
-numpy arrays.  The reader parses the lines after the header in one call to
-numpy's C parser and checks ids, self-loops and the edge count on the
-array.  A file that fails any of that goes through a line loop, which only
-reports: it raises the first bad line's error with its 1-based line
-number, or accepts tokens that Python's ``int`` reads and the C parser
-does not, such as ``1_0`` or non-ASCII digits.
+numpy arrays.  The text codec is array code too, with no Python object per
+id or per line.  The writer formats TEXT_CHUNK edges at a time with digit
+arithmetic on a byte array.  The reader parses the text after the header
+with array checks on its bytes and numpy's C integer scanner, and checks
+ids, self-loops and the edge count on the array.  A file that fails any of
+that goes through a line loop, which only reports: it raises the first bad
+line's error with its 1-based line number, or accepts tokens that Python's
+``int`` reads and the array parser does not, such as ``1_0``, ``+3`` or
+non-ASCII digits.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
@@ -222,6 +224,10 @@ def read_edge_list(source) -> Graph:
     line as LF does.  An open file is read as it yields lines: an
     ``io.StringIO`` ends them at LF only.  A path is decoded in one piece,
     so a decoding error names the bad byte's offset in the file.
+
+    The header is found by scanning the leading lines; the text after it
+    goes to the array parser (`_parse_body`), and is split into lines only
+    when that parser leaves the file to the line loop (`_check_lines`).
     """
     if isinstance(source, (str, bytes, os.PathLike)):
         try:
@@ -229,22 +235,36 @@ def read_edge_list(source) -> Graph:
                 text = fh.read()
         except UnicodeDecodeError as exc:
             raise InputError(f"{source}: not UTF-8 text (byte {exc.start})") from None
-        # every line ends in LF by now; str.splitlines would also split at
-        # characters such as form feed (0x0c) that readlines keeps in a line
-        lines = text.split("\n")
+        lines = _lines_of(text)
     else:
-        lines = source.readlines()
-    head, n, m = _read_header(lines)
-    body = lines[head:]
-    pairs = _parse_body(body, n, m)
+        read = source.readlines()
+        text = "".join(read)
+        lines = iter(read)
+    head, n, m, start = _read_header(lines)
+    pairs = _parse_body(text[start:], n, m)
     if pairs is None:
-        pairs = _check_lines(body, head + 1, n, m)
+        pairs = _check_lines(lines, head + 1, n, m)
     return build_graph(n, pairs)
 
 
+def _lines_of(text: str):
+    """The lines of a path's text one at a time, each with its LF, the only
+    line end left after universal newlines.  str.splitlines would also
+    split at characters such as form feed (0x0c) that readlines keeps in a
+    line."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
 def _read_header(lines) -> tuple:
-    """(line number, n, m) of the header, the first line with content."""
+    """(line number, n, m, text offset after it) of the header, the first
+    line with content; `lines` is left at the line after it."""
+    start = 0
     for lineno, raw in enumerate(lines, start=1):
+        start += len(raw)
         parts = raw.split("#", 1)[0].split()
         if not parts:
             continue
@@ -257,40 +277,71 @@ def _read_header(lines) -> tuple:
         if n < 0 or m < 0:
             raise InputError(f"line {lineno}: header fields must be nonnegative")
         _check_count(f"line {lineno}: header count", max(n, m))
-        return lineno, n, m
+        return lineno, n, m, start
     raise InputError("line 1: missing header 'p <n> <m>'")
 
 
-def _parse_body(body: list, n: int, m: int):
-    """The lines after the header as an (m, 2) array, or None when the line
+def _parse_body(body: str, n: int, m: int):
+    """The text after the header as an (m, 2) array, or None when the line
     loop has to decide.
 
-    np.loadtxt is numpy's C parser.  Non-ASCII text outside comments goes to
-    the line loop, because that parser reads some non-ASCII characters as
-    digits (U+01FE as 462); so does any warning, such as an older numpy
-    parsing "1.0" as an integer.
+    Array code over the body's bytes: ``#`` comments, up to LF, are cut
+    out; then every byte must be a digit, space, tab or LF, every line must
+    hold zero or two tokens, and no token may pass 18 digits, so numpy's C
+    scanner never meets a value past int64.  Runs of blanks, blank lines
+    and leading zeros pass.  The scanner then reads the digits, and ids and
+    self-loops are checked on the array.  Anything else, such as CR, form
+    feed, a sign, ``1_0`` or non-ASCII text outside a comment, goes to the
+    line loop.
     """
-    if not all(map(str.isascii, body)) and not all(
-            line.split("#", 1)[0].isascii() for line in body):
+    # an open file's text may hold lone surrogates, which strict UTF-8 refuses
+    data = body.encode(errors="surrogatepass")
+    if b"#" in data:
+        data = _strip_comments(data)
+    if data.translate(None, b"0123456789 \t\n"):
         return None
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            pairs = np.loadtxt(body, dtype=np.int64, comments="#", ndmin=2)
-    except (ValueError, OverflowError, Warning):
+    b = np.frombuffer(data, np.uint8)
+    digit = np.zeros(b.size + 2, bool)
+    np.greater_equal(b, ord("0"), out=digit[1:-1])
+    # token i is b[bounds[2i]:bounds[2i + 1]]
+    bounds = np.flatnonzero(digit[1:] != digit[:-1])
+    starts = bounds[0::2]
+    if starts.size != 2 * m or (bounds[1::2] - starts).max(initial=0) > 18:
         return None
-    if m == 0 or pairs.shape != (m, 2):  # min() below needs an element
+    # token starts and LFs merged in file order (a stable sort of two sorted
+    # runs is one merge): the starts between two LFs are one line's tokens
+    lf = np.flatnonzero(b == ord("\n"))
+    is_lf = np.argsort(np.concatenate([starts, lf]), kind="stable") >= starts.size
+    per_line = np.diff(np.flatnonzero(is_lf), prepend=-1, append=is_lf.size) - 1
+    if not ((per_line == 0) | (per_line == 2)).all():
         return None
-    if pairs.min() < 0 or pairs.max() >= n or (pairs[:, 0] == pairs[:, 1]).any():
+    if m == 0:  # the scanner reads a text of blanks alone as one 0
+        return np.empty((0, 2), dtype=np.int64)
+    pairs = np.fromstring(data, dtype=np.int64, sep=" ").reshape(m, 2)
+    if pairs.max() >= n or (pairs[:, 0] == pairs[:, 1]).any():
         return None
     return pairs
 
 
-def _check_lines(body: list, first: int, n: int, m: int) -> list:
+def _strip_comments(data: bytes) -> bytes:
+    """data without its ``#`` comments, each of which runs up to its LF.
+    A UTF-8 multibyte character never holds the byte of ``#`` or LF."""
+    b = np.frombuffer(data, np.uint8)
+    lf = np.flatnonzero(b == ord("\n"))
+    hashes = np.flatnonzero(b == ord("#"))
+    stop = np.append(lf, b.size)[np.searchsorted(lf, hashes)]
+    first = np.diff(stop, prepend=-1) > 0  # the first '#' on its line
+    # runs to keep and comments alternate, from a run to keep
+    runs = np.diff(np.column_stack([hashes[first], stop[first]]).ravel(),
+                   prepend=0, append=b.size)
+    return b[np.repeat(np.arange(runs.size) % 2 == 0, runs)].tobytes()
+
+
+def _check_lines(body, first: int, n: int, m: int) -> list:
     """Edge lines one at a time: the first bad line raises, else the edges.
 
-    This is the reader for files the C parse turns down; `first` is the line
-    number of body[0].
+    This is the reader for files the array parser turns down; `first` is
+    the line number of the first line of `body`.
     """
     edges = []
     for lineno, raw in enumerate(body, start=first):
@@ -315,25 +366,57 @@ def _check_lines(body: list, first: int, n: int, m: int) -> list:
 
 # Edges per piece of the edge-list text.  The writer and the CLI's report
 # digest hold one piece at a time, never the whole graph's text: on grid
-# 1000^2 that text, and the Python ints formatted into it, are over 100 MB.
+# 1000^2 that text is 27.5 MB, and the arrays formatting it in one piece
+# would pass 100 MB.
 TEXT_CHUNK = 1 << 16
 
 
+def _edge_lines(us: np.ndarray, vs: np.ndarray) -> bytes:
+    """The lines ``u v`` of the edges (us[i], vs[i]) as ASCII bytes; us is
+    nonempty.
+
+    Column i of a (width + 1) x ids byte array holds id i's digits
+    right-aligned in `width` rows, width being the digit count of the
+    largest id, and then the space or LF after it.  Row k is the digit of
+    10^(width-1-k), written as NUL where the id is below that power (the
+    units digit always shows); the bytes are read column by column and the
+    NULs deleted.
+    """
+    ids = np.column_stack([us, vs]).ravel()
+    width = len(str(int(ids.max())))
+    rows = np.empty((width + 1, ids.size), np.uint8)
+    rows[width, 0::2] = ord(" ")
+    rows[width, 1::2] = ord("\n")
+    q = ids
+    for k in range(width - 1, -1, -1):
+        nxt = q // 10
+        # q mod 10; the uint8 casts wrap both terms alike
+        row = rows[k]
+        row[...] = q
+        row -= nxt.astype(np.uint8) * np.uint8(10)
+        row += np.uint8(ord("0"))
+        if k < width - 1:
+            row *= q > 0
+        q = nxt
+    return rows.T.tobytes().translate(None, b"\0")
+
+
 def edge_list_chunks(g: Graph):
-    """The canonical edge-list text in pieces: the header, then the edges
-    with u < v in lexicographic order, TEXT_CHUNK lines a piece."""
+    """The canonical edge-list text in pieces of ASCII bytes: the header,
+    then the edges with u < v in lexicographic order, TEXT_CHUNK lines a
+    piece."""
     us, vs = g.edges()
-    yield f"p {g.n} {us.size}\n"
+    yield f"p {g.n} {us.size}\n".encode()
     for lo in range(0, us.size, TEXT_CHUNK):
-        flat = np.column_stack([us[lo:lo + TEXT_CHUNK], vs[lo:lo + TEXT_CHUNK]]).ravel()
-        yield ("%d %d\n" * (flat.size // 2)) % tuple(flat.tolist())
+        yield _edge_lines(us[lo:lo + TEXT_CHUNK], vs[lo:lo + TEXT_CHUNK])
 
 
 def graph_to_text(g: Graph) -> str:
-    return "".join(edge_list_chunks(g))
+    return b"".join(edge_list_chunks(g)).decode()
 
 
 def write_edge_list(g: Graph, path: str) -> None:
-    """Write canonical bytes: header, then edges with u < v in lex order."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write canonical bytes: header, then edges with u < v in lex order,
+    every line ended by LF on any platform."""
+    with open(path, "wb") as fh:
         fh.writelines(edge_list_chunks(g))

@@ -35,7 +35,9 @@ smallest id serves three purposes (see `_first_id_depths`): it tests that id
 as step 1's center, its depth array is the view's layering, and after step
 2 or 3 it finds the new live part, which is then the search's reach, with
 no component pass.  The array is kept in `DriverState.center_dist` from
-the live update to the next step 1, so a centred iteration searches once.
+the live update to the next step 1, so a centred iteration searches once;
+a failed search is carried as `DriverState.first_id_failed` when it would
+fail again on the new live part, so step 1 does not repeat it.
 """
 
 from __future__ import annotations
@@ -157,6 +159,10 @@ class DriverState:
     # `_first_id_depths` of live when the last live update found it passing,
     # else None; every assignment to live sets or clears it
     center_dist: np.ndarray | None = None
+    # True when the last live update's search failed from an id that is
+    # still live's smallest, so the same search on live would fail too;
+    # every assignment to live sets or clears it
+    first_id_failed: bool = False
 
     @property
     def branch_budget(self) -> int:
@@ -282,15 +288,21 @@ def _exact_center(g: Graph, live: VertexMask, r: int, n: int) -> np.ndarray | No
 
     The first id is tested by `_first_id_depths`, whose passing search is
     the answer: that is where dense inputs pass, so they build no matrix and
-    search once.  The other ids are tested in one csgraph pass on the masked
-    matrix, and the first passing one is searched again in full.  Step 1
-    calls this only on at most EXACT_CENTER_LIMIT live ids, and only while
-    3|live| >= 2n, so the pass's distance matrix is at most 511 x 768
-    float64 entries (about 3.1 MB).
+    search once.  The other ids are left to `_scan_after_first`.
     """
     dist = _first_id_depths(g, live, r, n)
-    if dist is not None:
-        return dist
+    return dist if dist is not None else _scan_after_first(g, live, r, n)
+
+
+def _scan_after_first(g: Graph, live: VertexMask, r: int, n: int) -> np.ndarray | None:
+    """`_exact_center` over the live ids after the smallest.
+
+    They are tested in one csgraph pass on the masked matrix, and the first
+    passing one is searched again in full.  Step 1 calls this only on at
+    most EXACT_CENTER_LIMIT live ids, and only while 3|live| >= 2n, so the
+    pass's distance matrix is at most 511 x 768 float64 entries (about
+    3.1 MB).
+    """
     rest = live.ids()[1:]
     hits = rest[3 * _ball_sizes(_masked_adjacency(g, live.bits), r, rest) >= 2 * n]
     return bfs_layers(g, live, int(hits[0])) if hits.size else None
@@ -305,15 +317,20 @@ def _update_live(st: DriverState, rest: VertexMask) -> None:
     vertices, so it is rank 0 of `connected_components` (its root is rest's
     smallest id, so it would also win a tie); live becomes that reach and
     the depth array waits in `center_dist`.  Otherwise a component pass
-    labels rest.
+    labels rest.  When the search failed and live holds its root, live is
+    the root's component of rest, where the search would run and fail
+    again; `first_id_failed` records that.
     """
     st.center_dist = None
-    if 0 < rest.size <= EXACT_CENTER_LIMIT:
+    searched = 0 < rest.size <= EXACT_CENTER_LIMIT
+    if searched:
         st.center_dist = _first_id_depths(st.g, rest, st.delta, st.n)
     if st.center_dist is None:
         st.live = _largest_component_mask(st.g, rest)
     else:
         st.live = VertexMask(st.center_dist >= 0)
+    st.first_id_failed = (searched and st.center_dist is None
+                          and bool(st.live.bits[np.argmax(rest.bits)]))
 
 
 def _interior_bound(res: LddResult, inner: np.ndarray) -> int:
@@ -358,7 +375,8 @@ def step1_decompose(st: DriverState) -> LayeredView | None:
     if st.live.size <= EXACT_CENTER_LIMIT:
         dist = st.center_dist
         if dist is None:
-            dist = _exact_center(st.g, st.live, st.delta, st.n)
+            scan = _scan_after_first if st.first_id_failed else _exact_center
+            dist = scan(st.g, st.live, st.delta, st.n)
         if dist is not None:
             st.stats["exact_center_used"] += 1
             return _layered_view(st, dist)
@@ -571,6 +589,7 @@ def balanced_separator(
                     )
             st.live = kept
             st.center_dist = None
+            st.first_id_failed = False
 
     if st.ell * st.x_set.size > st.stats["charged"]:
         raise SelfVerificationError(

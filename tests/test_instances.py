@@ -11,7 +11,11 @@ from minorsep.graph import build_graph, connected_components
 from minorsep.instances import (
     FAMILIES,
     MAX_COUNT,
+    TEXT_CHUNK,
     InstanceSpec,
+    _edge_lines,
+    _parse_body,
+    edge_list_chunks,
     generate,
     graph_to_text,
     read_edge_list,
@@ -253,6 +257,9 @@ def test_read_comments_and_blanks():
     text = "# a comment\n\np 3 2   # trailing\n0 1\n\n1 2 # edge\n"
     g = read_edge_list(io.StringIO(text))
     assert (g.n, g.m) == (3, 2)
+    # no edges: blanks alone, which numpy's scanner reads as one 0
+    g = read_edge_list(io.StringIO("p 5 0\n  \n# c\n\t\n"))
+    assert (g.n, g.m) == (5, 0)
 
 
 def test_read_errors_carry_line_numbers():
@@ -285,6 +292,12 @@ def test_read_rejects_non_ascii_digits():
     with pytest.raises(InputError) as exc:
         read_edge_list(io.StringIO("p 600 1\n0 1\u01fe\n"))
     assert str(exc.value) == "line 2: endpoints must be integers"
+    # a lone surrogate, which an open file may hold, counts as any other
+    # non-ASCII character: an error in an edge, nothing in a comment
+    with pytest.raises(InputError) as exc:
+        read_edge_list(io.StringIO("p 3 1\n0 \ud800\n"))
+    assert str(exc.value) == "line 2: endpoints must be integers"
+    assert read_edge_list(io.StringIO("p 3 1\n0 1 # \ud800\n")).m == 1
 
 
 def test_read_edge_count_mismatch():
@@ -340,23 +353,32 @@ def test_roundtrip_any_family(family, n, seed):
 
 
 ODD_TOKENS = ["-1", "+3", "03", "1_0", "\u0663", "1\u01fe", "1.0", "x", "99999999999999999999"]
+# 10^k - 1 and 10^k for every k an int64 holds, past the 18-digit limit of
+# the array parser, and zero-padded forms of small and 19-digit values
+BOUNDARY_IDS = [str(10**k + d) for k in range(1, 19) for d in (-1, 0)]
+LONG_TOKENS = ["0" * 17 + "12", "0" * 18 + "7", "1" + "0" * 18, "9" * 19, "1" + "0" * 19]
 
 
 @st.composite
 def edge_texts(draw):
     """Edge-list text mixing what the format allows with what it rejects."""
-    plain = st.integers(0, 11).map(str)
+    small = st.integers(0, 11).map(str)
+    padded = st.tuples(st.integers(1, 3), st.integers(0, 120)).map(
+        lambda z: "0" * z[0] + str(z[1]))
+    wide = draw(st.booleans())  # else ids of one or two digits
+    plain = st.one_of(small, st.sampled_from(BOUNDARY_IDS), padded) if wide else small
     odd = draw(st.integers(0, 3)) == 0  # else only plain ids, blanks and comments
-    token = st.one_of(plain, st.sampled_from(ODD_TOKENS)) if odd else plain
-    kinds = ["edge"] * 8 + ["blank", "comment"] + (["one", "three", "cr"] if odd else [])
+    token = st.one_of(plain, st.sampled_from(ODD_TOKENS + LONG_TOKENS)) if odd else plain
+    kinds = ["edge"] * 8 + ["blank", "comment"] + (["one", "three", "four", "cr"] if odd else [])
     sep = st.sampled_from([" ", "\t", "  ", " \t"])
     body = []
     for _ in range(draw(st.integers(0, 6))):
         kind = draw(st.sampled_from(kinds))
         if kind == "edge":
             line = draw(token) + draw(sep) + draw(token)
-        elif kind in ("one", "three"):
-            line = draw(sep).join(draw(token) for _ in range(1 if kind == "one" else 3))
+        elif kind in ("one", "three", "four"):
+            count = {"one": 1, "three": 3, "four": 4}[kind]
+            line = draw(sep).join(draw(token) for _ in range(count))
         elif kind == "cr":
             line = "0 1\r2 3"
         else:
@@ -364,7 +386,7 @@ def edge_texts(draw):
         if draw(st.booleans()):
             line += draw(sep) + "# trailing"
         body.append(line)
-    n = draw(st.sampled_from([0, 4, 12, 12, 12, 500]))
+    n = draw(st.sampled_from([0, 4, 12, 12, 12, 500, 1001, 100001]))
     m = sum(1 for line in body if line.split("#")[0].strip())
     m += draw(st.sampled_from([0, 0, 0, 0, 1, -1]))
     lines = [f"p {n} {max(m, 0)}"] + body
@@ -374,13 +396,61 @@ def edge_texts(draw):
     return "".join(line + eol for line in lines)
 
 
-@given(edge_texts())
-def test_reader_agrees_with_line_loop(text):
+def assert_reads_as_loop(source, lines):
+    """read_edge_list(source) gives the line loop's graph over `lines`, or
+    raises its exact InputError."""
     try:
-        want = loop_graph_to_text(loop_read_edge_list(io.StringIO(text).readlines()))
+        want = loop_graph_to_text(loop_read_edge_list(lines))
     except InputError as exc:
         with pytest.raises(InputError) as got:
-            read_edge_list(io.StringIO(text))
+            read_edge_list(source)
         assert str(got.value) == str(exc)
     else:
-        assert graph_to_text(read_edge_list(io.StringIO(text))) == want
+        assert graph_to_text(read_edge_list(source)) == want
+
+
+@given(edge_texts())
+def test_reader_agrees_with_line_loop(tmp_path_factory, text):
+    assert_reads_as_loop(io.StringIO(text), io.StringIO(text).readlines())
+    # a path is read with universal newlines
+    path = tmp_path_factory.getbasetemp() / "edges.txt"
+    path.write_bytes(text.encode())
+    universal = io.StringIO(text.replace("\r\n", "\n").replace("\r", "\n"))
+    assert_reads_as_loop(str(path), universal.readlines())
+
+
+def test_array_parser_reads_comments_and_declines_the_rest():
+    # comments, blank lines, tabs and leading zeros stay on the array path
+    pairs = _parse_body("0 1 # caf\u00e9 # 2\n\n# note\n\t2  003 #\n", 4, 2)
+    assert pairs.tolist() == [[0, 1], [2, 3]]
+    assert _parse_body("0" * 17 + "1 2\n", 5, 1).tolist() == [[1, 2]]
+    # the line loop decides a token of 19 digits, even of a small value, and
+    # a line of four tokens, even when the count of pairs matches
+    assert _parse_body("0" * 18 + "1 2\n", 5, 1) is None
+    assert _parse_body("0 1 2 3\n", 4, 2) is None
+
+
+@pytest.mark.parametrize("chunk", [1, 7, TEXT_CHUNK])
+def test_edge_list_chunks_match_loop_writer(monkeypatch, chunk):
+    # pieces of 1 and 7 lines, so the largest id's width changes between pieces
+    monkeypatch.setattr("minorsep.instances.TEXT_CHUNK", chunk)
+    graphs = [build_graph(0, []), build_graph(1, []), build_graph(30, []),
+              gen("path", 2), gen("star", 12), gen("tree", 1200, seed=5)]
+    graphs += [gen("gnp", n, 0.08, seed=s) for n, s in [(9, 1), (40, 2), (150, 3)]]
+    for g in graphs:
+        pieces = list(edge_list_chunks(g))
+        assert all(isinstance(p, bytes) for p in pieces)
+        assert len(pieces) == 1 + -(-g.m // chunk)
+        assert b"".join(pieces) == loop_graph_to_text(g).encode(), (g.n, g.m)
+
+
+def test_edge_lines_at_every_power_of_ten():
+    # ids at each 10^k - 1 / 10^k boundary up to MAX_COUNT, in both columns
+    ids = sorted({0, MAX_COUNT} | {10**k + d for k in range(1, 18) for d in (-1, 0)})
+    us = np.array(ids, dtype=np.int64)
+    vs = us[::-1].copy()
+    want = "".join(f"{u} {v}\n" for u, v in zip(ids, ids[::-1])).encode()
+    assert _edge_lines(us, vs) == want
+    for u in ids:
+        one = np.array([u], dtype=np.int64)
+        assert _edge_lines(one, one) == f"{u} {u}\n".encode()

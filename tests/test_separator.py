@@ -15,6 +15,7 @@ from minorsep.separator import (
     BalancedSeparator,
     MinorWitness,
     _exact_center,
+    _first_id_depths,
     _interior_bound,
     _prologue,
     balanced_separator,
@@ -311,6 +312,24 @@ def test_centred_iterations_search_once(monkeypatch):
     s = out.stats
     assert (s["iterations"], s["exact_center_used"], s["step2_count"]) == (7, 7, 7)
     assert calls == {"bfs_layers": 7, "ball": 0, "connected_components": 1}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_failed_first_id_search_is_not_repeated(monkeypatch, seed):
+    # a live update's first-id search fails and its root stays live's
+    # smallest id, so step 1's scan skips that search and tests the other
+    # ids; repeating it would make 5 searches, two in a row the same
+    searches = []
+
+    def counted(g, live, r, n):
+        searches.append((int(np.argmax(live.bits)), live.bits.tobytes(), r))
+        return _first_id_depths(g, live, r, n)
+
+    monkeypatch.setattr(separator, "_first_id_depths", counted)
+    out = balanced_separator(gen("subdivided_clique", 9, 2), 9, seed=seed)
+    assert out.kind == "separator"
+    assert len(searches) == 4
+    assert all(a != b for a, b in zip(searches, searches[1:]))
 
 
 # -- exact center scan -------------------------------------------------------------
