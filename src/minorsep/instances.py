@@ -234,7 +234,7 @@ def read_edge_list(source) -> Graph:
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except UnicodeDecodeError as exc:
-            raise InputError(f"{source}: not UTF-8 text (byte {exc.start})") from None
+            raise InputError(f"{os.fsdecode(source)}: not UTF-8 text (byte {exc.start})") from None
         lines = _lines_of(text)
     else:
         read = source.readlines()

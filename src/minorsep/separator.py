@@ -34,10 +34,10 @@ On a live part of at most EXACT_CENTER_LIMIT vertices one BFS from its
 smallest id serves three purposes (see `_first_id_depths`): it tests that id
 as step 1's center, its depth array is the view's layering, and after step
 2 or 3 it finds the new live part, which is then the search's reach, with
-no component pass.  The array is kept in `DriverState.center_dist` from
-the live update to the next step 1, so a centred iteration searches once;
-a failed search is carried as `DriverState.first_id_failed` when it would
-fail again on the new live part, so step 1 does not repeat it.
+no component pass.  `DriverState.first_search` holds that search's result
+with the live mask it describes, and step 1 reuses it while that mask is
+still live, so a centred iteration searches once and a failed search is
+not repeated.
 """
 
 from __future__ import annotations
@@ -156,13 +156,10 @@ class DriverState:
     delta: int = 0
     ell_star: int = 0
     rng_ldd: object = None
-    # `_first_id_depths` of live when the last live update found it passing,
-    # else None; every assignment to live sets or clears it
-    center_dist: np.ndarray | None = None
-    # True when the last live update's search failed from an id that is
-    # still live's smallest, so the same search on live would fail too;
-    # every assignment to live sets or clears it
-    first_id_failed: bool = False
+    # (mask, depths): `_first_id_depths` of the live mask `mask` as the last
+    # live update ran it, depths None when it failed; it describes live only
+    # while mask is live, and every assignment to live makes a new mask
+    first_search: tuple = (None, None)
 
     @property
     def branch_budget(self) -> int:
@@ -282,22 +279,11 @@ def _first_id_depths(g: Graph, live: VertexMask, r: int, n: int) -> np.ndarray |
     return dist
 
 
-def _exact_center(g: Graph, live: VertexMask, r: int, n: int) -> np.ndarray | None:
-    """The BFS depth array within live from its smallest id whose radius-r
-    live ball holds 2n/3 of n, or None when no id passes.
-
-    The first id is tested by `_first_id_depths`, whose passing search is
-    the answer: that is where dense inputs pass, so they build no matrix and
-    search once.  The other ids are left to `_scan_after_first`.
-    """
-    dist = _first_id_depths(g, live, r, n)
-    return dist if dist is not None else _scan_after_first(g, live, r, n)
-
-
 def _scan_after_first(g: Graph, live: VertexMask, r: int, n: int) -> np.ndarray | None:
-    """`_exact_center` over the live ids after the smallest.
+    """The BFS depth array within live from the smallest id but live's
+    first whose radius-r ball holds 2n/3 of n, or None when none passes.
 
-    They are tested in one csgraph pass on the masked matrix, and the first
+    The ids are tested in one csgraph pass on the masked matrix, and the first
     passing one is searched again in full.  Step 1 calls this only on at
     most EXACT_CENTER_LIMIT live ids, and only while 3|live| >= 2n, so the
     pass's distance matrix is at most 511 x 768 float64 entries (about
@@ -315,22 +301,17 @@ def _update_live(st: DriverState, rest: VertexMask) -> None:
     test rest's smallest id as a center, so that search runs here first.
     When it passes, its reach holds at least 2n/3 >= 2|rest|/3 > |rest|/2
     vertices, so it is rank 0 of `connected_components` (its root is rest's
-    smallest id, so it would also win a tie); live becomes that reach and
-    the depth array waits in `center_dist`.  Otherwise a component pass
-    labels rest.  When the search failed and live holds its root, live is
-    the root's component of rest, where the search would run and fail
-    again; `first_id_failed` records that.
+    smallest id, so it would also win a tie); live becomes that reach.
+    Otherwise a component pass labels rest.  The search is recorded in
+    `first_search` when it passed, or when it failed and live holds its
+    root: live is then the root's component of rest, where the search
+    would run and fail again.
     """
-    st.center_dist = None
     searched = 0 < rest.size <= EXACT_CENTER_LIMIT
-    if searched:
-        st.center_dist = _first_id_depths(st.g, rest, st.delta, st.n)
-    if st.center_dist is None:
-        st.live = _largest_component_mask(st.g, rest)
-    else:
-        st.live = VertexMask(st.center_dist >= 0)
-    st.first_id_failed = (searched and st.center_dist is None
-                          and bool(st.live.bits[np.argmax(rest.bits)]))
+    dist = _first_id_depths(st.g, rest, st.delta, st.n) if searched else None
+    st.live = _largest_component_mask(st.g, rest) if dist is None else VertexMask(dist >= 0)
+    if searched and (dist is not None or st.live.bits[np.argmax(rest.bits)]):
+        st.first_search = (st.live, dist)
 
 
 def _interior_bound(res: LddResult, inner: np.ndarray) -> int:
@@ -357,10 +338,11 @@ def step1_decompose(st: DriverState) -> LayeredView | None:
     graph (dense instances collapse to singleton partitions whose boundary
     hides them); the scan keeps the branch-growing path reachable there and
     is skipped above EXACT_CENTER_LIMIT live vertices.  It centers the view
-    on the smallest passing id (see `_exact_center`).  On dense witness
-    inputs that is the first live id, found by one BFS whose depth array
-    is the view; when the last live update already ran that search and it
-    passed, its array in `center_dist` is the view.  A scan that rejects every
+    on the smallest passing id: `_first_id_depths` tests the first live id,
+    and `_scan_after_first` the others when it fails.  On dense witness
+    inputs the first id passes, and its BFS depth array is the view.  The
+    last live update's search in `first_search` stands in for the first
+    test while its mask is live.  A scan that rejects every
     id, as on sparse inputs, costs one BFS and one csgraph pass rather than
     one BFS per live vertex: a whole solve of grid 22², cycle 500 or path
     500 takes 2-8 ms (2 vCPUs).
@@ -373,10 +355,11 @@ def step1_decompose(st: DriverState) -> LayeredView | None:
         if 3 * int(sizes[0]) > 2 * st.n:
             return _layered_view(st, bfs_layers(st.g, st.live, int(np.argmax(label == 0))))
     if st.live.size <= EXACT_CENTER_LIMIT:
-        dist = st.center_dist
+        mask, dist = st.first_search
+        if mask is not st.live:
+            dist = _first_id_depths(st.g, st.live, st.delta, st.n)
         if dist is None:
-            scan = _scan_after_first if st.first_id_failed else _exact_center
-            dist = scan(st.g, st.live, st.delta, st.n)
+            dist = _scan_after_first(st.g, st.live, st.delta, st.n)
         if dist is not None:
             st.stats["exact_center_used"] += 1
             return _layered_view(st, dist)
@@ -588,8 +571,6 @@ def balanced_separator(
                         f"iteration {st.iteration}: layers below the cut are disconnected"
                     )
             st.live = kept
-            st.center_dist = None
-            st.first_id_failed = False
 
     if st.ell * st.x_set.size > st.stats["charged"]:
         raise SelfVerificationError(

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import os
 
 import numpy as np
 import pytest
@@ -324,6 +325,16 @@ def test_read_names_the_file_offset_of_a_bad_byte(tmp_path):
         read_edge_list(str(path))
     assert str(exc.value) == f"{path}: not UTF-8 text (byte {len(head) + 2})"
 
+
+
+def test_bad_byte_error_prints_every_kind_of_path(tmp_path):
+    # a bytes path is named as the decoded text, like a str or os.PathLike one
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"p 2 1\n0 \xff\n")
+    for source in (str(path), os.fsencode(path), path):
+        with pytest.raises(InputError) as exc:
+            read_edge_list(source)
+        assert str(exc.value) == f"{path}: not UTF-8 text (byte 8)"
 
 def test_read_newline_rule_by_source(tmp_path):
     # a path is read with universal newlines, an open file as it yields lines

@@ -9,15 +9,15 @@ from hypothesis import strategies as st
 from minorsep import separator, verify
 from minorsep.decomp import ldd
 from minorsep.errors import InputError
-from minorsep.graph import VertexMask, ball, bfs_layers, build_graph, connected_components
+from minorsep.graph import VertexMask, bfs_layers, build_graph, connected_components
 from minorsep.rng import stream
 from minorsep.separator import (
     BalancedSeparator,
     MinorWitness,
-    _exact_center,
     _first_id_depths,
     _interior_bound,
     _prologue,
+    _scan_after_first,
     balanced_separator,
     ceil_log2,
     default_ell,
@@ -295,8 +295,9 @@ def test_centred_iterations_search_once(monkeypatch):
     # 7 iterations, each centred on the first live id by the exact scan: the
     # first step 1 searches, and each live update after step 2 makes the one
     # search that both finds the live part and centres the next iteration.
-    # The only component pass is the prologue's; a witness needs no other.
-    calls = {"bfs_layers": 0, "ball": 0, "connected_components": 0}
+    # The only component pass is the prologue's; a witness needs no other,
+    # and no scan of the other ids runs.
+    calls = {"bfs_layers": 0, "_scan_after_first": 0, "connected_components": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -304,14 +305,14 @@ def test_centred_iterations_search_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name, fn in (("bfs_layers", bfs_layers), ("ball", ball),
+    for name, fn in (("bfs_layers", bfs_layers), ("_scan_after_first", _scan_after_first),
                      ("connected_components", connected_components)):
-        monkeypatch.setattr(separator, name, counted(name, fn), raising=False)
+        monkeypatch.setattr(separator, name, counted(name, fn))
     out = balanced_separator(gen("gnp", 450, 0.045, seed=7), 8, seed=1)
     assert out.kind == "witness"
     s = out.stats
     assert (s["iterations"], s["exact_center_used"], s["step2_count"]) == (7, 7, 7)
-    assert calls == {"bfs_layers": 7, "ball": 0, "connected_components": 1}
+    assert calls == {"bfs_layers": 7, "_scan_after_first": 0, "connected_components": 1}
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
@@ -340,9 +341,12 @@ def hubs(n, centers):
 
 
 def scan(g, live, r):
-    """The batched scan's center, after checking it against the per-vertex
-    loop and its depth array against a full BFS from that center."""
-    dist = _exact_center(g, live, r, g.n)
+    """Step 1's exact center, the first id's search and then the batched scan
+    of the others, after checking it against the per-vertex loop and its
+    depth array against a full BFS from that center."""
+    dist = _first_id_depths(g, live, r, g.n)
+    if dist is None:
+        dist = _scan_after_first(g, live, r, g.n)
     got = None if dist is None else int(np.argmax(dist == 0))
     assert got == loop_exact_center(g, live, r, g.n)
     if dist is not None:
@@ -403,21 +407,23 @@ def test_exact_center_respects_holes_in_live():
 @pytest.mark.parametrize("family,params,h", [
     ("gnp", (450, 0.045), 8), ("gnp", (450, 0.045), 12), ("complete", (150,), 15),
     ("grid", (22, 22), 5), ("cycle", (500,), 5), ("path", (500,), 5),
-    ("subdivided_clique", (6, 20), 5),
+    ("subdivided_clique", (6, 20), 5), ("subdivided_clique", (9, 2), 9),
 ])
 def test_exact_center_matrix_stays_small(monkeypatch, family, params, h):
-    # the scan's one csgraph pass holds a (|live| - 1) x n distance matrix;
-    # step 1 scans at most EXACT_CENTER_LIMIT = 512 live vertices, and only
-    # while 3|live| >= 2n, so n <= 768
+    # `_scan_after_first` builds the only csgraph distance matrix, (|live| - 1)
+    # x n; step 1 scans at most EXACT_CENTER_LIMIT = 512 live vertices, and
+    # only while 3|live| >= 2n, so n <= 768.  The dense inputs pass at the
+    # first id and never scan; subdivided_clique(9, 2) scans 65 live ids
+    # after a failed live-update search.
     calls = []
 
     def recorded(g, live, r, n):
         calls.append((g.n, live.size))
-        return _exact_center(g, live, r, n)
+        return _scan_after_first(g, live, r, n)
 
-    monkeypatch.setattr(separator, "_exact_center", recorded)
+    monkeypatch.setattr(separator, "_scan_after_first", recorded)
     balanced_separator(gen(family, *params, seed=7), h, seed=1)
-    assert calls
+    assert bool(calls) == (family not in ("gnp", "complete"))
     assert all(n <= 768 and size <= 512 for n, size in calls)
 
 
@@ -482,6 +488,17 @@ FROZEN_PATHS = [
      "5b3dc2195eeafb8b2c2208499d790e6bf72ed4c7b8a93e52cddee998e74f6b07"),
     ("complete150_h15", lambda: balanced_separator(gen("complete", 150), 15, seed=1),
      "e5902f3c4bc3b516ba7b13d0b90bc0ae6fda5c2ce15d3e0d967efff360559c81"),
+    # a live update's first-id search fails with its root still live, so
+    # step 1 scans the other ids without repeating it
+    ("subdivided_clique9_2_h9",
+     lambda: balanced_separator(gen("subdivided_clique", 9, 2), 9, seed=1),
+     "7581be7f960f2502b94cfcd47f31e82602dd5e70518c8a2fa37b90bec57352a9"),
+    # a live update's first-id search fails from a root outside the new live
+    # part, so it is not recorded, and the record of an earlier live part must
+    # not stand in for step 1's search
+    ("gnp80_unrecorded_failure",
+     lambda: balanced_separator(gen("gnp", 80, 0.05, seed=5), 5, ell=2),
+     "80e8c5ae7b843529c2c260b5b66604ceebdeb0f2378ca65b5b36f99bf150aead"),
 ]
 
 
