@@ -220,6 +220,24 @@ def _connected(g: Graph, ids: np.ndarray) -> bool:
     return csgraph.breadth_first_order(adj, 0, return_predecessors=False).size == ids.size
 
 
+def _raw_components(g: Graph, live: VertexMask | None) -> tuple:
+    """(ids, raw, sizes): the ids in `live` (every id when None), csgraph's
+    unranked component label of each, and the number of them per raw label.
+
+    Every vertex outside `live` is a singleton of the masked matrix and is
+    not counted, so its label's size is 0.  The matrix is symmetric, so its
+    strong components are its components, found without the transpose an
+    undirected pass builds.
+    """
+    keep = np.ones(g.n, dtype=bool) if live is None else live.bits
+    count, raw = csgraph.connected_components(
+        _masked_adjacency(g, keep), directed=True, connection="strong"
+    )
+    ids = np.flatnonzero(keep)
+    raw = raw[ids]
+    return ids, raw, np.bincount(raw, minlength=count)
+
+
 def connected_components(
     g: Graph, live: VertexMask | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -230,16 +248,8 @@ def connected_components(
     largest component, ties going to the one with the smallest id, so sizes
     is descending.
     """
-    keep = np.ones(g.n, dtype=bool) if live is None else live.bits
-    # every vertex outside `keep` is a singleton of the masked matrix,
-    # labelled -1 below.  The matrix is symmetric, so its strong components
-    # are its components, found without the transpose an undirected pass builds
-    count, raw = csgraph.connected_components(
-        _masked_adjacency(g, keep), directed=True, connection="strong"
-    )
-    ids = np.flatnonzero(keep)
-    raw = raw[ids]
-    sizes = np.bincount(raw, minlength=count)
+    ids, raw, sizes = _raw_components(g, live)
+    count = sizes.size
     first = np.full(count, g.n, dtype=np.int64)
     np.minimum.at(first, raw, ids)
     order = np.lexsort((first, -sizes))
@@ -248,6 +258,34 @@ def connected_components(
     label = np.full(g.n, -1, dtype=np.int64)
     label[ids] = rank[raw]
     return label, sizes[order[:np.count_nonzero(sizes)]]
+
+
+def _component_sizes(g: Graph, live: VertexMask | None = None) -> np.ndarray:
+    """The sizes of the components of the subgraph induced by `live`,
+    descending: `connected_components(g, live)[1]`, from the same pass but
+    with no label array and no ranking of equal sizes by smallest id."""
+    sizes = _raw_components(g, live)[2]
+    return -np.sort(-sizes[sizes > 0])
+
+
+def _reach_without(g: Graph, v: int, root: int) -> np.ndarray:
+    """Boolean mask of the vertices that `root` reaches in g - {v}, for
+    root != v: ``bfs_layers(g, all but v, root) >= 0``.
+
+    One csgraph BFS on g's matrix with row v cut out.  v is then a sink that
+    no path leaves, so it is dropped from the reach afterwards, and no
+    per-edge mask is built as `_masked_adjacency` would.  The traversal is
+    directed, so csgraph does not symmetrize the matrix.
+    """
+    lo, hi = g.indptr[v], g.indptr[v + 1]
+    indptr = g.indptr.copy()
+    indptr[v + 1:] -= hi - lo
+    indices = np.concatenate((g.indices[:lo], g.indices[hi:]))
+    adj = sparse.csr_matrix((np.ones(indices.size), indices, indptr), shape=(g.n, g.n))
+    reach = np.zeros(g.n, dtype=bool)
+    reach[csgraph.breadth_first_order(adj, root, return_predecessors=False)] = True
+    reach[v] = False
+    return reach
 
 
 def bfs_layers(g: Graph, live: VertexMask, root: int, radius: int | None = None) -> np.ndarray:

@@ -24,11 +24,13 @@ live side is shattered by S.  The attempt number is reported as
 stats["fallback_level"].  The exits before the loop (nothing removed, or
 the first branch's vertex alone) are single attempts of the same loop.
 
-A sparse solve labels components twice: once on g - {0} before the loop,
-which yields g's largest component, the first branch's vertex and the first
-live part together (see `_prologue`), and once to verify the separator.
-Step 1 labels live minus the LDD boundary only when some part's interior
-could hold a component over 2n/3.
+A sparse solve labels no component when vertex 0's smallest neighbor
+reaches 2n/3 of the graph in g - {0}: that one BFS before the loop yields
+the first branch's vertex and the first live part.  Only otherwise does one
+component pass on g - {0} yield them with g's largest component (see
+`_prologue`).  Verifying the separator counts component sizes without
+labelling them.  Step 1 labels live minus the LDD boundary only when some
+part's interior could hold a component over 2n/3.
 
 On a live part of at most EXACT_CENTER_LIMIT vertices one BFS from its
 smallest id serves three purposes (see `_first_id_depths`): it tests that id
@@ -54,6 +56,7 @@ from .graph import (
     VertexMask,
     _ball_sizes,
     _masked_adjacency,
+    _reach_without,
     _sorted_unique,
     bfs_layers,
     connected_components,
@@ -190,19 +193,30 @@ def _prologue(g: Graph) -> tuple:
     """(x, live, lone): the first branch's vertex, the live part, and the
     separator of an exit before the loop, None when the loop runs.
 
-    g's largest component C is found by one component pass on g - {0}.
-    Vertex 0's component in g joins the components of g - {0} that its
-    neighbors touch; every other component of g is one of g - {0}.  The
-    exits: nothing removed when C holds at most 2n/3 (x and live are then
-    None), and x alone when removing it leaves live under 2n/3 (the selector
-    could legally pick an unbalancing neighbor of x).  Otherwise x is C's
-    smallest id and live is the largest component of C - x, which when x = 0
-    is the largest touched component, read off the same pass.  Only when C
-    avoids vertex 0 does a second pass label C - x.
+    First one BFS in g - {0} from vertex 0's smallest neighbor.  When its
+    reach R holds 2n/3 of n, |R| > (n - 1)/2, so R is the largest component
+    of g - {0}, and 0 touches it: 0's component C is the largest of g, x = 0
+    and live = R, with neither exit firing.  That settles every connected
+    input of 3 or more vertices where 0 is not a cut vertex, with no
+    component labelled.
+
+    Otherwise g's largest component C is found by one component pass on
+    g - {0}.  Vertex 0's component in g joins the components of g - {0}
+    that its neighbors touch; every other component of g is one of g - {0}.
+    The exits: nothing removed when C holds at most 2n/3 (x and live are
+    then None), and x alone when removing it leaves live under 2n/3 (the
+    selector could legally pick an unbalancing neighbor of x).  Otherwise x
+    is C's smallest id and live is the largest component of C - x, which
+    when x = 0 is the largest touched component, read off the same pass.
+    Only when C avoids vertex 0 does a second pass label C - x.
     """
     n = g.n
     if n == 0:
         return None, None, VertexMask.empty(0)
+    if g.degree(0):
+        reach = VertexMask(_reach_without(g, 0, int(g.neighbors(0)[0])))
+        if 3 * reach.size >= 2 * n:
+            return 0, reach, None
     rest = np.ones(n, dtype=bool)
     rest[0] = False
     label, sizes = connected_components(g, VertexMask(rest))

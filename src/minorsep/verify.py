@@ -13,7 +13,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import InputError
-from .graph import Graph, VertexMask, _connected, _sorted_unique, connected_components
+from .graph import Graph, VertexMask, _connected, _component_sizes, _sorted_unique
 from .minor_model import MinorModel, branch_neighbors
 
 __all__ = ["VerificationReport", "certificate", "verify_certificate", "verify_balanced",
@@ -42,7 +42,7 @@ class VerificationReport:
 
 def verify_balanced(g: Graph, sep: VertexMask) -> VerificationReport:
     """Balanced iff every component of g minus sep has 3*size <= 2n."""
-    _, sizes = connected_components(g, VertexMask.full(g.n).minus(sep))
+    sizes = _component_sizes(g, VertexMask.full(g.n).minus(sep))
     worst = int(sizes[0]) if sizes.size else 0
     ok = 3 * worst <= 2 * g.n
     checks = [(
@@ -157,7 +157,7 @@ def _json_ids(value, field: str, n: int) -> np.ndarray:
     """`value` as an int64 array of ids in 0..n-1; InputError naming `field`
     unless it is a list of such JSON integers.  Bools, floats and strings
     are not integers here, so no entry is truncated or coerced."""
-    if not isinstance(value, list) or any(type(v) is not int for v in value):
+    if not isinstance(value, list) or not set(map(type, value)) <= {int}:
         raise InputError(f"{field} must be a list of integers")
     try:
         ids = np.asarray(value, dtype=np.int64)
@@ -244,7 +244,7 @@ def check_invariants(st) -> VerificationReport:
 
     x_live = st.x_set.intersect(live)
     x_branch = st.x_set.intersect(member)
-    _, sizes = connected_components(g, live)
+    sizes = _component_sizes(g, live)
     checks.append((
         "state_sane", x_live.size == 0 and x_branch.size == 0 and sizes.size <= 1,
         f"|X&live|={x_live.size}, |X&branches|={x_branch.size}, live components={sizes.size}",

@@ -380,6 +380,8 @@ def test_verify_non_utf8_certificate_is_an_input_error(tmp_path, capsys):
     ('{"type":"separator","vertices":[4.7]}', "'vertices'"),
     ('{"type":"separator","vertices":"4"}', "'vertices'"),
     ('{"type":"separator","vertices":[true,4]}', "'vertices'"),
+    ('{"type":"separator","vertices":[1,true]}', "'vertices'"),
+    ('{"type":"separator","vertices":[1,1.0]}', "'vertices'"),
     ('{"type":"separator","vertices":[36893488147419103232]}', "'vertices'"),
     ('{"type":"witness","h":true,"branches":[[0]]}', "'h'"),
     ('{"type":"witness","h":3.9,"branches":[[0],[1],[2]]}', "'h'"),

@@ -9,7 +9,9 @@ from minorsep.errors import InputError
 from minorsep.graph import (
     VertexMask,
     _ball_sizes,
+    _component_sizes,
     _masked_adjacency,
+    _reach_without,
     ball,
     bfs_layers,
     build_graph,
@@ -213,6 +215,38 @@ def test_components_match_undirected_scipy_on_sparse_masks(seed, frac):
     for g in (grid, build_graph(300, random_edges(rng, 300, 250))):
         keep = rng.random(g.n) < frac
         assert labels_and_sizes(g, VertexMask(keep)) == scipy_undirected_labels_and_sizes(g, keep)
+
+
+@st.composite
+def masked_graphs(draw, min_n=0, max_n=30):
+    """(g, live): up to 2n random edges, so some graphs are connected, and
+    a mask drawn id by id."""
+    n = draw(st.integers(min_n, max_n))
+    v = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(v, v).filter(lambda e: e[0] != e[1]), max_size=2 * n)) \
+        if n > 1 else []
+    keep = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    return build_graph(n, pairs), VertexMask(keep)
+
+
+@given(masked_graphs())  # n = 0 included
+def test_component_sizes_match_the_labelled_pass(args):
+    g, live = args
+    for mask in (live, None):
+        want = connected_components(g, mask)[1]
+        got = _component_sizes(g, mask)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+@given(masked_graphs(min_n=2), st.data())
+def test_reach_without_matches_bfs_in_the_rest(args, data):
+    g = args[0]
+    v = data.draw(st.integers(0, g.n - 1))
+    root = data.draw(st.integers(0, g.n - 1).filter(lambda r: r != v))
+    rest = VertexMask.full(g.n).minus_ids(np.array([v]))
+    want = bfs_layers(g, rest, root) >= 0
+    got = _reach_without(g, v, root)
+    assert got.dtype == np.bool_ and np.array_equal(got, want)
 
 
 # -- BFS --------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minorsep import separator, verify
+from minorsep import graph, separator, verify
 from minorsep.decomp import ldd
 from minorsep.errors import InputError
 from minorsep.graph import VertexMask, bfs_layers, build_graph, connected_components
@@ -181,6 +181,20 @@ def sparse_graphs(draw, max_n=14):
     return build_graph(n, pairs)
 
 
+@st.composite
+def near_connected_graphs(draw, max_n=14):
+    """A random spanning tree plus up to n random edges, less up to two of
+    the tree's edges, so vertex 0's first neighbor often reaches 2n/3 in
+    g - {0} and sometimes falls just short."""
+    n = draw(st.integers(2, max_n))
+    order = draw(st.permutations(range(n)))
+    tree = [(order[i], order[draw(st.integers(0, i - 1))]) for i in range(1, n)]
+    cut = draw(st.sets(st.integers(0, n - 2), max_size=2))
+    v = st.integers(0, n - 1)
+    extra = draw(st.lists(st.tuples(v, v).filter(lambda e: e[0] != e[1]), max_size=n))
+    return build_graph(n, [e for i, e in enumerate(tree) if i not in cut] + extra)
+
+
 def prologue_key(result):
     """(x, live ids, exit kind) of a prologue's (x, live, lone)."""
     x, live, lone = result
@@ -195,7 +209,7 @@ def check_prologue(g):
 
 
 @settings(max_examples=300)
-@given(sparse_graphs())
+@given(st.one_of(sparse_graphs(), near_connected_graphs()))
 def test_prologue_matches_two_pass_oracle(g):
     check_prologue(g)
 
@@ -219,6 +233,15 @@ def test_prologue_matches_two_pass_oracle(g):
     (7, [(1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6)], (0, [1, 2, 3], "lone")),
     # two equal components left by removing 0; the smaller id ranks first
     (9, [(0, 1), (1, 2), (2, 3), (0, 8), (8, 7), (7, 6), (4, 5)], (0, [1, 2, 3], "lone")),
+    # 0's first neighbor reaches exactly 2n/3 in g - {0}: the BFS decides
+    (6, [(0, 1), (1, 2), (2, 3), (3, 4)], (0, [1, 2, 3, 4], "loop")),
+    # it reaches one vertex short of 2n/3, so the component pass decides
+    (6, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5)], (0, [1, 2, 3], "lone")),
+    # 0 joined to a giant part and to a pendant of larger id, which the
+    # BFS from the giant part's vertex 1 leaves out of live
+    (8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (0, 7)], (0, [1, 2, 3, 4, 5, 6], "loop")),
+    # 0 a cut vertex whose smallest neighbor lies in the small side
+    (9, [(0, 1), (1, 2), (0, 3)] + [(i, i + 1) for i in range(3, 8)], (0, list(range(3, 9)), "loop")),
 ])
 def test_prologue_cases(n, edges, expect):
     assert check_prologue(build_graph(n, edges)) == expect
@@ -259,25 +282,54 @@ def test_interior_bound_lets_the_pass_run_when_one_part_dominates(family, params
     assert _interior_bound(res, inner) == largest == g.n
 
 
+def count_calls(monkeypatch, targets):
+    """Wrap each (module, attribute, key) target to count its calls under
+    key; returns the dict of counts, zero for every key."""
+    calls = dict.fromkeys((key for _, _, key in targets), 0)
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, attr, key in targets:
+        monkeypatch.setattr(module, attr, counted(key, getattr(module, attr)))
+    return calls
+
+
 @pytest.fixture
 def pass_count(monkeypatch):
-    calls = []
+    # "passes" counts every csgraph component pass, whoever asks for it, so
+    # labelled + sizes == passes shows that no other caller made one
+    return count_calls(monkeypatch, [
+        (separator, "_reach_without", "reach"),
+        (separator, "connected_components", "labelled"),
+        (verify, "_component_sizes", "sizes"),
+        (graph, "_raw_components", "passes"),
+    ])
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return connected_components(*args, **kwargs)
 
-    monkeypatch.setattr(separator, "connected_components", counted)
-    monkeypatch.setattr(verify, "connected_components", counted)
-    return calls
+@pytest.mark.parametrize("n,edges,labelled", [
+    # 0's first neighbor reaches exactly 2n/3 in g - {0}: the BFS decides
+    (6, [(0, 1), (1, 2), (2, 3), (3, 4)], 0),
+    # one vertex short: the pass on g - {0} decides
+    (6, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5)], 1),
+])
+def test_prologue_bfs_decides_from_two_thirds(monkeypatch, n, edges, labelled):
+    calls = count_calls(monkeypatch, [(separator, "connected_components", "labelled")])
+    _prologue(build_graph(n, edges))
+    assert calls == {"labelled": labelled}
 
 
 @pytest.mark.parametrize("family,params", [("grid", (40, 40)), ("cycle", (2000,))])
 def test_sparse_solve_makes_two_component_passes(pass_count, family, params):
-    # one for the prologue on g - {0}, one to verify the separator
+    # two passes over the edges and no component labelled: the prologue's
+    # BFS in g - {0} reaches 2n/3, and verification counts the sizes of the
+    # components left by the separator
     out = balanced_separator(gen(family, *params), 5)
     assert out.kind == "separator" and out.stats["step1_finished"] == 1
-    assert len(pass_count) == 2
+    assert pass_count == {"reach": 1, "labelled": 0, "sizes": 1, "passes": 1}
 
 
 def test_step1_pass_centers_the_view_when_an_interior_is_large(pass_count):
@@ -287,32 +339,27 @@ def test_step1_pass_centers_the_view_when_an_interior_is_large(pass_count):
     out = balanced_separator(gen("tree", 700, seed=1), 5, ell=30, seed=1)
     s = out.stats
     assert (s["step1_finished"], s["exact_center_used"], s["step2_count"]) == (0, 0, 1)
-    # prologue, step 1, the live part after step 2, verification
-    assert len(pass_count) == 4
+    # the prologue's reach; step 1 and the live part after step 2 labelled;
+    # verification's sizes
+    assert pass_count == {"reach": 1, "labelled": 2, "sizes": 1, "passes": 3}
 
 
 def test_centred_iterations_search_once(monkeypatch):
     # 7 iterations, each centred on the first live id by the exact scan: the
     # first step 1 searches, and each live update after step 2 makes the one
     # search that both finds the live part and centres the next iteration.
-    # The only component pass is the prologue's; a witness needs no other,
-    # and no scan of the other ids runs.
-    calls = {"bfs_layers": 0, "_scan_after_first": 0, "connected_components": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name, fn in (("bfs_layers", bfs_layers), ("_scan_after_first", _scan_after_first),
-                     ("connected_components", connected_components)):
-        monkeypatch.setattr(separator, name, counted(name, fn))
+    # The prologue's reach finds the first live part with no component pass;
+    # a witness needs no other, and no scan of the other ids runs.
+    calls = count_calls(monkeypatch, [
+        (separator, name, name)
+        for name in ("bfs_layers", "_scan_after_first", "_reach_without", "connected_components")
+    ])
     out = balanced_separator(gen("gnp", 450, 0.045, seed=7), 8, seed=1)
     assert out.kind == "witness"
     s = out.stats
     assert (s["iterations"], s["exact_center_used"], s["step2_count"]) == (7, 7, 7)
-    assert calls == {"bfs_layers": 7, "_scan_after_first": 0, "connected_components": 1}
+    assert calls == {"bfs_layers": 7, "_scan_after_first": 0, "_reach_without": 1,
+                     "connected_components": 0}
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
