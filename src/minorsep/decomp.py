@@ -43,13 +43,16 @@ round to x.  The loop ends there too: each pass moves past a start bucket or
 consumes the carried targets, and each vertex is settled once.)
 
 The boundary is every live vertex with a live neighbor assigned elsewhere.
-Removing it disconnects distinct parts from each other.
+Removing it disconnects distinct parts from each other.  It takes one pass
+over every edge of the graph, which a caller that only reads the centers
+does not need, so it is computed on its first read and kept.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -64,11 +67,28 @@ __all__ = ["LddResult", "ldd"]
 class LddResult:
     """center[v] is the center of live vertex v's part, -1 outside the mask;
     shift[v] is the shift v drew, NaN outside the mask; boundary holds the
-    live vertices with a live neighbor in another part."""
+    live vertices with a live neighbor in another part, computed from g and
+    center when first read."""
 
     center: np.ndarray
     shift: np.ndarray
-    boundary: VertexMask
+    g: Graph = field(repr=False, compare=False)
+
+    @cached_property
+    def boundary(self) -> VertexMask:
+        return _boundary(self.g, self.center)
+
+
+def _boundary(g: Graph, center: np.ndarray) -> VertexMask:
+    """The live vertices with a live neighbor of another center, in one
+    pass over every edge of g; an end outside live has center -1.
+    `cross` is symmetric, so the targets it marks are its sources."""
+    c_src = np.repeat(center, np.diff(g.indptr))
+    c_tgt = center[g.indices]
+    cross = (c_src >= 0) & (c_tgt >= 0) & (c_src != c_tgt)
+    bits = np.zeros(g.n, dtype=bool)
+    bits[g.indices[cross]] = True
+    return VertexMask(bits)
 
 
 def ldd(g: Graph, live: VertexMask, delta: float, rng: SplitMix64) -> LddResult:
@@ -79,7 +99,7 @@ def ldd(g: Graph, live: VertexMask, delta: float, rng: SplitMix64) -> LddResult:
     center = np.full(g.n, -1, dtype=np.int64)
     shift = np.full(g.n, np.nan)
     if n_live == 0:
-        return LddResult(center, shift, VertexMask.empty(g.n))
+        return LddResult(center, shift, g)
     rate = 2.0 * math.log(max(n_live, 2)) / delta
     shifts = truncated_exponential(rng.block_floats(n_live), rate, delta / 2.0)
     shift[ids] = shifts
@@ -124,12 +144,4 @@ def ldd(g: Graph, live: VertexMask, delta: float, rng: SplitMix64) -> LddResult:
         tie = cand == k_new
         np.minimum.at(center, tgt[tie], c_src[tie])
         carry = tgt
-
-    # one pass over every edge of g; an end outside live has center -1.
-    # `cross` is symmetric, so the targets it marks are its sources
-    c_src = np.repeat(center, np.diff(g.indptr))
-    c_tgt = center[g.indices]
-    cross = (c_src >= 0) & (c_tgt >= 0) & (c_src != c_tgt)
-    bits = np.zeros(g.n, dtype=bool)
-    bits[g.indices[cross]] = True
-    return LddResult(center, shift, VertexMask(bits))
+    return LddResult(center, shift, g)

@@ -180,6 +180,14 @@ def _gather(g: Graph, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(frontier, counts), g.indices[pos]
 
 
+def _index_dtype(g: Graph) -> type:
+    """The dtype of a csgraph matrix's index arrays over g: int32 when every
+    vertex id and edge offset fits it, else int64.  scipy would downcast
+    g's int64 arrays to int32 itself, but only after a pass checking their
+    range, so the matrices here are built on int32 arrays to begin with."""
+    return np.int32 if max(g.n, g.indices.size) < 2**31 else np.int64
+
+
 def _masked_adjacency(g: Graph, keep: np.ndarray) -> sparse.csr_matrix:
     """The n x n matrix of the edges with both ends in `keep`.
 
@@ -188,8 +196,10 @@ def _masked_adjacency(g: Graph, keep: np.ndarray) -> sparse.csr_matrix:
     dtype csgraph computes in, so it makes no converted copy of its own.
     """
     edge = np.repeat(keep, np.diff(g.indptr)) & keep[g.indices]
+    idx = _index_dtype(g)
     adj = sparse.csr_matrix(
-        (edge, g.indices, g.indptr), shape=(g.n, g.n), dtype=np.float64, copy=True
+        (edge, g.indices.astype(idx), g.indptr.astype(idx)), shape=(g.n, g.n),
+        dtype=np.float64, copy=False,
     )
     adj.eliminate_zeros()
     return adj
@@ -278,9 +288,10 @@ def _reach_without(g: Graph, v: int, root: int) -> np.ndarray:
     directed, so csgraph does not symmetrize the matrix.
     """
     lo, hi = g.indptr[v], g.indptr[v + 1]
-    indptr = g.indptr.copy()
+    idx = _index_dtype(g)
+    indptr = g.indptr.astype(idx)
     indptr[v + 1:] -= hi - lo
-    indices = np.concatenate((g.indices[:lo], g.indices[hi:]))
+    indices = np.concatenate((g.indices[:lo], g.indices[hi:]), dtype=idx)
     adj = sparse.csr_matrix((np.ones(indices.size), indices, indptr), shape=(g.n, g.n))
     reach = np.zeros(g.n, dtype=bool)
     reach[csgraph.breadth_first_order(adj, root, return_predecessors=False)] = True

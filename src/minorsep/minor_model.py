@@ -6,11 +6,13 @@ bug cannot silently corrupt a certificate.  Branch identity is creation
 order; selections elsewhere in the package always pick the smallest
 qualifying branch index.
 
-Neighbor sets against a live mask are recomputed on demand rather than
-cached incrementally; the scales involved (h branches, each a few hundred
-vertices at most) make that the simpler correct choice.  `trim` hands back
-the sets it computes, and `f_selector` takes them as they are, so a caller
-that trims computes each set once.
+A branch's neighbor set against a live mask is gathered from the graph
+by `branch_neighbors`.  A caller whose live mask only shrinks can carry
+the sets instead: `trim` takes each branch's set against an earlier live
+mask and filters it to the current one, which is exact because the
+earlier mask contains the current one; only a branch added or grown since
+needs gathering again.  `trim` hands back the sets it keeps, and
+`f_selector` takes them as they are.
 """
 
 from __future__ import annotations
@@ -124,12 +126,18 @@ def grow_branch(m: MinorModel, g: Graph, idx: int, z) -> MinorModel:
     return MinorModel(m.n, tuple(branches))
 
 
-def trim(m: MinorModel, g: Graph, live: VertexMask) -> tuple:
+def trim(m: MinorModel, g: Graph, live: VertexMask, nbrs: list | None = None) -> tuple:
     """Keep exactly the branches with a neighbor in live, order preserved.
 
     Returns (kept model, list of each kept branch's live neighbors).
+    `nbrs[i]` may carry branch i's neighbors against an earlier live mask
+    that contains `live`; they are filtered to `live`, which leaves exactly
+    the branch's neighbors in it, still ascending.  Without `nbrs` they are
+    gathered from the graph.
     """
-    nbrs = [branch_neighbors(m, g, live, i) for i in range(m.size)]
+    if nbrs is None:
+        nbrs = [branch_neighbors(m, g, live, i) for i in range(m.size)]
+    nbrs = [nb[live.bits[nb]] for nb in nbrs]
     keep = [i for i, nb in enumerate(nbrs) if nb.size]
     return MinorModel(m.n, tuple(m.branches[i] for i in keep)), [nbrs[i] for i in keep]
 

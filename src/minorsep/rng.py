@@ -112,7 +112,12 @@ class SplitMix64:
         buffers reused across blocks, so memory is O(HITS_BLOCK + hits).
         """
         assert 0.0 <= p <= 1.0, "p out of range"
-        threshold = np.uint64(math.ceil(p * 2.0**53))
+        threshold = math.ceil(p * 2.0**53)
+        # The last xorshift z ^= z >> 31 leaves the top 31 bits of z as they
+        # were, and a hit is an output below K = threshold * 2**11, so its
+        # top 31 bits are at most those of K - 1.  Only the entries below
+        # `cut` can hit; the rest of the mix and the exact test run on those.
+        cut = ((((threshold << 11) - 1) >> 33) + 1) << 33 if threshold else 0
         size = min(HITS_BLOCK, max(count, 1))
         with np.errstate(over="ignore"):
             step = np.arange(1, size + 1, dtype=np.uint64) * np.uint64(_GAMMA)
@@ -124,9 +129,12 @@ class SplitMix64:
             base = np.uint64((self.seed + (self._calls + lo) * _GAMMA) & _MASK64)
             zk = z[:k]
             np.add(step[:k], base, out=zk)
-            _mix_in_place(zk, tmp[:k])
-            zk >>= np.uint64(11)
-            hits.append(np.flatnonzero(zk < threshold) + lo)
+            _mix_rounds(zk, tmp[:k])
+            pos = np.arange(k) if cut > _MASK64 else np.flatnonzero(zk < np.uint64(cut))
+            cand = zk[pos]
+            cand ^= cand >> np.uint64(31)
+            cand >>= np.uint64(11)
+            hits.append(pos[cand < np.uint64(threshold)] + lo)
         self._calls += count
         return np.concatenate(hits)
 
@@ -134,6 +142,13 @@ class SplitMix64:
 def _mix_in_place(z: np.ndarray, tmp: np.ndarray) -> None:
     """mix64 of every entry of the uint64 array `z`, in place; `tmp` is a
     scratch buffer of the same shape."""
+    _mix_rounds(z, tmp)
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
+
+
+def _mix_rounds(z: np.ndarray, tmp: np.ndarray) -> None:
+    """mix64 up to its last xorshift, in place: both multiply rounds."""
     with np.errstate(over="ignore"):
         np.right_shift(z, np.uint64(30), out=tmp)
         z ^= tmp
@@ -141,8 +156,6 @@ def _mix_in_place(z: np.ndarray, tmp: np.ndarray) -> None:
         np.right_shift(z, np.uint64(27), out=tmp)
         z ^= tmp
         z *= np.uint64(_MIX2)
-        np.right_shift(z, np.uint64(31), out=tmp)
-        z ^= tmp
 
 
 def stream(seed: int, label: str) -> SplitMix64:

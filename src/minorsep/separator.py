@@ -30,7 +30,14 @@ the first branch's vertex and the first live part.  Only otherwise does one
 component pass on g - {0} yield them with g's largest component (see
 `_prologue`).  Verifying the separator counts component sizes without
 labelling them.  Step 1 labels live minus the LDD boundary only when some
-part's interior could hold a component over 2n/3.
+part's interior could hold a component over 2n/3, and reads the boundary,
+an extra pass over the edges, only when some part is that large or when
+it finishes with S.
+
+The branches' live neighbors are carried across iterations in
+`DriverState.nbrs`: steps 2, 3 and 4 only shrink live, so each trim
+filters the carried sets, and only the branch that step 2 adds or step 3
+grows is gathered from the graph again.
 
 On a live part of at most EXACT_CENTER_LIMIT vertices one BFS from its
 smallest id serves three purposes (see `_first_id_depths`): it tests that id
@@ -65,6 +72,7 @@ from .graph import (
 from .minor_model import (
     MinorModel,
     add_branch,
+    branch_neighbors,
     f_selector,
     grow_branch,
     new_model,
@@ -163,6 +171,10 @@ class DriverState:
     # live update ran it, depths None when it failed; it describes live only
     # while mask is live, and every assignment to live makes a new mask
     first_search: tuple = (None, None)
+    # each branch's live neighbors, as the last trim left them, with a branch
+    # that steps 2 and 3 added or grew since gathered again; None before the
+    # first trim
+    nbrs: list = None
 
     @property
     def branch_budget(self) -> int:
@@ -241,19 +253,20 @@ def _prologue(g: Graph) -> tuple:
     return x, live, VertexMask.from_ids(n, [x]) if 3 * live.size < 2 * n else None
 
 
-def _retire_and_trim(st: DriverState) -> list:
-    """Trim the model to live; the branches trim drops are retired.
+def _retire_and_trim(st: DriverState) -> None:
+    """Trim the model and its carried neighbors `st.nbrs` to live; the
+    branches trim drops are retired.
 
-    Returns the live neighbors of each kept branch.  Branches are disjoint
+    Steps 2, 3 and 4 only ever shrink live, so the carried neighbors of an
+    unchanged branch hold its new live neighbors.  Branches are disjoint
     and nonempty, so a branch's first id names it.
     """
-    kept, nbrs = trim(st.model, st.g, st.live)
+    kept, st.nbrs = trim(st.model, st.g, st.live, st.nbrs)
     firsts = {int(ids[0]) for ids in kept.branches}
     dropped = [ids for ids in st.model.branches if int(ids[0]) not in firsts]
     st.retired.extend(dropped)
     st.stats["retired_branches"] += len(dropped)
     st.model = kept
-    return nbrs
 
 
 def _layered_view(st: DriverState, dist: np.ndarray) -> LayeredView:
@@ -345,7 +358,10 @@ def step1_decompose(st: DriverState) -> LayeredView | None:
     `_interior_bound`), so the component pass runs only when some interior
     does.  On sparse inputs none comes close: on grid 316² at delta = 108
     the largest interior held 1,100 to 1,359 vertices over 4 seeds, against
-    2n/3 of about 66,600.
+    2n/3 of about 66,600.  An interior is no larger than its part, whose
+    size the centers give without the boundary, so the boundary and the
+    interiors are built only when some part holds over 2n/3.  Otherwise
+    the boundary is read only when it becomes S.
 
     When every post-LDD component is small but the live part is tiny, an
     exact scan may still find a vertex whose delta-ball holds 2n/3 of the
@@ -363,11 +379,12 @@ def step1_decompose(st: DriverState) -> LayeredView | None:
     """
     res = ldd(st.g, st.live, float(st.delta), st.rng_ldd)
     st.stats["ldd_calls"] += 1
-    inner = st.live.bits & ~res.boundary.bits
-    if 3 * _interior_bound(res, inner) > 2 * st.n:
-        label, sizes = connected_components(st.g, VertexMask(inner))
-        if 3 * int(sizes[0]) > 2 * st.n:
-            return _layered_view(st, bfs_layers(st.g, st.live, int(np.argmax(label == 0))))
+    if 3 * int(np.bincount(res.center[st.live.bits]).max()) > 2 * st.n:
+        inner = st.live.bits & ~res.boundary.bits
+        if 3 * _interior_bound(res, inner) > 2 * st.n:
+            label, sizes = connected_components(st.g, VertexMask(inner))
+            if 3 * int(sizes[0]) > 2 * st.n:
+                return _layered_view(st, bfs_layers(st.g, st.live, int(np.argmax(label == 0))))
     if st.live.size <= EXACT_CENTER_LIMIT:
         mask, dist = st.first_search
         if mask is not st.live:
@@ -458,9 +475,9 @@ def _first_balanced(g: Graph, attempts: list, stats: dict, failure: str) -> Bala
     raise SelfVerificationError(failure)
 
 
-def _finish_separator(st: DriverState, nbrs: list) -> BalancedSeparator:
-    """Verify the three separator attempts in order; `nbrs` are the live
-    neighbors of the model's branches, as the last trim left them."""
+def _finish_separator(st: DriverState) -> BalancedSeparator:
+    """Verify the three separator attempts in order, the first selecting by
+    the live neighbors of the model's branches as the last trim left them."""
     members = st.model.member_mask()
     retired = VertexMask.from_ids(
         st.n, np.concatenate(st.retired) if st.retired else np.empty(0, dtype=np.int64)
@@ -469,7 +486,7 @@ def _finish_separator(st: DriverState, nbrs: list) -> BalancedSeparator:
     breakdown = {"x": st.x_set.size, "step1_s": st.step1_sep.size}
     attempts = [
         (cut.union(side), {**breakdown, "f_selector": side.size})
-        for side in (f_selector(st.model, nbrs), members, members.union(retired))
+        for side in (f_selector(st.model, st.nbrs), members, members.union(retired))
     ]
     return _first_balanced(st.g, attempts, st.stats, (
         f"no separator attempt balanced: n={st.n}, |X|={st.x_set.size}, "
@@ -520,7 +537,7 @@ def balanced_separator(
     while True:
         # x touches live, so the first pass retires nothing; every pass
         # leaves the live neighbors of each kept branch for the scan
-        nbrs = _retire_and_trim(st)
+        _retire_and_trim(st)
         if 3 * st.live.size < 2 * n:
             break
         if debug:
@@ -540,7 +557,7 @@ def balanced_separator(
         if view is None:
             break
 
-        stuck, found = _scan_branches(st, view, nbrs)
+        stuck, found = _scan_branches(st, view, st.nbrs)
         if stuck is None:
             cand = step2_grow_model(g, view, found)
             st.model = add_branch(st.model, g, cand)
@@ -554,11 +571,13 @@ def balanced_separator(
                 return MinorWitness(
                     model=st.model, h=h, stats=dict(st.stats), verification=report
                 )
+            st.nbrs.append(branch_neighbors(st.model, g, st.live, st.model.size - 1))
             _update_live(st, st.live.minus_ids(cand))
         elif st.h * int(view.sizes[st.delta + st.ell_star + 1:].sum()) <= n:
             z = step3_grow_branch(st, view, found)
             st.stats["step3_count"] += 1
             st.model = grow_branch(st.model, g, stuck, z)
+            st.nbrs[stuck] = branch_neighbors(st.model, g, st.live, stuck)
             _update_live(st, st.live.minus_ids(z))
         else:
             istar = step4_cut_layer(st, view)
@@ -591,4 +610,4 @@ def balanced_separator(
             f"charge ledger broken: ell*|X|={st.ell * st.x_set.size} "
             f"> charged={st.stats['charged']}"
         )
-    return _finish_separator(st, nbrs)
+    return _finish_separator(st)

@@ -13,7 +13,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import InputError
-from .graph import Graph, VertexMask, _connected, _component_sizes, _sorted_unique
+from .graph import Graph, VertexMask, _component_sizes, _connected, _index_dtype, _sorted_unique
 from .minor_model import MinorModel, branch_neighbors
 
 __all__ = ["VerificationReport", "certificate", "verify_certificate", "verify_balanced",
@@ -90,12 +90,17 @@ def verify_witness(g: Graph, m: MinorModel, h: int) -> VerificationReport:
     # entry (i, j) of inc @ adj @ inc.T counts the edges from branch i to
     # branch j; inc has a row per branch, so overlapping branches are fine
     k = m.size
-    cols = np.concatenate([np.empty(0, dtype=np.int64), *m.branches])
+    idx = _index_dtype(g)
+    cols = np.concatenate([np.empty(0, dtype=idx), *m.branches], dtype=idx)
     inc = sparse.csr_matrix(
-        (np.ones(cols.size), cols, np.cumsum([0] + [ids.size for ids in m.branches])),
+        (np.ones(cols.size), cols,
+         np.cumsum([0] + [ids.size for ids in m.branches], dtype=idx)),
         shape=(k, g.n),
     )
-    adj = sparse.csr_matrix((np.ones(g.indices.size), g.indices, g.indptr), shape=(g.n, g.n))
+    adj = sparse.csr_matrix(
+        (np.ones(g.indices.size), g.indices.astype(idx), g.indptr.astype(idx)),
+        shape=(g.n, g.n),
+    )
     joined = sparse.triu(inc @ adj @ inc.T, 1, format="csr")
     joined.sort_indices()
     # row i has k - 1 - i pairs (i, j > i); the entries are counts of edges,
@@ -189,9 +194,11 @@ def witness_from_json(n: int, payload) -> tuple:
 
 
 def check_invariants(st) -> VerificationReport:
-    """The five properties asserted at every iteration start.
+    """The properties asserted at every iteration start.
 
-    `st` is a driver state: g, n, h, ell, model, x_set, live, branch_budget.
+    `st` is a driver state: g, n, h, ell, model, x_set, live, branch_budget,
+    and nbrs, the live neighbors the driver carries for each branch, which
+    must equal the ones gathered here from the graph.
     """
     g: Graph = st.g
     n, h, ell = st.n, st.h, st.ell
@@ -214,11 +221,21 @@ def check_invariants(st) -> VerificationReport:
         "disjoint" if overlap.size == 0 else f"overlap at {overlap.ids()[:5].tolist()}",
     ))
 
-    nbr_counts = [branch_neighbors(m, g, live, i).size for i in range(m.size)]
+    fresh = [branch_neighbors(m, g, live, i) for i in range(m.size)]
+    nbr_counts = [nb.size for nb in fresh]
     dead = [i for i, nb in enumerate(nbr_counts) if nb == 0]
     checks.append((
         "every_branch_touches_live", not dead,
         "all touch" if not dead else f"branches without live neighbor: {dead}",
+    ))
+
+    carried = st.nbrs
+    stale = [i for i, (nb, want) in enumerate(zip(carried, fresh))
+             if not np.array_equal(nb, want)]
+    checks.append((
+        "carried_neighbors_match", not stale and len(carried) == m.size,
+        f"{len(carried)} carried lists for {m.size} branches"
+        + ("" if not stale else f"; stale at branches {stale}"),
     ))
 
     budget = st.branch_budget

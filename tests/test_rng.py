@@ -76,6 +76,12 @@ def test_hits_below_matches_sequential_walk(block, seed, count, data):
     if count:
         # a drawn value does not hit (the test is strict); the next float up does
         k = data.draw(st.integers(0, count - 1))
+        # hits_below finishes the mix only where the top 31 bits are at most
+        # those of threshold * 2**11 - 1; thresholds at and next to multiples
+        # of 2**22 put that cut at the edge of u[k]'s top bits
+        top = int(u[k] * 2.0**53) >> 22
+        edges = (top << 22, (top << 22) + 1, ((top + 1) << 22) - 1, (top + 1) << 22)
+        ps += [t * 2.0**-53 for t in edges]
         ps += [u[k], float(np.nextafter(u[k], 2.0))]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("minorsep.rng.HITS_BLOCK", block)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minorsep import graph, separator, verify
+from minorsep import decomp, graph, separator, verify
 from minorsep.decomp import ldd
 from minorsep.errors import InputError
 from minorsep.graph import VertexMask, bfs_layers, build_graph, connected_components
@@ -360,6 +360,25 @@ def test_centred_iterations_search_once(monkeypatch):
     assert (s["iterations"], s["exact_center_used"], s["step2_count"]) == (7, 7, 7)
     assert calls == {"bfs_layers": 7, "_scan_after_first": 0, "_reach_without": 1,
                      "connected_components": 0}
+
+
+def test_centred_iterations_build_no_boundary(monkeypatch):
+    # every step 1 of this witness run is centred by the exact scan and its
+    # parts are small, so no LDD boundary is ever read
+    calls = count_calls(monkeypatch, [(decomp, "_boundary", "boundary")])
+    out = balanced_separator(gen("gnp", 450, 0.045, seed=7), 8, seed=1)
+    assert out.kind == "witness"
+    assert out.stats["ldd_calls"] == out.stats["exact_center_used"] == 7
+    assert calls == {"boundary": 0}
+
+
+@pytest.mark.parametrize("family,params", [("grid", (40, 40)), ("cycle", (2000,))])
+def test_sparse_solve_builds_the_boundary_once(monkeypatch, family, params):
+    # the one step 1 finishes with S, which is the only read of its boundary
+    calls = count_calls(monkeypatch, [(decomp, "_boundary", "boundary")])
+    out = balanced_separator(gen(family, *params), 5)
+    assert out.stats["ldd_calls"] == out.stats["step1_finished"] == 1
+    assert calls == {"boundary": 1}
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])

@@ -99,6 +99,7 @@ class FakeState:
     x_set: VertexMask
     live: VertexMask
     branch_budget: int
+    nbrs: list
 
 
 def healthy_state():
@@ -106,7 +107,8 @@ def healthy_state():
     model = model_from([[0]], 16)
     live = VertexMask.from_ids(16, [v for v in range(16) if v not in (0,)])
     return FakeState(g=g, n=16, h=4, ell=2, model=model,
-                     x_set=VertexMask.empty(16), live=live, branch_budget=8)
+                     x_set=VertexMask.empty(16), live=live, branch_budget=8,
+                     nbrs=[np.array([1, 4])])
 
 
 def failing(report):
@@ -119,8 +121,22 @@ def test_invariants_pass_on_healthy_state():
     assert {name for name, _, _ in r.checks} == {
         "model_small_and_valid", "live_disjoint_from_branches",
         "every_branch_touches_live", "branch_size_or_neighborhood",
-        "live_boundary_covered", "state_sane",
+        "live_boundary_covered", "state_sane", "carried_neighbors_match",
     }
+
+
+def test_invariants_catch_stale_carried_neighbors():
+    s = healthy_state()
+    # vertex 1 has left live, but the carried list still holds it
+    s.live = s.live.minus_ids(np.array([1]))
+    s.x_set = VertexMask.from_ids(16, [1])
+    assert failing(check_invariants(s)) == {"carried_neighbors_match"}
+    s.nbrs = [np.array([4])]
+    assert check_invariants(s).ok
+    # one list per branch: a missing or extra list fails too
+    for nbrs in ([], [np.array([4]), np.array([4])]):
+        s.nbrs = nbrs
+        assert failing(check_invariants(s)) == {"carried_neighbors_match"}
 
 
 def test_invariants_catch_model_too_large():
