@@ -42,10 +42,14 @@ of each other, or on keys of magnitude 2**52 and above, where x + 1.0 can
 round to x.  The loop ends there too: each pass moves past a start bucket or
 consumes the carried targets, and each vertex is settled once.)
 
-The boundary is every live vertex with a live neighbor assigned elsewhere.
-Removing it disconnects distinct parts from each other.  It takes one pass
-over every edge of the graph, which a caller that only reads the centers
-does not need, so it is computed on its first read and kept.
+`ldd` only draws the shifts.  The centers are assigned on their first
+read and kept, as is the boundary: every live vertex with a live neighbor
+assigned elsewhere, whose removal disconnects distinct parts from each
+other, in one more pass over every edge of the graph.  A caller that only
+needs to know that no part is large may not need either: while every
+shift is below 2, membership forces dist_live(c, u) <= 1, so a part lies
+in its center's closed neighborhood, and `LddResult.part_bound` reads a
+cap on the largest part from the shifts and the degrees alone.
 """
 
 from __future__ import annotations
@@ -65,18 +69,48 @@ __all__ = ["LddResult", "ldd"]
 
 @dataclass(frozen=True)
 class LddResult:
-    """center[v] is the center of live vertex v's part, -1 outside the mask;
-    shift[v] is the shift v drew, NaN outside the mask; boundary holds the
-    live vertices with a live neighbor in another part, computed from g and
-    center when first read."""
+    """The decomposition of g's live vertices `ids` (ascending), which drew
+    `shifts` in that order.
 
-    center: np.ndarray
+    shift[v] is the shift v drew, NaN outside the mask.  center[v] is the
+    center of live vertex v's part, -1 outside the mask; boundary holds the
+    live vertices with a live neighbor in another part.  Both are computed
+    when first read and kept.
+
+    `part_bound` caps the largest part's size without the centers while
+    every shift is below 2: a member u of c's part has
+    dist_live(c, u) <= shift[c] < 2, so the part lies in c's closed
+    neighborhood, and it is c alone when shift[c] < 1.
+    """
+
+    ids: np.ndarray
+    shifts: np.ndarray
     shift: np.ndarray
     g: Graph = field(repr=False, compare=False)
 
     @cached_property
+    def center(self) -> np.ndarray:
+        return _assign(self.g, self.ids, self.shifts)
+
+    @cached_property
     def boundary(self) -> VertexMask:
         return _boundary(self.g, self.center)
+
+    @cached_property
+    def largest_part(self) -> int:
+        """The size of the largest part, 0 when nothing is live."""
+        return int(np.bincount(self.center[self.ids]).max()) if self.ids.size else 0
+
+    def part_bound(self) -> int:
+        """At least `largest_part`, and equal to it when some shift is >= 2;
+        otherwise 1 + the largest degree in g among the live vertices with
+        shift >= 1, or 1 when there are none, and no center is assigned."""
+        if not self.ids.size or self.shifts.max() >= 2.0:
+            return self.largest_part
+        near = self.ids[self.shifts >= 1.0]
+        if not near.size:
+            return 1
+        return 1 + int((self.g.indptr[near + 1] - self.g.indptr[near]).max())
 
 
 def _boundary(g: Graph, center: np.ndarray) -> VertexMask:
@@ -92,25 +126,32 @@ def _boundary(g: Graph, center: np.ndarray) -> VertexMask:
 
 
 def ldd(g: Graph, live: VertexMask, delta: float, rng: SplitMix64) -> LddResult:
+    """Draw the shifts of `live`'s vertices from `rng`; the parts are
+    assigned when the result's centers are first read."""
     if delta <= 0:
         raise InputError("delta must be positive")
     ids = live.ids()
+    shift = np.full(g.n, np.nan)
+    if ids.size == 0:
+        return LddResult(ids, np.empty(0), shift, g)
+    rate = 2.0 * math.log(max(ids.size, 2)) / delta
+    shifts = truncated_exponential(rng.block_floats(ids.size), rate, delta / 2.0)
+    shift[ids] = shifts
+    return LddResult(ids, shifts, shift, g)
+
+
+def _assign(g: Graph, ids: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """The center of every vertex, -1 off `ids`: the bucket loop over the
+    live ids `ids` (ascending) and their shifts."""
     n_live = ids.size
     center = np.full(g.n, -1, dtype=np.int64)
-    shift = np.full(g.n, np.nan)
-    if n_live == 0:
-        return LddResult(center, shift, g)
-    rate = 2.0 * math.log(max(n_live, 2)) / delta
-    shifts = truncated_exponential(rng.block_floats(n_live), rate, delta / 2.0)
-    shift[ids] = shifts
-
     # A vertex outside live holds key -inf, so no offer ever beats it, and a
     # settled vertex's key is below every offer still to come, so the key
     # test alone drops the edges that lead to either.
     key = np.full(g.n, -np.inf)
     key[ids] = -shifts
     center[ids] = ids
-    is_open = live.bits.copy()
+    is_open = center >= 0
     # the live ids by start bucket; the order inside a bucket does not matter
     floors = np.floor(-shifts)
     order = np.argsort(floors)
@@ -144,4 +185,4 @@ def ldd(g: Graph, live: VertexMask, delta: float, rng: SplitMix64) -> LddResult:
         tie = cand == k_new
         np.minimum.at(center, tgt[tie], c_src[tie])
         carry = tgt
-    return LddResult(center, shift, g)
+    return center

@@ -180,12 +180,13 @@ def _gather(g: Graph, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(frontier, counts), g.indices[pos]
 
 
-def _index_dtype(g: Graph) -> type:
+def _index_dtype(g: Graph, *counts: int) -> type:
     """The dtype of a csgraph matrix's index arrays over g: int32 when every
-    vertex id and edge offset fits it, else int64.  scipy would downcast
-    g's int64 arrays to int32 itself, but only after a pass checking their
-    range, so the matrices here are built on int32 arrays to begin with."""
-    return np.int32 if max(g.n, g.indices.size) < 2**31 else np.int64
+    vertex id and edge offset fits it, and every one of `counts`, else
+    int64.  scipy would downcast g's int64 arrays to int32 itself, but only
+    after a pass checking their range, so the matrices here are built on
+    int32 arrays to begin with."""
+    return np.int32 if max(g.n, g.indices.size, *counts) < 2**31 else np.int64
 
 
 def _masked_adjacency(g: Graph, keep: np.ndarray) -> sparse.csr_matrix:
@@ -206,28 +207,58 @@ def _masked_adjacency(g: Graph, keep: np.ndarray) -> sparse.csr_matrix:
 
 
 def _connected(g: Graph, ids: np.ndarray) -> bool:
-    """Whether the subgraph induced by `ids` is connected.
+    """Whether the subgraph induced by `ids` is connected: the one-set case
+    of `_connected_sets`."""
+    return bool(_connected_sets(g, [ids])[0])
 
-    Every id must lie in 0..n-1.  Costs O(edges at ids), not a pass over
-    the whole graph: the edges leaving `ids` are filtered to those landing
-    inside it and relabelled to positions in the sorted ids.  That k x k
-    matrix is symmetric, so one directed BFS from position 0 reaches all k
-    positions iff it is connected.
+
+def _connected_sets(g: Graph, sets) -> np.ndarray:
+    """Whether each id array in the sequence `sets` induces a connected
+    subgraph of g, as a bool array: an empty set does not, a one-vertex set
+    does.
+
+    Every id must lie in 0..n-1; a set may be unsorted and repeat ids, and
+    sets may overlap.  Costs O(edges at the sets) and one csgraph pass for
+    them all, not a pass over the whole graph.  Id v of set i is numbered
+    i*n + v, so each set owns a block of positions in the sorted distinct
+    numbers and overlapping sets stay apart.  The edges leaving a block are
+    filtered to those landing inside it and relabelled to positions; that
+    matrix is symmetric, so its strong components are its components, and
+    a set is connected iff all its positions share one label.  No row holds
+    an entry twice, as g's neighbor lists do not, which the strong pass
+    needs: scipy 1.17 was seen to mislabel a matrix with repeated entries.
     """
-    ids = _sorted_unique(ids)
-    if ids.size <= 1:
-        return ids.size == 1
-    src, tgt = _gather(g, ids)
-    pos = np.searchsorted(ids, tgt)
-    inside = ids[np.minimum(pos, ids.size - 1)] == tgt
-    # _gather lists the edges row by row, so the kept ones are in CSR order
-    indptr = np.zeros(ids.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(np.searchsorted(ids, src[inside]), minlength=ids.size),
-              out=indptr[1:])
+    k = len(sets)
+    key = np.concatenate([np.empty(0, dtype=np.int64), *sets], dtype=np.int64)
+    key += np.repeat(np.arange(k, dtype=np.int64) * g.n, [np.size(ids) for ids in sets])
+    key = _sorted_unique(key)
+    blk, vid = np.divmod(key, max(g.n, 1))
+    count = np.bincount(blk, minlength=k)
+    if count.max(initial=0) <= 1:
+        return count == 1
+    # the edges leaving each position, row by row as `_gather` lists them,
+    # their targets numbered in the source's block
+    starts = g.indptr[vid]
+    deg = g.indptr[vid + 1] - starts
+    ends = np.zeros(key.size + 1, dtype=np.int64)
+    np.cumsum(deg, out=ends[1:])
+    tgt = g.indices[np.arange(ends[-1]) + np.repeat(starts - ends[:-1], deg)]
+    tgt += np.repeat(key - vid, deg)
+    pos = np.searchsorted(key, tgt)
+    inside = key.take(pos, mode="clip") == tgt
+    idx = _index_dtype(g, key.size, tgt.size)
+    kept = np.zeros(inside.size + 1, dtype=idx)
+    np.cumsum(inside, out=kept[1:])
     adj = sparse.csr_matrix(
-        (np.ones(indptr[-1]), pos[inside], indptr), shape=(ids.size, ids.size)
+        (np.ones(kept[-1]), pos[inside].astype(idx), kept[ends]), shape=(key.size, key.size)
     )
-    return csgraph.breadth_first_order(adj, 0, return_predecessors=False).size == ids.size
+    parts, label = csgraph.connected_components(adj, directed=True, connection="strong")
+    whole = count > 0
+    if parts > np.count_nonzero(whole):
+        # no component spans two blocks, so some block holds two labels
+        first = label.take(np.cumsum(count) - count, mode="clip")
+        whole &= np.bincount(blk[label != np.repeat(first, count)], minlength=k) == 0
+    return whole
 
 
 def _raw_components(g: Graph, live: VertexMask | None) -> tuple:

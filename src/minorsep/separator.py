@@ -32,7 +32,8 @@ component pass on g - {0} yield them with g's largest component (see
 labelling them.  Step 1 labels live minus the LDD boundary only when some
 part's interior could hold a component over 2n/3, and reads the boundary,
 an extra pass over the edges, only when some part is that large or when
-it finishes with S.
+it finishes with S; it assigns the LDD's centers only when a bound read
+from the shifts allows a part that large, or for S.
 
 The branches' live neighbors are carried across iterations in
 `DriverState.nbrs`: steps 2, 3 and 4 only shrink live, so each trim
@@ -361,7 +362,11 @@ def step1_decompose(st: DriverState) -> LayeredView | None:
     2n/3 of about 66,600.  An interior is no larger than its part, whose
     size the centers give without the boundary, so the boundary and the
     interiors are built only when some part holds over 2n/3.  Otherwise
-    the boundary is read only when it becomes S.
+    the boundary is read only when it becomes S.  Nor does a part outgrow
+    `LddResult.part_bound`, which needs no centers while every shift is
+    below 2, so the centers are assigned only when that bound exceeds
+    2n/3.  On gnp(450, 0.045) at h = 10 and 12 (delta = 4) it is 1 + the
+    largest degree, far below 2n/3, and a centred iteration assigns none.
 
     When every post-LDD component is small but the live part is tiny, an
     exact scan may still find a vertex whose delta-ball holds 2n/3 of the
@@ -379,7 +384,7 @@ def step1_decompose(st: DriverState) -> LayeredView | None:
     """
     res = ldd(st.g, st.live, float(st.delta), st.rng_ldd)
     st.stats["ldd_calls"] += 1
-    if 3 * int(np.bincount(res.center[st.live.bits]).max()) > 2 * st.n:
+    if 3 * res.part_bound() > 2 * st.n and 3 * res.largest_part > 2 * st.n:
         inner = st.live.bits & ~res.boundary.bits
         if 3 * _interior_bound(res, inner) > 2 * st.n:
             label, sizes = connected_components(st.g, VertexMask(inner))

@@ -13,7 +13,8 @@ import numpy as np
 from scipy import sparse
 
 from .errors import InputError
-from .graph import Graph, VertexMask, _component_sizes, _connected, _index_dtype, _sorted_unique
+from .graph import (Graph, VertexMask, _component_sizes, _connected_sets, _index_dtype,
+                    _sorted_unique)
 from .minor_model import MinorModel, branch_neighbors
 
 __all__ = ["VerificationReport", "certificate", "verify_certificate", "verify_balanced",
@@ -60,10 +61,12 @@ def verify_witness(g: Graph, m: MinorModel, h: int) -> VerificationReport:
     """Structural checks (a)-(d) of a K_h model; branches may overlap or be
     empty here.
 
-    Pairwise adjacency is one sparse product over a branch-incidence
-    matrix.  Its detail counts the pairs without an edge and lists the first
-    ten in row order, i < j, so it stays short when there are millions; the
-    overlap and connectivity details list their first ten offenders too.
+    Connectivity is one csgraph pass over every branch at once (see
+    `_connected_sets`), and pairwise adjacency one sparse product over a
+    branch-incidence matrix.  Its detail counts the pairs without an edge
+    and lists the first ten in row order, i < j, so it stays short when
+    there are millions; the overlap and connectivity details list their
+    first ten offenders too.
     """
     checks = []
     checks.append((
@@ -81,7 +84,7 @@ def verify_witness(g: Graph, m: MinorModel, h: int) -> VerificationReport:
         "pairwise_disjoint", not overlaps,
         "disjoint" if not overlaps else f"overlapping pairs {_first_ten(overlaps)}",
     ))
-    disconnected = [i for i, ids in enumerate(m.branches) if not _connected(g, ids)]
+    disconnected = np.flatnonzero(~_connected_sets(g, m.branches)).tolist()
     checks.append((
         "each_connected", not disconnected,
         "connected" if not disconnected

@@ -163,6 +163,16 @@ def adjacency(n, edges, keep=None):
     return adj
 
 
+def induces_connected(n, edges, ids):
+    """Whether the vertices `ids` (repeats allowed) induce a connected
+    subgraph, by a plain BFS inside them; the empty set does not."""
+    keep = set(ids)
+    if not keep:
+        return False
+    dist = bfs_dist(adjacency(n, edges, keep=keep), [min(keep)])
+    return all(d >= 0 for d in dist.values())
+
+
 def brute_balanced(n, edges, sep):
     """Reference balance check: no component of G - sep exceeds 2n/3."""
     sep = set(sep)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from minorsep import decomp
 from minorsep.decomp import ldd
 from minorsep.errors import InputError
-from minorsep.graph import VertexMask, bfs_layers, connected_components
+from minorsep.graph import VertexMask, bfs_layers, build_graph, connected_components
 from minorsep.rng import stream
 
 from helpers import adjacency, bfs_dist, component_lists, gen, heap_partition, np_edges, parts
@@ -211,16 +211,17 @@ def count_gathers(monkeypatch):
     ("gnp", (500, 0.008), 9.37, True),
 ], ids=["grid", "cycle", "gnp-masked"])
 def test_each_vertex_settles_once(family, params, delta, masked, monkeypatch):
-    # every live vertex gathers its edges exactly once per call
+    # every live vertex gathers its edges exactly once per assignment, which
+    # runs when the centers are first read
     g = gen(family, *params, seed=2)
     live = VertexMask(np.arange(g.n) % 9 != 4) if masked else VertexMask.full(g.n)
     tally = count_gathers(monkeypatch)
     for seed in range(3):
         tally["vertices"] = 0
         part = ldd(g, live, delta, stream(seed, "ldd"))
-        assert tally["vertices"] == live.size
         center, _ = heap_partition(g, live, delta, stream(seed, "ldd"))
         assert np.array_equal(part.center, center)
+        assert tally["vertices"] == live.size
 
 
 @pytest.mark.parametrize("toward", [0.0, -np.inf, np.inf], ids=["on", "below", "above"])
@@ -266,3 +267,61 @@ def test_huge_delta_ends_with_every_vertex_assigned(delta):
     g = gen("grid", 15, 15)
     part = ldd(g, VertexMask.full(g.n), delta, stream(1, "ldd"))
     assert np.all(part.center >= 0)
+
+
+@st.composite
+def live_graphs(draw):
+    """A random graph of up to 30 vertices and a live mask on it."""
+    n = draw(st.integers(1, 30))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=5 * n))
+    g = build_graph(n, [(u, v) for u, v in pairs if u != v])
+    bits = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return g, VertexMask(bits)
+
+
+def largest_heap_part(g, live, delta, rng):
+    return max((m.size for _, m in parts(heap_partition(g, live, delta, rng)[0])), default=0)
+
+
+@given(live_graphs(), st.integers(0, 2**32 - 1),
+       st.one_of(st.floats(0.1, 4.0), st.floats(0.1, 40.0)))
+def test_part_bound_caps_the_largest_part(graph_live, seed, delta):
+    # with delta <= 4 every shift is below 2, so the bound comes from the
+    # degrees and no center is assigned; above 4 the largest shift is
+    # mostly 2 or more, and the bound is then the largest part itself
+    g, live = graph_live
+    with pytest.MonkeyPatch.context() as mp:
+        tally = count_gathers(mp)
+        res = ldd(g, live, delta, stream(seed, "ldd"))
+        bound = res.part_bound()
+        shifts = res.shift[live.ids()]
+        # the assignment gathers edges in every bucket
+        assert (tally["calls"] > 0) == (live.size > 0 and shifts.max() >= 2.0)
+    largest = largest_heap_part(g, live, delta, stream(seed, "ldd"))
+    assert bound >= largest
+    if live.size and shifts.max() >= 2.0:
+        assert bound == largest == res.largest_part
+
+
+@pytest.mark.parametrize("value", [1.0, np.nextafter(2.0, 0.0), 2.0], ids=["1", "2-ulp", "2"])
+@pytest.mark.parametrize("family,params", [
+    ("grid", (12, 12)), ("gnp", (120, 0.06)), ("complete", (20,)), ("path", (60,)),
+], ids=lambda p: str(p))
+def test_part_bound_at_the_shift_thresholds(family, params, value, monkeypatch):
+    # a third of the vertices draw `value`, the rest 0: from 1 on their
+    # offers tie or beat the start keys of their neighbors, and at 2 those
+    # of their neighbors' neighbors, which the degree bound cannot see
+    def two_shifts(u, rate, cap):
+        return np.where(u < 1 / 3, value, 0.0)
+
+    monkeypatch.setattr("minorsep.decomp.truncated_exponential", two_shifts)
+    monkeypatch.setattr("helpers.truncated_exponential", two_shifts)
+    g = gen(family, *params, seed=1)
+    for live in (VertexMask.full(g.n), VertexMask(np.arange(g.n) % 5 != 2)):
+        for seed in range(4):
+            res = ldd(g, live, 5.0, stream(seed, "ldd"))
+            largest = largest_heap_part(g, live, 5.0, stream(seed, "ldd"))
+            assert res.part_bound() >= largest
+            if value == 2.0:
+                assert res.part_bound() == largest

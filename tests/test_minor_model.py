@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from minorsep.errors import InputError, ModelError
-from minorsep.graph import VertexMask, _connected, build_graph
+from minorsep.graph import VertexMask, _connected, _connected_sets, build_graph
 from minorsep.instances import InstanceSpec, generate
 from minorsep.minor_model import (
     MinorModel,
@@ -19,7 +19,7 @@ from minorsep.minor_model import (
 )
 from minorsep.verify import verify_witness, witness_from_json
 
-from helpers import petersen, uf_components
+from helpers import induces_connected, petersen, uf_components
 
 K4 = generate(InstanceSpec("complete", (4,)))
 P4 = generate(InstanceSpec("path", (4,)))
@@ -246,6 +246,42 @@ def test_connected_matches_union_find_on_induced_subgraphs(seed, k):
     assert _connected(g, ids) == want
     # the same set, unsorted and with repeats
     assert _connected(g, np.concatenate([ids, ids[::-2]])) == want
+
+
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(st.booleans(), st.lists(st.integers(0, 13), max_size=8)),
+                max_size=9))
+def test_connected_sets_match_a_per_set_bfs(seed, specs):
+    """One pass decides every set as a BFS inside it does: empty sets,
+    one-vertex sets, sets that overlap, repeat ids or fall apart.  A walk
+    spec steps from its first id along the neighbors its other entries
+    pick, so it is connected and revisits vertices; the others are taken
+    as drawn."""
+    rng = np.random.default_rng(seed)
+    n = 14
+    pairs = rng.integers(n, size=(int(rng.integers(10, 40)), 2))
+    g = build_graph(n, pairs[pairs[:, 0] != pairs[:, 1]])
+    sets = []
+    for walk, ids in specs:
+        if walk and ids:
+            path = [ids[0]]
+            for pick in ids[1:]:
+                nb = g.neighbors(path[-1])
+                path.append(int(nb[pick % nb.size]) if nb.size else path[-1])
+            ids = path
+        sets.append(np.array(ids, dtype=np.int64))
+    edges = list(zip(*(e.tolist() for e in g.edges())))
+    want = [induces_connected(n, edges, ids.tolist()) for ids in sets]
+    assert _connected_sets(g, sets).tolist() == want
+    assert [_connected(g, ids) for ids in sets] == want
+    # the witness check reads the same pass
+    m = MinorModelFrom([np.unique(ids) for ids in sets], n)
+    (passed, detail), = [(ok, d) for name, ok, d in verify_witness(g, m, 3).checks
+                         if name == "each_connected"]
+    split = [i for i, ok in enumerate(want) if not ok]
+    assert passed == (not split)
+    assert detail == (f"disconnected branches {split[:10]} ({len(split)} in all)"
+                      if split else "connected")
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 24))

@@ -372,6 +372,26 @@ def test_centred_iterations_build_no_boundary(monkeypatch):
     assert calls == {"boundary": 0}
 
 
+@pytest.mark.parametrize("family,params,h,per_call", [
+    ("gnp", (450, 0.045), 10, 0),
+    ("grid", (40, 40), 15, 1),
+    ("complete", (150,), 15, 1),
+], ids=["gnp-h10", "grid-h15", "complete-h15"])
+def test_step1_assigns_centers_only_past_the_shift_bound(monkeypatch, family, params, h,
+                                                         per_call):
+    # gnp at h = 10 has delta = 4, so every shift is below 2, and 1 + its
+    # largest degree is far below 2n/3: no step 1 assigns the centers.  The
+    # grid's shifts reach 2, and K_150's degree bound exceeds 2n/3, so each
+    # of their LDD calls assigns them once, however often they are read.
+    calls = count_calls(monkeypatch, [(decomp, "_assign", "assign")])
+    g = gen(family, *params, seed=7)
+    for seed in range(3):
+        calls["assign"] = 0
+        out = balanced_separator(g, h, seed=seed)
+        assert out.stats["ldd_calls"] >= 1
+        assert calls["assign"] == per_call * out.stats["ldd_calls"]
+
+
 @pytest.mark.parametrize("family,params", [("grid", (40, 40)), ("cycle", (2000,))])
 def test_sparse_solve_builds_the_boundary_once(monkeypatch, family, params):
     # the one step 1 finishes with S, which is the only read of its boundary
