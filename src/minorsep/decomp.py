@@ -45,11 +45,11 @@ consumes the carried targets, and each vertex is settled once.)
 `ldd` only draws the shifts.  The centers are assigned on their first
 read and kept, as is the boundary: every live vertex with a live neighbor
 assigned elsewhere, whose removal disconnects distinct parts from each
-other, in one more pass over every edge of the graph.  A caller that only
-needs to know that no part is large may not need either: while every
-shift is below 2, membership forces dist_live(c, u) <= 1, so a part lies
-in its center's closed neighborhood, and `LddResult.part_bound` reads a
-cap on the largest part from the shifts and the degrees alone.
+other, in one more pass over every edge of the graph.  Step 1 asks one
+question of the result, `LddResult.large_component`: which component of
+live minus the boundary, if any, holds more than 2n/3.  It builds the
+centers, the boundary and the components only as far as the answer needs
+them; while every shift is below 2 the degrees alone may settle it.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError
-from .graph import Graph, VertexMask, _gather, _sorted_unique
+from .graph import Graph, VertexMask, _gather, _sorted_unique, connected_components
 from .rng import SplitMix64, truncated_exponential
 
 __all__ = ["LddResult", "ldd"]
@@ -72,20 +72,13 @@ class LddResult:
     """The decomposition of g's live vertices `ids` (ascending), which drew
     `shifts` in that order.
 
-    shift[v] is the shift v drew, NaN outside the mask.  center[v] is the
-    center of live vertex v's part, -1 outside the mask; boundary holds the
-    live vertices with a live neighbor in another part.  Both are computed
-    when first read and kept.
-
-    `part_bound` caps the largest part's size without the centers while
-    every shift is below 2: a member u of c's part has
-    dist_live(c, u) <= shift[c] < 2, so the part lies in c's closed
-    neighborhood, and it is c alone when shift[c] < 1.
+    center[v] is the center of live vertex v's part, -1 outside the mask;
+    boundary holds the live vertices with a live neighbor in another part.
+    Both are computed when first read and kept.
     """
 
     ids: np.ndarray
     shifts: np.ndarray
-    shift: np.ndarray
     g: Graph = field(repr=False, compare=False)
 
     @cached_property
@@ -96,21 +89,38 @@ class LddResult:
     def boundary(self) -> VertexMask:
         return _boundary(self.g, self.center)
 
-    @cached_property
-    def largest_part(self) -> int:
-        """The size of the largest part, 0 when nothing is live."""
-        return int(np.bincount(self.center[self.ids]).max()) if self.ids.size else 0
+    def large_component(self, n: int) -> int | None:
+        """The smallest id of the component of live minus `boundary` that
+        holds more than 2n/3 of n, or None; n is at least the live count.
 
-    def part_bound(self) -> int:
-        """At least `largest_part`, and equal to it when some shift is >= 2;
-        otherwise 1 + the largest degree in g among the live vertices with
-        shift >= 1, or 1 when there are none, and no center is assigned."""
-        if not self.ids.size or self.shifts.max() >= 2.0:
-            return self.largest_part
-        near = self.ids[self.shifts >= 1.0]
-        if not near.size:
-            return 1
-        return 1 + int((self.g.indptr[near + 1] - self.g.indptr[near]).max())
+        Each test runs only when the ones before it pass:
+        - while every shift is below 2, a member u of c's part has
+          dist_live(c, u) <= shift[c] < 2, so the part lies in c's closed
+          neighborhood, and is c alone when shift[c] < 1: 1 + the largest
+          degree among the ids with shift >= 1 caps every part, and no
+          center is assigned;
+        - the part sizes.  Parts are disjoint, so only one can exceed 2n/3;
+        - that part less the boundary.  The boundary holds both ends of
+          every live edge between parts, so each component of live minus it
+          lies in one part's interior;
+        - one component pass on that interior.
+        """
+        if not self.ids.size:
+            return None
+        if self.shifts.max() < 2.0:
+            near = self.ids[self.shifts >= 1.0]
+            degree = self.g.indptr[near + 1] - self.g.indptr[near]
+            if 3 * (1 + int(degree.max(initial=0))) <= 2 * n:
+                return None
+        sizes = np.bincount(self.center[self.ids])
+        c = int(np.argmax(sizes))
+        if 3 * int(sizes[c]) <= 2 * n:
+            return None
+        inner = (self.center == c) & ~self.boundary.bits
+        if 3 * np.count_nonzero(inner) <= 2 * n:
+            return None
+        label, sizes = connected_components(self.g, VertexMask(inner))
+        return int(np.argmax(label == 0)) if 3 * int(sizes[0]) > 2 * n else None
 
 
 def _boundary(g: Graph, center: np.ndarray) -> VertexMask:
@@ -131,13 +141,10 @@ def ldd(g: Graph, live: VertexMask, delta: float, rng: SplitMix64) -> LddResult:
     if delta <= 0:
         raise InputError("delta must be positive")
     ids = live.ids()
-    shift = np.full(g.n, np.nan)
     if ids.size == 0:
-        return LddResult(ids, np.empty(0), shift, g)
+        return LddResult(ids, np.empty(0), g)
     rate = 2.0 * math.log(max(ids.size, 2)) / delta
-    shifts = truncated_exponential(rng.block_floats(ids.size), rate, delta / 2.0)
-    shift[ids] = shifts
-    return LddResult(ids, shifts, shift, g)
+    return LddResult(ids, truncated_exponential(rng.block_floats(ids.size), rate, delta / 2.0), g)
 
 
 def _assign(g: Graph, ids: np.ndarray, shifts: np.ndarray) -> np.ndarray:

@@ -29,11 +29,10 @@ reaches 2n/3 of the graph in g - {0}: that one BFS before the loop yields
 the first branch's vertex and the first live part.  Only otherwise does one
 component pass on g - {0} yield them with g's largest component (see
 `_prologue`).  Verifying the separator counts component sizes without
-labelling them.  Step 1 labels live minus the LDD boundary only when some
-part's interior could hold a component over 2n/3, and reads the boundary,
-an extra pass over the edges, only when some part is that large or when
-it finishes with S; it assigns the LDD's centers only when a bound read
-from the shifts allows a part that large, or for S.
+labelling them.  Step 1 asks the LDD for a component over 2n/3 of live
+minus its boundary (`LddResult.large_component`, which builds no more of
+the decomposition than that answer needs) and reads the boundary
+otherwise only when it finishes with S.
 
 The branches' live neighbors are carried across iterations in
 `DriverState.nbrs`: steps 2, 3 and 4 only shrink live, so each trim
@@ -57,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomp import LddResult, ldd
+from .decomp import ldd
 from .errors import InputError, SelfVerificationError
 from .graph import (
     Graph,
@@ -342,31 +341,14 @@ def _update_live(st: DriverState, rest: VertexMask) -> None:
         st.first_search = (st.live, dist)
 
 
-def _interior_bound(res: LddResult, inner: np.ndarray) -> int:
-    """Size of the largest part interior, `inner` being live minus the LDD
-    boundary.  The boundary holds both ends of every live edge between
-    distinct parts, so each component of `inner` lies in one part's interior
-    and is no larger."""
-    centers = res.center[inner]
-    return int(np.bincount(centers).max()) if centers.size else 0
-
-
 def step1_decompose(st: DriverState) -> LayeredView | None:
     """LDD the live part; a LayeredView, or None once S is set as step1_sep.
 
-    A component of live minus the boundary centers the view when it holds
-    more than 2n/3.  No component outgrows its part's interior (see
-    `_interior_bound`), so the component pass runs only when some interior
-    does.  On sparse inputs none comes close: on grid 316² at delta = 108
-    the largest interior held 1,100 to 1,359 vertices over 4 seeds, against
-    2n/3 of about 66,600.  An interior is no larger than its part, whose
-    size the centers give without the boundary, so the boundary and the
-    interiors are built only when some part holds over 2n/3.  Otherwise
-    the boundary is read only when it becomes S.  Nor does a part outgrow
-    `LddResult.part_bound`, which needs no centers while every shift is
-    below 2, so the centers are assigned only when that bound exceeds
-    2n/3.  On gnp(450, 0.045) at h = 10 and 12 (delta = 4) it is 1 + the
-    largest degree, far below 2n/3, and a centred iteration assigns none.
+    A component of live minus the boundary centers the view, on its
+    smallest id, when it holds more than 2n/3 (`LddResult.large_component`).
+    On sparse inputs none comes close: on grid 316² at delta = 108 the
+    largest interior held 1,100 to 1,359 vertices over 4 seeds, against 2n/3
+    of about 66,600.  Otherwise the boundary is read only when it becomes S.
 
     When every post-LDD component is small but the live part is tiny, an
     exact scan may still find a vertex whose delta-ball holds 2n/3 of the
@@ -384,12 +366,9 @@ def step1_decompose(st: DriverState) -> LayeredView | None:
     """
     res = ldd(st.g, st.live, float(st.delta), st.rng_ldd)
     st.stats["ldd_calls"] += 1
-    if 3 * res.part_bound() > 2 * st.n and 3 * res.largest_part > 2 * st.n:
-        inner = st.live.bits & ~res.boundary.bits
-        if 3 * _interior_bound(res, inner) > 2 * st.n:
-            label, sizes = connected_components(st.g, VertexMask(inner))
-            if 3 * int(sizes[0]) > 2 * st.n:
-                return _layered_view(st, bfs_layers(st.g, st.live, int(np.argmax(label == 0))))
+    root = res.large_component(st.n)
+    if root is not None:
+        return _layered_view(st, bfs_layers(st.g, st.live, root))
     if st.live.size <= EXACT_CENTER_LIMIT:
         mask, dist = st.first_search
         if mask is not st.live:

@@ -66,6 +66,34 @@ def parts(center):
     return [(c, np.array(vs, dtype=np.int64)) for c, vs in sorted(grouped.items())]
 
 
+def large_inner_component(g, live, center, n):
+    """Step 1's question of an LDD with centers `center`, answered in full:
+    the smallest id of rank 0 of `connected_components` on live minus every
+    vertex with a live neighbor of another center, when that component
+    holds more than 2n/3 of n; else None."""
+    cut = {v for u, w in np_edges(g) for v in (u, w)
+           if center[u] >= 0 and center[w] >= 0 and center[u] != center[w]}
+    inner = VertexMask.from_ids(g.n, [v for v in live.ids().tolist() if v not in cut])
+    label, sizes = connected_components(g, inner)
+    return int(np.argmax(label == 0)) if sizes.size and 3 * int(sizes[0]) > 2 * n else None
+
+
+def count_calls(monkeypatch, targets):
+    """Wrap each (module, attribute, key) target to count its calls under
+    key; returns the dict of counts, zero for every key."""
+    calls = dict.fromkeys((key for _, _, key in targets), 0)
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, attr, key in targets:
+        monkeypatch.setattr(module, attr, counted(key, getattr(module, attr)))
+    return calls
+
+
 def lexsort_csr(n, pairs):
     """(indptr, indices) of the simple graph on `pairs` as the lexsort build
     made them: dedupe on (min, max), store both orientations, order by

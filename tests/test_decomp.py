@@ -9,7 +9,17 @@ from minorsep.errors import InputError
 from minorsep.graph import VertexMask, bfs_layers, build_graph, connected_components
 from minorsep.rng import stream
 
-from helpers import adjacency, bfs_dist, component_lists, gen, heap_partition, np_edges, parts
+from helpers import (
+    adjacency,
+    bfs_dist,
+    component_lists,
+    count_calls,
+    gen,
+    heap_partition,
+    large_inner_component,
+    np_edges,
+    parts,
+)
 
 
 CASES = [
@@ -20,6 +30,13 @@ CASES = [
     ("tree", (60,), 7.0),
     ("path", (40,), 10.0),
 ]
+
+
+def shift_map(res):
+    """The shift each live vertex drew, NaN elsewhere."""
+    shift = np.full(res.g.n, np.nan)
+    shift[res.ids] = res.shifts
+    return shift
 
 
 def run(case, seed, live=None):
@@ -44,6 +61,7 @@ def test_path10_frozen_partition():
 def test_partition_properties(case, seed):
     g, live, delta, res = run(case, seed)
     center = res.center
+    shift = shift_map(res)
 
     # exactly the live vertices are assigned
     assert np.array_equal(center >= 0, live.bits)
@@ -56,8 +74,8 @@ def test_partition_properties(case, seed):
         assert len(component_lists(*connected_components(g, sub))) == 1
         # strong radius: every member within shift[c] < delta/2 of the center
         dist = bfs_layers(g, live, c)
-        assert res.shift[c] < delta / 2.0
-        assert np.all(dist[members] <= res.shift[c])
+        assert shift[c] < delta / 2.0
+        assert np.all(dist[members] <= shift[c])
         # weak diameter <= delta between any two members, via live distances
         far = members[np.argmax(dist[members])]
         dist = bfs_layers(g, live, int(far))
@@ -93,7 +111,7 @@ def test_matches_heap_reference(family, params, delta, masked):
         part = ldd(g, live, delta, stream(seed, "ldd"))
         center, shift = heap_partition(g, live, delta, stream(seed, "ldd"))
         assert np.array_equal(part.center, center)
-        assert np.array_equal(part.shift[live.ids()], shift[live.ids()])
+        assert np.array_equal(shift_map(part), shift, equal_nan=True)
 
 
 @pytest.mark.parametrize("family,params", ORACLE_GRAPHS, ids=lambda p: str(p))
@@ -113,7 +131,7 @@ def test_matches_heap_reference_on_tied_keys(family, params, step, monkeypatch):
             part = ldd(g, live, 11.0, stream(seed, "ldd"))
             center, shift = heap_partition(g, live, 11.0, stream(seed, "ldd"))
             assert np.array_equal(part.center, center)
-            assert np.array_equal(part.shift[live.ids()], shift[live.ids()])
+            assert np.array_equal(shift_map(part), shift, equal_nan=True)
 
 
 @pytest.mark.parametrize("case", CASES[:4], ids=lambda c: f"{c[0]}{c[1]}")
@@ -140,7 +158,7 @@ def test_respects_mask(seed):
     live = VertexMask(np.arange(g.n) % 3 != 0)
     res = ldd(g, live, 7.0, stream(seed, "ldd"))
     assert np.all(res.center[~live.bits] == -1)
-    assert np.isnan(res.shift[~live.bits]).all()
+    assert np.isnan(shift_map(res)[~live.bits]).all()
     assert not np.any(res.boundary.bits & ~live.bits)
     # distances used are live distances: parts stay inside live components
     for c, members in parts(res.center):
@@ -161,7 +179,7 @@ def test_empty_live_and_bad_delta():
     g = gen("path", 5)
     res = ldd(g, VertexMask.empty(5), 4.0, stream(0, "ldd"))
     assert parts(res.center) == []
-    assert np.isnan(res.shift).all()
+    assert res.ids.size == res.shifts.size == 0
     assert res.boundary.size == 0
     with pytest.raises(InputError):
         ldd(g, VertexMask.full(5), 0.0, stream(0, "ldd"))
@@ -241,7 +259,7 @@ def test_matches_heap_reference_at_bucket_edges(family, params, delta, toward, m
         for seed in range(3):
             part = ldd(g, live, delta, stream(seed, "ldd"))
             center, shift = heap_partition(g, live, delta, stream(seed, "ldd"))
-            assert np.array_equal(part.shift[live.ids()], shift[live.ids()])
+            assert np.array_equal(shift_map(part), shift, equal_nan=True)
             assert np.array_equal(part.center, center)
 
 
@@ -280,28 +298,38 @@ def live_graphs(draw):
     return g, VertexMask(bits)
 
 
-def largest_heap_part(g, live, delta, rng):
-    return max((m.size for _, m in parts(heap_partition(g, live, delta, rng)[0])), default=0)
+def largest_part(center):
+    return max((m.size for _, m in parts(center)), default=0)
+
+
+def degree_cap(g, ids, shifts):
+    """1 + the largest degree among `ids` whose shift is at least 1."""
+    return 1 + max((g.degree(v) for v, s in zip(ids.tolist(), shifts.tolist()) if s >= 1.0),
+                   default=0)
 
 
 @given(live_graphs(), st.integers(0, 2**32 - 1),
-       st.one_of(st.floats(0.1, 4.0), st.floats(0.1, 40.0)))
-def test_part_bound_caps_the_largest_part(graph_live, seed, delta):
-    # with delta <= 4 every shift is below 2, so the bound comes from the
-    # degrees and no center is assigned; above 4 the largest shift is
-    # mostly 2 or more, and the bound is then the largest part itself
+       st.one_of(st.floats(0.1, 4.0), st.floats(0.1, 40.0)), st.integers(0, 30))
+def test_part_bound_caps_the_largest_part(graph_live, seed, delta, extra):
+    # with delta <= 4 every shift is below 2, so the degree cap bounds every
+    # part and `large_component` assigns no center while the cap is at most
+    # 2n/3; from 2 on it assigns them, once, and reads the largest part
     g, live = graph_live
+    n = live.size + extra
     with pytest.MonkeyPatch.context() as mp:
-        tally = count_gathers(mp)
+        tally = count_calls(mp, [(decomp, "_assign", "assign")])
         res = ldd(g, live, delta, stream(seed, "ldd"))
-        bound = res.part_bound()
-        shifts = res.shift[live.ids()]
-        # the assignment gathers edges in every bucket
-        assert (tally["calls"] > 0) == (live.size > 0 and shifts.max() >= 2.0)
-    largest = largest_heap_part(g, live, delta, stream(seed, "ldd"))
-    assert bound >= largest
-    if live.size and shifts.max() >= 2.0:
-        assert bound == largest == res.largest_part
+        root = res.large_component(n)
+    center, _ = heap_partition(g, live, delta, stream(seed, "ldd"))
+    if not live.size:
+        assert tally["assign"] == 0
+    elif res.shifts.max() >= 2.0:
+        assert tally["assign"] == 1
+    else:
+        cap = degree_cap(g, res.ids, res.shifts)
+        assert largest_part(center) <= cap
+        assert tally["assign"] == (3 * cap > 2 * n)
+    assert root == large_inner_component(g, live, center, n)
 
 
 @pytest.mark.parametrize("value", [1.0, np.nextafter(2.0, 0.0), 2.0], ids=["1", "2-ulp", "2"])
@@ -311,17 +339,50 @@ def test_part_bound_caps_the_largest_part(graph_live, seed, delta):
 def test_part_bound_at_the_shift_thresholds(family, params, value, monkeypatch):
     # a third of the vertices draw `value`, the rest 0: from 1 on their
     # offers tie or beat the start keys of their neighbors, and at 2 those
-    # of their neighbors' neighbors, which the degree bound cannot see
+    # of their neighbors' neighbors, which the degree cap cannot see.  Below
+    # 2 no center is assigned while the cap is at most 2n/3; at 2 they are.
     def two_shifts(u, rate, cap):
         return np.where(u < 1 / 3, value, 0.0)
 
     monkeypatch.setattr("minorsep.decomp.truncated_exponential", two_shifts)
     monkeypatch.setattr("helpers.truncated_exponential", two_shifts)
     g = gen(family, *params, seed=1)
+    tally = count_calls(monkeypatch, [(decomp, "_assign", "assign")])
     for live in (VertexMask.full(g.n), VertexMask(np.arange(g.n) % 5 != 2)):
         for seed in range(4):
-            res = ldd(g, live, 5.0, stream(seed, "ldd"))
-            largest = largest_heap_part(g, live, 5.0, stream(seed, "ldd"))
-            assert res.part_bound() >= largest
-            if value == 2.0:
-                assert res.part_bound() == largest
+            center, shift = heap_partition(g, live, 5.0, stream(seed, "ldd"))
+            cap = degree_cap(g, live.ids(), shift[live.ids()])
+            if value < 2.0:
+                assert largest_part(center) <= cap
+            for n in (live.size, 3 * live.size // 2, 2 * live.size):
+                tally["assign"] = 0
+                res = ldd(g, live, 5.0, stream(seed, "ldd"))
+                root = res.large_component(n)
+                assert tally["assign"] == (value == 2.0 or 3 * cap > 2 * n)
+                assert root == large_inner_component(g, live, center, n)
+
+
+def test_large_component_gates_at_exactly_two_thirds(monkeypatch):
+    # Center 5 (shift 3) takes every vertex but 4 (shift 1.5): a part of 16.
+    # Its members 2 and 3 touch 4, so its interior holds 14 in two
+    # components, {0, 1} and the clique 5..16 of 12.  Each gate in turn
+    # sits exactly at 2n/3, at n = 18, 21 and 24, and passes below it.
+    edges = [(0, 1), (0, 2), (1, 2), (2, 4), (3, 4), (2, 5), (3, 5)]
+    edges += [(u, v) for u in range(5, 17) for v in range(u + 1, 17)]
+    g = build_graph(17, edges)
+    shift = np.zeros(17)
+    shift[[4, 5]] = [1.5, 3.0]
+    monkeypatch.setattr("minorsep.decomp.truncated_exponential", lambda u, rate, cap: shift)
+    tally = count_calls(monkeypatch, [(decomp, "_boundary", "boundary"),
+                                      (decomp, "connected_components", "labelled")])
+    live = VertexMask.full(17)
+    for n, root, built, labelled in ((17, 5, 1, 1), (18, None, 1, 1), (21, None, 1, 0),
+                                     (24, None, 0, 0)):
+        tally["boundary"] = tally["labelled"] = 0
+        res = ldd(g, live, 8.0, stream(0, "ldd"))
+        assert res.large_component(n) == root
+        assert (tally["boundary"], tally["labelled"]) == (built, labelled)
+        assert large_inner_component(g, live, res.center, n) == root
+    assert [(c, m.tolist()) for c, m in parts(res.center)] == [
+        (4, [4]), (5, [0, 1, 2, 3, *range(5, 17)]),
+    ]

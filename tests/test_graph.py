@@ -60,6 +60,12 @@ def test_build_rejects_bad_input():
         build_graph(-1, [])
 
 
+@pytest.mark.parametrize("edges", [[0, 1, 2], [(0, 1, 2), (1, 2, 0)]], ids=["1-D", "3-column"])
+def test_build_rejects_edges_that_are_not_pairs(edges):
+    with pytest.raises(InputError, match="edge list must be pairs"):
+        build_graph(3, edges)
+
+
 def test_build_empty_and_edgeless():
     g = build_graph(0, [])
     assert g.n == 0 and g.m == 0

@@ -83,6 +83,12 @@ def test_add_branch_rejects_bad_sets():
     assert m2.size == 2
 
 
+@pytest.mark.parametrize("ids", [[4], [-1], [1, 9]])
+def test_add_branch_rejects_out_of_range_ids(ids):
+    with pytest.raises(ModelError, match=r"vertex id out of range 0\.\.3"):
+        add_branch(new_model(4, 0), K4, ids)
+
+
 def test_grow_branch():
     m = new_model(4, 0)
     m = grow_branch(m, P4, 0, [1, 2])

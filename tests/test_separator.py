@@ -15,7 +15,6 @@ from minorsep.separator import (
     BalancedSeparator,
     MinorWitness,
     _first_id_depths,
-    _interior_bound,
     _prologue,
     _scan_after_first,
     balanced_separator,
@@ -25,9 +24,12 @@ from minorsep.separator import (
 from minorsep.verify import verify_balanced, verify_witness
 
 from helpers import (
+    count_calls,
     deep_anchor,
     fallback_tree,
     gen,
+    heap_partition,
+    large_inner_component,
     loop_exact_center,
     retired_fallback,
     two_pass_prologue,
@@ -249,53 +251,40 @@ def test_prologue_cases(n, edges, expect):
 
 @st.composite
 def ldd_inputs(draw):
-    g = draw(sparse_graphs(max_n=24))
-    live = VertexMask(np.array(draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n)),
-                               dtype=bool))
-    delta = draw(st.floats(0.5, 40.0))
+    g = draw(st.one_of(sparse_graphs(max_n=24), near_connected_graphs(max_n=24)))
+    # live is whole, or a random subset that often splits the graph
+    keep = st.lists(st.booleans(), min_size=g.n, max_size=g.n)
+    live = VertexMask(np.array(draw(st.one_of(st.just([True] * g.n), keep)), dtype=bool))
+    # far above the diameter one part often holds a whole component
+    delta = draw(st.one_of(st.floats(0.5, 40.0), st.floats(40.0, 1.0e4)))
     return g, live, delta, draw(st.integers(0, 2**32 - 1))
 
 
-def largest_inner_component(g, live, res):
-    inner = live.bits & ~res.boundary.bits
-    sizes = connected_components(g, VertexMask(inner))[1]
-    return inner, int(sizes[0]) if sizes.size else 0
-
-
 @settings(max_examples=200)
-@given(ldd_inputs())
-def test_interior_bound_covers_every_inner_component(args):
+@given(ldd_inputs(), st.integers(1, 6))
+def test_large_component_matches_a_component_pass(args, extra):
+    # step 1 passes the original n, which may exceed the live count
     g, live, delta, seed = args
-    res = ldd(g, live, delta, stream(seed, "ldd"))
-    inner, largest = largest_inner_component(g, live, res)
-    assert _interior_bound(res, inner) >= largest
+    center, _ = heap_partition(g, live, delta, stream(seed, "ldd"))
+    for n in (live.size, live.size + extra, 2 * live.size):
+        res = ldd(g, live, delta, stream(seed, "ldd"))
+        assert res.large_component(n) == large_inner_component(g, live, center, n)
 
 
 @pytest.mark.parametrize("family,params", [("complete", (12,)), ("gnp", (60, 0.3))])
-def test_interior_bound_lets_the_pass_run_when_one_part_dominates(family, params):
+def test_interior_bound_lets_the_pass_run_when_one_part_dominates(family, params, monkeypatch):
     # a delta far above the diameter leaves one part and no boundary, so the
-    # bound is n and step 1 still labels the components
+    # part's interior is all of live, and the component pass finds it while
+    # it holds more than 2n/3
     g = gen(family, *params, seed=1)
     live = VertexMask.full(g.n)
-    res = ldd(g, live, 1.0e4, stream(1, "ldd"))
-    inner, largest = largest_inner_component(g, live, res)
-    assert _interior_bound(res, inner) == largest == g.n
-
-
-def count_calls(monkeypatch, targets):
-    """Wrap each (module, attribute, key) target to count its calls under
-    key; returns the dict of counts, zero for every key."""
-    calls = dict.fromkeys((key for _, _, key in targets), 0)
-
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for module, attr, key in targets:
-        monkeypatch.setattr(module, attr, counted(key, getattr(module, attr)))
-    return calls
+    calls = count_calls(monkeypatch, [(decomp, "connected_components", "labelled")])
+    for n, root, labelled in ((g.n, 0, 1), ((3 * g.n - 1) // 2, 0, 1), (3 * g.n // 2, None, 0)):
+        calls["labelled"] = 0
+        res = ldd(g, live, 1.0e4, stream(1, "ldd"))
+        assert res.large_component(n) == root
+        assert calls["labelled"] == labelled
+        assert res.boundary.size == 0
 
 
 @pytest.fixture
@@ -305,6 +294,7 @@ def pass_count(monkeypatch):
     return count_calls(monkeypatch, [
         (separator, "_reach_without", "reach"),
         (separator, "connected_components", "labelled"),
+        (decomp, "connected_components", "labelled"),
         (verify, "_component_sizes", "sizes"),
         (graph, "_raw_components", "passes"),
     ])
@@ -372,24 +362,33 @@ def test_centred_iterations_build_no_boundary(monkeypatch):
     assert calls == {"boundary": 0}
 
 
-@pytest.mark.parametrize("family,params,h,per_call", [
-    ("gnp", (450, 0.045), 10, 0),
-    ("grid", (40, 40), 15, 1),
-    ("complete", (150,), 15, 1),
-], ids=["gnp-h10", "grid-h15", "complete-h15"])
+@pytest.mark.parametrize("family,params,h,counts", [
+    ("gnp", (450, 0.045), 8, [(7, 7, 0)] * 3),
+    ("gnp", (450, 0.045), 10, [(9, 0, 0)] * 3),
+    ("gnp", (450, 0.045), 12, [(11, 0, 0)] * 3),
+    ("grid", (40, 40), 15, [(1, 1, 1)] * 3),
+    ("complete", (150,), 15, [(14, 14, 14), (14, 14, 13), (14, 14, 13)]),
+    ("grid", (22, 22), 5, [(1, 1, 1)] * 3),
+    ("cycle", (500,), 5, [(1, 1, 1)] * 3),
+    ("path", (500,), 5, [(1, 1, 1)] * 3),
+], ids=["gnp-h8", "gnp-h10", "gnp-h12", "grid-h15", "complete-h15", "grid22-h5",
+        "cycle500-h5", "path500-h5"])
 def test_step1_assigns_centers_only_past_the_shift_bound(monkeypatch, family, params, h,
-                                                         per_call):
-    # gnp at h = 10 has delta = 4, so every shift is below 2, and 1 + its
-    # largest degree is far below 2n/3: no step 1 assigns the centers.  The
-    # grid's shifts reach 2, and K_150's degree bound exceeds 2n/3, so each
-    # of their LDD calls assigns them once, however often they are read.
-    calls = count_calls(monkeypatch, [(decomp, "_assign", "assign")])
+                                                         counts):
+    # (ldd calls, center assignments, boundaries built) for solver seeds
+    # 0-2.  gnp at h = 10 and 12 has delta = 4, so every shift is below 2,
+    # and 1 + its largest degree is far below 2n/3: no step 1 assigns the
+    # centers.  At h = 8 (delta = 6) the shifts reach 2, so each call assigns
+    # them, but no part holds 2n/3 and no boundary is built.  K_150's degree
+    # cap and its parts exceed 2n/3, so most calls build the boundary too;
+    # the sparse inputs assign once, and build the boundary only as S.
+    calls = count_calls(monkeypatch, [(decomp, "_assign", "assign"),
+                                      (decomp, "_boundary", "boundary")])
     g = gen(family, *params, seed=7)
-    for seed in range(3):
-        calls["assign"] = 0
+    for seed, want in enumerate(counts):
+        calls["assign"] = calls["boundary"] = 0
         out = balanced_separator(g, h, seed=seed)
-        assert out.stats["ldd_calls"] >= 1
-        assert calls["assign"] == per_call * out.stats["ldd_calls"]
+        assert (out.stats["ldd_calls"], calls["assign"], calls["boundary"]) == want
 
 
 @pytest.mark.parametrize("family,params", [("grid", (40, 40)), ("cycle", (2000,))])

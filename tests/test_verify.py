@@ -145,6 +145,18 @@ def test_invariants_catch_model_too_large():
     assert "model_small_and_valid" in failing(check_invariants(s))
 
 
+def test_invariants_catch_disconnected_branch():
+    s = healthy_state()
+    # opposite corners of the grid: the branch is small but not connected
+    s.model = model_from([[0, 15]], 16)
+    s.live = VertexMask.from_ids(16, range(1, 15))
+    s.nbrs = [np.array([1, 4, 11, 14])]
+    r = check_invariants(s)
+    assert failing(r) == {"model_small_and_valid"}
+    detail = next(d for name, _, d in r.checks if name == "model_small_and_valid")
+    assert detail == "|K|=1 <= h-1=3: True; disconnected branches [0] (1 in all)"
+
+
 def test_invariants_catch_live_overlap():
     s = healthy_state()
     s.live = VertexMask.from_ids(16, list(range(16)))  # includes branch vertex 0
