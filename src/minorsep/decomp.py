@@ -18,7 +18,12 @@ label and the offers: the lowest key, then the smallest center among the
 offers tied on it.  The loop visits integer buckets b in ascending order,
 each the floor of the lowest open key, so empty stretches are skipped.  In
 bucket b every open vertex whose key is below b + 1 is settled: it is
-closed, its edges are gathered once, and it offers.
+closed and, when its key is at most -1, its edges are gathered once and it
+offers.  A key above -1 would offer above 0, and no key is ever above 0 (it
+starts at -shift <= 0 and only falls), so such an offer could win nothing;
+those keys settle from bucket -1 on, so only those buckets test for them.
+A key of exactly -1 still offers: 0.0 ties a zero shift's start key -0.0
+and wins on a smaller center.
 
 Settled labels are final.  Every later offer comes from a key of at least b,
 so it is at least fl(b + 1.0) = b + 1 (rounding is monotone), strictly above
@@ -175,6 +180,9 @@ def _assign(g: Graph, ids: np.ndarray, shifts: np.ndarray) -> np.ndarray:
         # a vertex can be offered to twice and also start in this bucket
         settle = _sorted_unique(pool[is_open[pool]])
         is_open[settle] = False
+        if b >= -1:
+            # a key above -1 offers above 0, above every live key
+            settle = settle[key[settle] <= -1.0]
         src, tgt = _gather(g, settle)
         cand = key[src] + 1.0
         k_old = key[tgt]

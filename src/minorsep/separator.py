@@ -62,7 +62,6 @@ from .graph import (
     Graph,
     VertexMask,
     _ball_sizes,
-    _masked_adjacency,
     _reach_without,
     _sorted_unique,
     bfs_layers,
@@ -310,14 +309,16 @@ def _scan_after_first(g: Graph, live: VertexMask, r: int, n: int) -> np.ndarray 
     """The BFS depth array within live from the smallest id but live's
     first whose radius-r ball holds 2n/3 of n, or None when none passes.
 
-    The ids are tested in one csgraph pass on the masked matrix, and the first
-    passing one is searched again in full.  Step 1 calls this only on at
-    most EXACT_CENTER_LIMIT live ids, and only while 3|live| >= 2n, so the
-    pass's distance matrix is at most 511 x 768 float64 entries (about
-    3.1 MB).
+    The ids are tested by one bit-parallel BFS from every live id
+    (`_ball_sizes`), and the first passing one is searched again in full.
+    Step 1 calls this only on at most EXACT_CENTER_LIMIT live ids, so the
+    BFS keeps at most 8 words per live id, and each of its rounds gathers 8
+    words per live edge end and per live id: about 150 KB on grid 22², and
+    16.8 MB on a 512-vertex clique, where the first id passes and no scan
+    runs.
     """
     rest = live.ids()[1:]
-    hits = rest[3 * _ball_sizes(_masked_adjacency(g, live.bits), r, rest) >= 2 * n]
+    hits = rest[3 * _ball_sizes(g, live, r, rest) >= 2 * n]
     return bfs_layers(g, live, int(hits[0])) if hits.size else None
 
 
@@ -360,9 +361,9 @@ def step1_decompose(st: DriverState) -> LayeredView | None:
     inputs the first id passes, and its BFS depth array is the view.  The
     last live update's search in `first_search` stands in for the first
     test while its mask is live.  A scan that rejects every
-    id, as on sparse inputs, costs one BFS and one csgraph pass rather than
-    one BFS per live vertex: a whole solve of grid 22², cycle 500 or path
-    500 takes 2-8 ms (2 vCPUs).
+    id, as on sparse inputs, costs one BFS and one bit-parallel BFS from
+    every live id rather than one BFS per live vertex: a whole solve of
+    grid 22², cycle 500 or path 500 takes 1.2-2.2 ms (2 vCPUs).
     """
     res = ldd(st.g, st.live, float(st.delta), st.rng_ldd)
     st.stats["ldd_calls"] += 1

@@ -32,11 +32,18 @@ def heap_partition(g, live, delta, rng):
     smallest center.  Returns (center array, shift array); both are filled
     on the live ids only.
     """
+    return heap_labels(g, live, delta, rng)[:2]
+
+
+def heap_labels(g, live, delta, rng):
+    """`heap_partition`'s (center, shift) and the key each live vertex
+    settled with, NaN elsewhere."""
     ids = live.ids()
     center = np.full(g.n, -1, dtype=np.int64)
     shift = np.full(g.n, np.nan)
+    final = np.full(g.n, np.nan)
     if ids.size == 0:
-        return center, shift
+        return center, shift, final
     rate = 2.0 * math.log(max(ids.size, 2)) / delta
     shifts = truncated_exponential(rng.block_floats(ids.size), rate, delta / 2.0)
     shift[ids] = shifts
@@ -48,11 +55,12 @@ def heap_partition(g, live, delta, rng):
         if center[v] >= 0:
             continue
         center[v] = c
+        final[v] = key
         settled += 1
         for w in g.indices[g.indptr[v]:g.indptr[v + 1]].tolist():
             if live.bits[w] and center[w] < 0:
                 heapq.heappush(heap, (key + 1.0, c, w))
-    return center, shift
+    return center, shift, final
 
 
 def parts(center):

@@ -15,6 +15,7 @@ from helpers import (
     component_lists,
     count_calls,
     gen,
+    heap_labels,
     heap_partition,
     large_inner_component,
     np_edges,
@@ -229,17 +230,40 @@ def count_gathers(monkeypatch):
     ("gnp", (500, 0.008), 9.37, True),
 ], ids=["grid", "cycle", "gnp-masked"])
 def test_each_vertex_settles_once(family, params, delta, masked, monkeypatch):
-    # every live vertex gathers its edges exactly once per assignment, which
-    # runs when the centers are first read
+    # every live vertex whose final key is at most -1 gathers its edges
+    # exactly once per assignment, which runs when the centers are first
+    # read; the others offer above 0, above every key, and gather nothing
     g = gen(family, *params, seed=2)
     live = VertexMask(np.arange(g.n) % 9 != 4) if masked else VertexMask.full(g.n)
     tally = count_gathers(monkeypatch)
+    skipped = 0
     for seed in range(3):
         tally["vertices"] = 0
         part = ldd(g, live, delta, stream(seed, "ldd"))
-        center, _ = heap_partition(g, live, delta, stream(seed, "ldd"))
+        center, _, key = heap_labels(g, live, delta, stream(seed, "ldd"))
         assert np.array_equal(part.center, center)
-        assert tally["vertices"] == live.size
+        offering = np.count_nonzero(key[live.ids()] <= -1.0)
+        assert tally["vertices"] == offering
+        skipped += live.size - offering
+    assert skipped > 0
+
+
+def test_key_of_minus_one_ties_a_zero_shift(monkeypatch):
+    # On the path 0..4, ends 0 and 4 draw shift 1.0 (key -1) and the rest 0
+    # (key -0.0).  0's offer of 0.0 ties 1's start key and wins on the
+    # smaller center; 4's ties 3's and loses on the larger one.  Only the
+    # two ends gather: the other keys are above -1.
+    shift = np.array([1.0, 0.0, 0.0, 0.0, 1.0])
+    monkeypatch.setattr("minorsep.decomp.truncated_exponential", lambda u, rate, cap: shift)
+    monkeypatch.setattr("helpers.truncated_exponential", lambda u, rate, cap: shift)
+    g = gen("path", 5)
+    live = VertexMask.full(5)
+    tally = count_gathers(monkeypatch)
+    part = ldd(g, live, 4.0, stream(0, "ldd"))
+    center, _, key = heap_labels(g, live, 4.0, stream(0, "ldd"))
+    assert part.center.tolist() == center.tolist() == [0, 0, 2, 3, 4]
+    assert key.tolist() == [-1.0, 0.0, 0.0, 0.0, -1.0]
+    assert tally["vertices"] == 2
 
 
 @pytest.mark.parametrize("toward", [0.0, -np.inf, np.inf], ids=["on", "below", "above"])
@@ -265,18 +289,20 @@ def test_matches_heap_reference_at_bucket_edges(family, params, delta, toward, m
 
 @pytest.mark.parametrize("delta", [0.25, 0.5, 0.999])
 def test_delta_below_one_keeps_every_vertex_its_own_center(delta, monkeypatch):
-    # every shift is below 1/2, so every offer (above 1/2) loses to every
-    # start key (at most 0): one bucket below 0, and bucket 0 for a zero shift
+    # every shift is below 1/2, so every key is above -1/2 and no vertex
+    # offers: the one bucket below 0, and bucket 0 for a zero shift, gather
+    # no edge
     g = gen("grid", 12, 12)
     tally = count_gathers(monkeypatch)
     for live in (VertexMask.full(g.n), VertexMask(np.arange(g.n) % 4 != 0)):
         for seed in range(3):
-            tally["calls"] = 0
+            tally["calls"] = tally["vertices"] = 0
             part = ldd(g, live, delta, stream(seed, "ldd"))
             ids = live.ids()
             assert part.center[ids].tolist() == ids.tolist()
             assert np.all(part.center[~live.bits] == -1)
             assert 1 <= tally["calls"] <= 2
+            assert tally["vertices"] == 0
 
 
 @pytest.mark.parametrize("delta", [1e17, 1e300])

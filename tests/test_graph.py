@@ -10,7 +10,6 @@ from minorsep.graph import (
     VertexMask,
     _ball_sizes,
     _component_sizes,
-    _masked_adjacency,
     _reach_without,
     ball,
     bfs_layers,
@@ -344,12 +343,34 @@ def test_ball_matches_distance_threshold(seed, r):
     assert b.ids().tolist() == want.tolist()
 
 
-@given(st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 2, 4, 9]))
-def test_ball_sizes_match_ball(seed, r):
+def check_ball_sizes(seed, k, density, lonely, r):
+    """`_ball_sizes` against `ball` with k live ids among k + k // 4 + 1
+    vertices.  A `lonely` share of the vertices has no edge, and others
+    lose every live neighbor to the mask; r None is past every diameter.
+    The sources are the live ids shuffled, less up to two."""
     rng = np.random.default_rng(seed)
-    n = 40
-    g = build_graph(n, random_edges(rng, n, 70))
-    for live in (VertexMask.full(n), VertexMask(rng.random(n) < 0.7)):
-        sources = live.ids()
-        sizes = _ball_sizes(_masked_adjacency(g, live.bits), r, sources)
-        assert sizes.tolist() == [ball(g, live, v, r).size for v in sources.tolist()]
+    n = k + k // 4 + 1
+    edges = random_edges(rng, n, 2 * n if density == "sparse" else n * n // 6)
+    cut = rng.random(n) < lonely
+    g = build_graph(n, [(u, v) for u, v in edges if not (cut[u] or cut[v])])
+    live = VertexMask.from_ids(n, rng.choice(n, k, replace=False))
+    r = n if r is None else r
+    sources = rng.permutation(live.ids())[:max(1, k - int(rng.integers(3)))]
+    sizes = _ball_sizes(g, live, r, sources)
+    assert sizes.tolist() == [ball(g, live, v, r).size for v in sources.tolist()]
+
+
+@given(st.integers(0, 2**32 - 1), st.one_of(st.sampled_from([1, 63, 64, 65, 128, 512]),
+                                            st.integers(1, 200)),
+       st.sampled_from(["sparse", "dense"]), st.sampled_from([0.0, 0.3]),
+       st.sampled_from([0, 1, 2, 3, 5, None]))
+def test_ball_sizes_match_ball(seed, k, density, lonely, r):
+    check_ball_sizes(seed, k, density, lonely, r)
+
+
+@pytest.mark.parametrize("k", [1, 63, 64, 65, 128, 512])
+@pytest.mark.parametrize("density,r", [("sparse", 0), ("sparse", None), ("dense", 2)])
+def test_ball_sizes_at_the_word_bounds(k, density, r):
+    # every live size next to a word bound, at r = 0, past the diameter,
+    # and on a dense graph
+    check_ball_sizes(k, k, density, 0.3, r)

@@ -495,11 +495,12 @@ def test_exact_center_respects_holes_in_live():
     ("subdivided_clique", (6, 20), 5), ("subdivided_clique", (9, 2), 9),
 ])
 def test_exact_center_matrix_stays_small(monkeypatch, family, params, h):
-    # `_scan_after_first` builds the only csgraph distance matrix, (|live| - 1)
-    # x n; step 1 scans at most EXACT_CENTER_LIMIT = 512 live vertices, and
-    # only while 3|live| >= 2n, so n <= 768.  The dense inputs pass at the
-    # first id and never scan; subdivided_clique(9, 2) scans 65 live ids
-    # after a failed live-update search.
+    # `_scan_after_first` keeps a bit column of ceil(|live| / 64) words per
+    # live id; step 1 scans at most EXACT_CENTER_LIMIT = 512 live vertices,
+    # so at most 8 words each, and only while 3|live| >= 2n, so n <= 768.
+    # The dense inputs pass at the first id and never scan;
+    # subdivided_clique(9, 2) scans 65 live ids after a failed live-update
+    # search.
     calls = []
 
     def recorded(g, live, r, n):
