@@ -39,14 +39,13 @@ The branches' live neighbors are carried across iterations in
 filters the carried sets, and only the branch that step 2 adds or step 3
 grows is gathered from the graph again.
 
-On a live part of at most EXACT_CENTER_LIMIT vertices one BFS from its
-smallest id serves three purposes (see `_first_id_depths`): it tests that id
-as step 1's center, its depth array is the view's layering, and after step
-2 or 3 it finds the new live part, which is then the search's reach, with
-no component pass.  `DriverState.first_search` holds that search's result
-with the live mask it describes, and step 1 reuses it while that mask is
-still live, so a centred iteration searches once and a failed search is
-not repeated.
+On a live part of at most EXACT_CENTER_LIMIT vertices step 1 takes as its
+center the smallest id whose delta-ball holds 2n/3 of the graph
+(`_exact_center`), and that search's depth array is the view's layering.
+After step 2 or 3 the same search runs on what is left, and
+`DriverState.center_search` keeps its result with the new live mask: a
+center's reach is the new live part, found with no component pass, and
+step 1 reuses the record while that mask is still live.
 """
 
 from __future__ import annotations
@@ -166,10 +165,11 @@ class DriverState:
     delta: int = 0
     ell_star: int = 0
     rng_ldd: object = None
-    # (mask, depths): `_first_id_depths` of the live mask `mask` as the last
-    # live update ran it, depths None when it failed; it describes live only
-    # while mask is live, and every assignment to live makes a new mask
-    first_search: tuple = (None, None)
+    # (mask, depths): the last live update's `_exact_center` result, depths
+    # None when no center passed, with the live mask `mask` it describes; it
+    # holds only while mask is live, and every assignment to live makes a
+    # new mask
+    center_search: tuple = (None, None)
     # each branch's live neighbors, as the last trim left them, with a branch
     # that steps 2 and 3 added or grew since gathered again; None before the
     # first trim
@@ -286,37 +286,26 @@ def _layered_view(st: DriverState, dist: np.ndarray) -> LayeredView:
     return LayeredView(root=root, dist=dist, sizes=sizes)
 
 
-def _first_id_depths(g: Graph, live: VertexMask, r: int, n: int) -> np.ndarray | None:
-    """The depth array of the BFS within live from its smallest id, when
-    that id's radius-r ball holds 2n/3 of n; else None.  live is nonempty.
+def _exact_center(g: Graph, live: VertexMask, r: int, n: int) -> np.ndarray | None:
+    """The BFS depth array within live from its smallest id whose radius-r
+    ball holds 2n/3 of n, or None when none does.
 
-    The radius-r search decides.  When it passes with vertices left at depth
-    r it may have stopped short, so it runs once more without the radius;
-    otherwise it already reached the root's whole component.  That is never
-    more than the ball and the full BFS that a separate test and layering
-    would take.
+    The first id's radius-r search tests it, and is where dense witness
+    inputs pass; it runs once more without the radius only when vertices
+    remain at depth r, as otherwise it already reached the root's whole
+    component.  When it fails, one bit-parallel BFS from every other id
+    (`_ball_sizes`) tests them, and the first passing one is searched in
+    full.  On at most EXACT_CENTER_LIMIT live ids that BFS keeps at most 8
+    words per id, and each round gathers 8 words per live edge end and per
+    id: about 150 KB on grid 22², and 16.8 MB on a 512-vertex clique.  A
+    live part under 2n/3 holds no such ball, so it is not searched.
     """
+    if 3 * live.size < 2 * n:
+        return None
     root = int(np.argmax(live.bits))
     dist = bfs_layers(g, live, root, radius=r)
-    if 3 * np.count_nonzero(dist >= 0) < 2 * n:
-        return None
-    if (dist == r).any():
-        dist = bfs_layers(g, live, root)
-    return dist
-
-
-def _scan_after_first(g: Graph, live: VertexMask, r: int, n: int) -> np.ndarray | None:
-    """The BFS depth array within live from the smallest id but live's
-    first whose radius-r ball holds 2n/3 of n, or None when none passes.
-
-    The ids are tested by one bit-parallel BFS from every live id
-    (`_ball_sizes`), and the first passing one is searched again in full.
-    Step 1 calls this only on at most EXACT_CENTER_LIMIT live ids, so the
-    BFS keeps at most 8 words per live id, and each of its rounds gathers 8
-    words per live edge end and per live id: about 150 KB on grid 22², and
-    16.8 MB on a 512-vertex clique, where the first id passes and no scan
-    runs.
-    """
+    if 3 * np.count_nonzero(dist >= 0) >= 2 * n:
+        return bfs_layers(g, live, root) if (dist == r).any() else dist
     rest = live.ids()[1:]
     hits = rest[3 * _ball_sizes(g, live, r, rest) >= 2 * n]
     return bfs_layers(g, live, int(hits[0])) if hits.size else None
@@ -325,21 +314,19 @@ def _scan_after_first(g: Graph, live: VertexMask, r: int, n: int) -> np.ndarray 
 def _update_live(st: DriverState, rest: VertexMask) -> None:
     """Set live to the largest component of `rest`, what step 2 or 3 leaves.
 
-    On a rest of at most EXACT_CENTER_LIMIT vertices the next step 1 may
-    test rest's smallest id as a center, so that search runs here first.
-    When it passes, its reach holds at least 2n/3 >= 2|rest|/3 > |rest|/2
-    vertices, so it is rank 0 of `connected_components` (its root is rest's
-    smallest id, so it would also win a tie); live becomes that reach.
-    Otherwise a component pass labels rest.  The search is recorded in
-    `first_search` when it passed, or when it failed and live holds its
-    root: live is then the root's component of rest, where the search
-    would run and fail again.
+    On a rest of at most EXACT_CENTER_LIMIT vertices `_exact_center` runs
+    on it first, and `center_search` records the result with the new live
+    mask.  A center's ball holds at least 2n/3 >= 2|rest|/3 > |rest|/2
+    vertices, so its reach is rank 0 of `connected_components` and becomes
+    live with no component pass.  Live is a component of rest, so every
+    live id has the same ball in both, and ids outside live fail: the
+    search in live would give the same answer.
     """
-    searched = 0 < rest.size <= EXACT_CENTER_LIMIT
-    dist = _first_id_depths(st.g, rest, st.delta, st.n) if searched else None
+    searched = rest.size <= EXACT_CENTER_LIMIT
+    dist = _exact_center(st.g, rest, st.delta, st.n) if searched else None
     st.live = _largest_component_mask(st.g, rest) if dist is None else VertexMask(dist >= 0)
-    if searched and (dist is not None or st.live.bits[np.argmax(rest.bits)]):
-        st.first_search = (st.live, dist)
+    if searched:
+        st.center_search = (st.live, dist)
 
 
 def step1_decompose(st: DriverState) -> LayeredView | None:
@@ -349,21 +336,10 @@ def step1_decompose(st: DriverState) -> LayeredView | None:
     smallest id, when it holds more than 2n/3 (`LddResult.large_component`).
     On sparse inputs none comes close: on grid 316² at delta = 108 the
     largest interior held 1,100 to 1,359 vertices over 4 seeds, against 2n/3
-    of about 66,600.  Otherwise the boundary is read only when it becomes S.
-
-    When every post-LDD component is small but the live part is tiny, an
-    exact scan may still find a vertex whose delta-ball holds 2n/3 of the
-    graph (dense instances collapse to singleton partitions whose boundary
-    hides them); the scan keeps the branch-growing path reachable there and
-    is skipped above EXACT_CENTER_LIMIT live vertices.  It centers the view
-    on the smallest passing id: `_first_id_depths` tests the first live id,
-    and `_scan_after_first` the others when it fails.  On dense witness
-    inputs the first id passes, and its BFS depth array is the view.  The
-    last live update's search in `first_search` stands in for the first
-    test while its mask is live.  A scan that rejects every
-    id, as on sparse inputs, costs one BFS and one bit-parallel BFS from
-    every live id rather than one BFS per live vertex: a whole solve of
-    grid 22², cycle 500 or path 500 takes 1.2-2.2 ms (2 vCPUs).
+    of about 66,600.  Failing that, on at most EXACT_CENTER_LIMIT live
+    vertices `_exact_center` may find a center that the boundary hides, as
+    on dense inputs; `center_search` stands in for it while that record's
+    mask is live.  The boundary is read only when it becomes S.
     """
     res = ldd(st.g, st.live, float(st.delta), st.rng_ldd)
     st.stats["ldd_calls"] += 1
@@ -371,11 +347,9 @@ def step1_decompose(st: DriverState) -> LayeredView | None:
     if root is not None:
         return _layered_view(st, bfs_layers(st.g, st.live, root))
     if st.live.size <= EXACT_CENTER_LIMIT:
-        mask, dist = st.first_search
+        mask, dist = st.center_search
         if mask is not st.live:
-            dist = _first_id_depths(st.g, st.live, st.delta, st.n)
-        if dist is None:
-            dist = _scan_after_first(st.g, st.live, st.delta, st.n)
+            dist = _exact_center(st.g, st.live, st.delta, st.n)
         if dist is not None:
             st.stats["exact_center_used"] += 1
             return _layered_view(st, dist)

@@ -298,6 +298,45 @@ def retired_fallback():
                            (1, 5), (1, 6), (2, 5), (3, 5), (3, 6), (4, 6)])
 
 
+def two_hub_tail(leaves=22, tail=14):
+    """Two hubs 1 and 2 over a shared set of leaves, a tail hung off hub 2,
+    and vertex 0 joined to hub 1 and to the tail's far end.
+
+    With h = 9 and ell = 1, step 2 takes hub 1 as a branch and the live
+    update searches what is left; then branch {0} is stuck behind the tail,
+    which is heavy enough for a layer cut.  The cut assigns live with no
+    search, so the next step 1 must not take the update's record.
+    """
+    t0 = 3 + leaves
+    edges = [(0, 1), (0, t0 + tail - 1), (2, t0)]
+    edges += [(hub, 3 + i) for hub in (1, 2) for i in range(leaves)]
+    edges += [(t0 + i, t0 + i + 1) for i in range(tail - 1)]
+    return build_graph(t0 + tail, edges)
+
+
+def two_hub_wheel(rim=480, pendants=4, length=10):
+    """A cycle of `rim` vertices under two hubs, 1 and rim + 2, with vertex 0
+    and `pendants` paths of `length` hung off hub 1 alone.
+
+    With h = 5, ell = 20 and solver seed 0 the decomposition centres the
+    first step 1 on rim vertex 2, and step 2 takes 2 and hub 1 as a branch.
+    The 520 vertices left are more than EXACT_CENTER_LIMIT, so the live
+    update does not search; their largest component, the 480-vertex wheel
+    under the other hub, is within it, and the next step 1 finds its exact
+    center.
+    """
+    b = 2 + rim
+    edges = [(0, 1)]
+    edges += [(hub, 2 + i) for hub in (1, b) for i in range(rim)]
+    edges += [(2 + i, 2 + (i + 1) % rim) for i in range(rim)]
+    start = b + 1
+    for _ in range(pendants):
+        edges.append((1, start))
+        edges += [(start + i, start + i + 1) for i in range(length - 1)]
+        start += length
+    return build_graph(start, edges)
+
+
 def petersen():
     """Petersen graph; spoke pairs {i, i+5} form five branch sets of K5."""
     edges = [(i, (i + 1) % 5) for i in range(5)]

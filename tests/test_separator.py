@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 from minorsep import decomp, graph, separator, verify
 from minorsep.decomp import ldd
 from minorsep.errors import InputError
-from minorsep.graph import VertexMask, bfs_layers, build_graph, connected_components
+from minorsep.graph import VertexMask, ball, bfs_layers, build_graph, connected_components
 from minorsep.rng import stream
 from minorsep.separator import (
     BalancedSeparator,
     MinorWitness,
-    _first_id_depths,
+    _exact_center,
     _prologue,
-    _scan_after_first,
     balanced_separator,
     ceil_log2,
     default_ell,
@@ -32,6 +31,8 @@ from helpers import (
     large_inner_component,
     loop_exact_center,
     retired_fallback,
+    two_hub_tail,
+    two_hub_wheel,
     two_pass_prologue,
 )
 
@@ -342,13 +343,13 @@ def test_centred_iterations_search_once(monkeypatch):
     # a witness needs no other, and no scan of the other ids runs.
     calls = count_calls(monkeypatch, [
         (separator, name, name)
-        for name in ("bfs_layers", "_scan_after_first", "_reach_without", "connected_components")
+        for name in ("bfs_layers", "_ball_sizes", "_reach_without", "connected_components")
     ])
     out = balanced_separator(gen("gnp", 450, 0.045, seed=7), 8, seed=1)
     assert out.kind == "witness"
     s = out.stats
     assert (s["iterations"], s["exact_center_used"], s["step2_count"]) == (7, 7, 7)
-    assert calls == {"bfs_layers": 7, "_scan_after_first": 0, "_reach_without": 1,
+    assert calls == {"bfs_layers": 7, "_ball_sizes": 0, "_reach_without": 1,
                      "connected_components": 0}
 
 
@@ -402,20 +403,45 @@ def test_sparse_solve_builds_the_boundary_once(monkeypatch, family, params):
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_failed_first_id_search_is_not_repeated(monkeypatch, seed):
-    # a live update's first-id search fails and its root stays live's
-    # smallest id, so step 1's scan skips that search and tests the other
-    # ids; repeating it would make 5 searches, two in a row the same
+    # a live update's search fails, and step 1 takes its record for the same
+    # live part rather than searching it again: 4 searches, each of a
+    # different live mask
     searches = []
 
     def counted(g, live, r, n):
-        searches.append((int(np.argmax(live.bits)), live.bits.tobytes(), r))
-        return _first_id_depths(g, live, r, n)
+        searches.append(live.bits.tobytes())
+        return _exact_center(g, live, r, n)
 
-    monkeypatch.setattr(separator, "_first_id_depths", counted)
+    monkeypatch.setattr(separator, "_exact_center", counted)
     out = balanced_separator(gen("subdivided_clique", 9, 2), 9, seed=seed)
     assert out.kind == "separator"
     assert len(searches) == 4
-    assert all(a != b for a, b in zip(searches, searches[1:]))
+    assert len(set(searches)) == 4
+
+
+def test_live_update_takes_a_later_center_reach(monkeypatch):
+    # gnp(40, 0.1, seed 1) at h = 9: after the second step 2, rest's smallest
+    # id 6 fails and id 13 passes, so live is 13's reach in rest, found with
+    # no component pass.  The only labelled pass is the last update's, whose
+    # rest holds no center
+    g = gen("gnp", 40, 0.1, seed=1)
+    updates = []
+    update = separator._update_live
+
+    def recorded(st, rest):
+        update(st, rest)
+        updates.append((rest, st.live, st.center_search))
+
+    monkeypatch.setattr(separator, "_update_live", recorded)
+    calls = count_calls(monkeypatch, [(separator, "connected_components", "labelled")])
+    out = balanced_separator(g, 9, seed=0)
+    assert out.stats["step2_count"] == out.stats["exact_center_used"] == 3
+    assert calls == {"labelled": 1}
+    rest, live, (mask, dist) = updates[1]
+    delta = out.stats["ell"] * ceil_log2(9)
+    assert (int(np.argmax(rest.bits)), loop_exact_center(g, rest, delta, g.n)) == (6, 13)
+    assert mask is live and np.array_equal(dist, bfs_layers(g, rest, 13))
+    assert live.ids().tolist() == ball(g, rest, 13, g.n).ids().tolist()
 
 
 # -- exact center scan -------------------------------------------------------------
@@ -426,12 +452,9 @@ def hubs(n, centers):
 
 
 def scan(g, live, r):
-    """Step 1's exact center, the first id's search and then the batched scan
-    of the others, after checking it against the per-vertex loop and its
-    depth array against a full BFS from that center."""
-    dist = _first_id_depths(g, live, r, g.n)
-    if dist is None:
-        dist = _scan_after_first(g, live, r, g.n)
+    """Step 1's exact center, after checking it against the per-vertex loop
+    and its depth array against a full BFS from that center."""
+    dist = _exact_center(g, live, r, g.n)
     got = None if dist is None else int(np.argmax(dist == 0))
     assert got == loop_exact_center(g, live, r, g.n)
     if dist is not None:
@@ -495,19 +518,19 @@ def test_exact_center_respects_holes_in_live():
     ("subdivided_clique", (6, 20), 5), ("subdivided_clique", (9, 2), 9),
 ])
 def test_exact_center_matrix_stays_small(monkeypatch, family, params, h):
-    # `_scan_after_first` keeps a bit column of ceil(|live| / 64) words per
-    # live id; step 1 scans at most EXACT_CENTER_LIMIT = 512 live vertices,
-    # so at most 8 words each, and only while 3|live| >= 2n, so n <= 768.
-    # The dense inputs pass at the first id and never scan;
-    # subdivided_clique(9, 2) scans 65 live ids after a failed live-update
-    # search.
+    # `_ball_sizes` keeps a bit column of ceil(|live| / 64) words per live
+    # id; `_exact_center` scans at most EXACT_CENTER_LIMIT = 512 live
+    # vertices, so at most 8 words each, and only while 3|live| >= 2n, so
+    # n <= 768.  The dense inputs pass at the first id and never scan;
+    # subdivided_clique(9, 2) scans 65 live ids after a failed first-id
+    # search in a live update.
     calls = []
 
-    def recorded(g, live, r, n):
+    def recorded(g, live, r, sources):
         calls.append((g.n, live.size))
-        return _scan_after_first(g, live, r, n)
+        return graph._ball_sizes(g, live, r, sources)
 
-    monkeypatch.setattr(separator, "_scan_after_first", recorded)
+    monkeypatch.setattr(separator, "_ball_sizes", recorded)
     balanced_separator(gen(family, *params, seed=7), h, seed=1)
     assert bool(calls) == (family not in ("gnp", "complete"))
     assert all(n <= 768 and size <= 512 for n, size in calls)
@@ -574,17 +597,25 @@ FROZEN_PATHS = [
      "5b3dc2195eeafb8b2c2208499d790e6bf72ed4c7b8a93e52cddee998e74f6b07"),
     ("complete150_h15", lambda: balanced_separator(gen("complete", 150), 15, seed=1),
      "e5902f3c4bc3b516ba7b13d0b90bc0ae6fda5c2ce15d3e0d967efff360559c81"),
-    # a live update's first-id search fails with its root still live, so
-    # step 1 scans the other ids without repeating it
+    # a live update's search finds no center in what is left, so step 1
+    # takes that record and does not search again
     ("subdivided_clique9_2_h9",
      lambda: balanced_separator(gen("subdivided_clique", 9, 2), 9, seed=1),
      "7581be7f960f2502b94cfcd47f31e82602dd5e70518c8a2fa37b90bec57352a9"),
-    # a live update's first-id search fails from a root outside the new live
-    # part, so it is not recorded, and the record of an earlier live part must
-    # not stand in for step 1's search
+    # a live update's first id falls outside the new live part, whose
+    # center is a later id: live is that center's reach, and the record of
+    # an earlier live part must not stand in for step 1's search
     ("gnp80_unrecorded_failure",
      lambda: balanced_separator(gen("gnp", 80, 0.05, seed=5), 5, ell=2),
      "80e8c5ae7b843529c2c260b5b66604ceebdeb0f2378ca65b5b36f99bf150aead"),
+    # a layer cut after a live update's search leaves live with no record,
+    # so step 1 searches again rather than take the update's
+    ("two_hub_tail", lambda: balanced_separator(two_hub_tail(), 9, ell=1),
+     "384be451e86d9946aab021f904a98c0d50579b86a242b0b33632bb4a7dc4cfca"),
+    # a live update on more than EXACT_CENTER_LIMIT vertices does not search,
+    # and its smaller live part must still get step 1's search
+    ("two_hub_wheel", lambda: balanced_separator(two_hub_wheel(), 5, ell=20),
+     "175b6af587173b678e038dd21f7e61c791c714041a99fcc2a8925f93a0d512ad"),
 ]
 
 
