@@ -87,7 +87,7 @@ def _report(g: Graph, source: str, args, outcome, cert: dict) -> dict:
             "separator_size": outcome.separator.size,
             "size_breakdown": outcome.size_breakdown,
             "largest_component": outcome.verification.worst_component,
-            "component_count": len(outcome.component_sizes),
+            "component_count": len(outcome.verification.component_sizes),
         })
     return {
         "schema": "v1",

@@ -206,12 +206,6 @@ def _masked_adjacency(g: Graph, keep: np.ndarray) -> sparse.csr_matrix:
     return adj
 
 
-def _connected(g: Graph, ids: np.ndarray) -> bool:
-    """Whether the subgraph induced by `ids` is connected: the one-set case
-    of `_connected_sets`."""
-    return bool(_connected_sets(g, [ids])[0])
-
-
 def _connected_sets(g: Graph, sets) -> np.ndarray:
     """Whether each id array in the sequence `sets` induces a connected
     subgraph of g, as a bool array: an empty set does not, a one-vertex set

@@ -7,9 +7,9 @@ order; selections elsewhere in the package always pick the smallest
 qualifying branch index.
 
 A branch's neighbor set against a live mask is gathered from the graph
-by `branch_neighbors`.  A caller whose live mask only shrinks can carry
-the sets instead: `trim` takes each branch's set against an earlier live
-mask and filters it to the current one, which is exact because the
+by `branch_neighbors`, and a caller whose live mask only shrinks carries
+the sets from there: `trim` takes each branch's set against an earlier
+live mask and filters it to the current one, which is exact because the
 earlier mask contains the current one; only a branch added or grown since
 needs gathering again.  `trim` hands back the sets it keeps, and
 `f_selector` takes them as they are.
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError
-from .graph import Graph, VertexMask, _connected, _gather, _sorted_unique
+from .graph import Graph, VertexMask, _connected_sets, _gather, _sorted_unique
 
 __all__ = [
     "MinorModel",
@@ -102,7 +102,7 @@ def add_branch(m: MinorModel, g: Graph, cand) -> MinorModel:
     if ids.size == 0:
         raise ModelError("new branch must be nonempty")
     owner = _owner_outside(m, ids, "new branch")
-    if not _connected(g, ids):
+    if not _connected_sets(g, [ids])[0]:
         raise ModelError("new branch is not connected")
     # edges per branch; owner is -1 off the branches, hence the shifted bin
     hits = np.bincount(owner[_gather(g, ids)[1]] + 1, minlength=m.size + 1)[1:]
@@ -119,24 +119,21 @@ def grow_branch(m: MinorModel, g: Graph, idx: int, z) -> MinorModel:
         raise ModelError(f"no branch {idx}")
     _owner_outside(m, zids, "growth")
     merged = _sorted_unique(np.concatenate([m.branches[idx], zids]))
-    if not _connected(g, merged):
+    if not _connected_sets(g, [merged])[0]:
         raise ModelError(f"branch {idx} would become disconnected")
     branches = list(m.branches)
     branches[idx] = merged
     return MinorModel(m.n, tuple(branches))
 
 
-def trim(m: MinorModel, g: Graph, live: VertexMask, nbrs: list | None = None) -> tuple:
+def trim(m: MinorModel, live: VertexMask, nbrs: list) -> tuple:
     """Keep exactly the branches with a neighbor in live, order preserved.
 
     Returns (kept model, list of each kept branch's live neighbors).
-    `nbrs[i]` may carry branch i's neighbors against an earlier live mask
-    that contains `live`; they are filtered to `live`, which leaves exactly
-    the branch's neighbors in it, still ascending.  Without `nbrs` they are
-    gathered from the graph.
+    `nbrs[i]` holds branch i's neighbors against a live mask that contains
+    `live`, as `branch_neighbors` gathers them; they are filtered to `live`,
+    which leaves exactly the branch's neighbors in it, still ascending.
     """
-    if nbrs is None:
-        nbrs = [branch_neighbors(m, g, live, i) for i in range(m.size)]
     nbrs = [nb[live.bits[nb]] for nb in nbrs]
     keep = [i for i, nb in enumerate(nbrs) if nb.size]
     return MinorModel(m.n, tuple(m.branches[i] for i in keep)), [nbrs[i] for i in keep]

@@ -35,9 +35,9 @@ the decomposition than that answer needs) and reads the boundary
 otherwise only when it finishes with S.
 
 The branches' live neighbors are carried across iterations in
-`DriverState.nbrs`: steps 2, 3 and 4 only shrink live, so each trim
-filters the carried sets, and only the branch that step 2 adds or step 3
-grows is gathered from the graph again.
+`DriverState.nbrs`, gathered once for the first branch: steps 2, 3 and 4
+only shrink live, so each trim filters the carried sets, and only the
+branch that step 2 adds or step 3 grows is gathered from the graph again.
 
 On a live part of at most EXACT_CENTER_LIMIT vertices step 1 takes as its
 center the smallest id whose delta-ball holds 2n/3 of the graph
@@ -119,7 +119,6 @@ class SeparatorOutcome:
 class BalancedSeparator(SeparatorOutcome):
     kind = "separator"
     separator: VertexMask
-    component_sizes: list
     size_breakdown: dict
     stats: dict
     verification: VerificationReport
@@ -129,7 +128,6 @@ class BalancedSeparator(SeparatorOutcome):
 class MinorWitness(SeparatorOutcome):
     kind = "witness"
     model: MinorModel
-    h: int
     stats: dict
     verification: VerificationReport
 
@@ -158,22 +156,23 @@ class DriverState:
     x_set: VertexMask
     live: VertexMask
     step1_sep: VertexMask
-    iteration: int = 0
-    stats: dict = field(default_factory=dict)
-    charged: np.ndarray = None
+    # the run's counters; "iterations" numbers the current iteration
+    stats: dict
+    # the vertices below step 4's cuts; stats["charged"] counts them
+    charged: np.ndarray
+    delta: int
+    ell_star: int
+    rng_ldd: object
+    # each branch's live neighbors, as the last trim left them, with a branch
+    # that steps 2 and 3 added or grew since gathered again
+    nbrs: list
+    # the branches trim dropped; stats["retired_branches"] counts them
     retired: list = field(default_factory=list)
-    delta: int = 0
-    ell_star: int = 0
-    rng_ldd: object = None
     # (mask, depths): the last live update's `_exact_center` result, depths
     # None when no center passed, with the live mask `mask` it describes; it
     # holds only while mask is live, and every assignment to live makes a
     # new mask
     center_search: tuple = (None, None)
-    # each branch's live neighbors, as the last trim left them, with a branch
-    # that steps 2 and 3 added or grew since gathered again; None before the
-    # first trim
-    nbrs: list = None
 
     @property
     def branch_budget(self) -> int:
@@ -257,14 +256,14 @@ def _retire_and_trim(st: DriverState) -> None:
     branches trim drops are retired.
 
     Steps 2, 3 and 4 only ever shrink live, so the carried neighbors of an
-    unchanged branch hold its new live neighbors.  Branches are disjoint
-    and nonempty, so a branch's first id names it.
+    unchanged branch hold its new live neighbors; the first branch's were
+    gathered against the prologue's live.  Branches are disjoint and
+    nonempty, so a branch's first id names it.
     """
-    kept, st.nbrs = trim(st.model, st.g, st.live, st.nbrs)
+    kept, st.nbrs = trim(st.model, st.live, st.nbrs)
     firsts = {int(ids[0]) for ids in kept.branches}
-    dropped = [ids for ids in st.model.branches if int(ids[0]) not in firsts]
-    st.retired.extend(dropped)
-    st.stats["retired_branches"] += len(dropped)
+    st.retired.extend(ids for ids in st.model.branches if int(ids[0]) not in firsts)
+    st.stats["retired_branches"] = len(st.retired)
     st.model = kept
 
 
@@ -274,13 +273,13 @@ def _layered_view(st: DriverState, dist: np.ndarray) -> LayeredView:
     sizes = np.bincount(dist[dist >= 0])
     if sizes.sum() != st.live.size:
         raise SelfVerificationError(
-            f"iteration {st.iteration}: live is not connected "
+            f"iteration {st.stats['iterations']}: live is not connected "
             f"(BFS from {root} reached {sizes.sum()} of {st.live.size})"
         )
     delta_ball = int(sizes[:st.delta + 1].sum())
     if 3 * delta_ball < 2 * st.n:
         raise SelfVerificationError(
-            f"iteration {st.iteration}: center {root} has delta ball "
+            f"iteration {st.stats['iterations']}: center {root} has delta ball "
             f"{delta_ball} < 2n/3 of n={st.n}"
         )
     return LayeredView(root=root, dist=dist, sizes=sizes)
@@ -394,7 +393,7 @@ def step3_grow_branch(st: DriverState, view: LayeredView, sel_nbrs: np.ndarray):
     y = lo + int(np.argmin(window))
     if st.h * st.ell * int(view.sizes[y]) > st.n:
         raise SelfVerificationError(
-            f"iteration {st.iteration}: thinnest layer {y} has "
+            f"iteration {st.stats['iterations']}: thinnest layer {y} has "
             f"{view.sizes[y]} vertices, exceeds n/(h*ell)"
         )
     W = VertexMask(view.dist > y)
@@ -413,7 +412,7 @@ def step4_cut_layer(st: DriverState, view: LayeredView) -> int:
         if i < sizes.size and st.ell * int(sizes[i]) <= int(suffix[i + 1]):
             return i
     raise SelfVerificationError(
-        f"iteration {st.iteration}: no cuttable layer in "
+        f"iteration {st.stats['iterations']}: no cuttable layer in "
         f"[{st.delta + 1}, {top}] (sizes {sizes[st.delta + 1:top + 1].tolist()})"
     )
 
@@ -426,7 +425,6 @@ def _first_balanced(g: Graph, attempts: list, stats: dict, failure: str) -> Bala
         if report.ok:
             return BalancedSeparator(
                 separator=sep,
-                component_sizes=list(report.component_sizes),
                 size_breakdown=size_breakdown,
                 stats={**stats, "fallback_level": level},
                 verification=report,
@@ -480,9 +478,10 @@ def balanced_separator(
         )
 
     delta = cluster_diameter(ell, h)
+    model = new_model(n, x)
     st = DriverState(
         g=g, n=n, h=h, ell=ell,
-        model=new_model(n, x),
+        model=model,
         x_set=VertexMask.empty(n),
         live=live,
         step1_sep=VertexMask.empty(n),
@@ -491,6 +490,7 @@ def balanced_separator(
         delta=delta,
         ell_star=delta + ell,
         rng_ldd=stream(seed, "ldd"),
+        nbrs=[branch_neighbors(model, g, live, 0)],
     )
 
     while True:
@@ -504,12 +504,11 @@ def balanced_separator(
             st.stats["invariant_checks"] += 1
             if not report.ok:
                 raise SelfVerificationError(
-                    f"iteration {st.iteration}: invariant failures "
+                    f"iteration {st.stats['iterations']}: invariant failures "
                     f"{[c for c in report.checks if not c[1]]}"
                 )
-        st.iteration += 1
-        st.stats["iterations"] = st.iteration
-        if st.iteration > n:
+        st.stats["iterations"] += 1
+        if st.stats["iterations"] > n:
             raise SelfVerificationError("iteration count exceeded n; live not shrinking")
 
         view = step1_decompose(st)
@@ -527,9 +526,7 @@ def balanced_separator(
                     raise SelfVerificationError(
                         f"witness failed validation: {report.failures()}"
                     )
-                return MinorWitness(
-                    model=st.model, h=h, stats=dict(st.stats), verification=report
-                )
+                return MinorWitness(model=st.model, stats=dict(st.stats), verification=report)
             st.nbrs.append(branch_neighbors(st.model, g, st.live, st.model.size - 1))
             _update_live(st, st.live.minus_ids(cand))
         elif st.h * int(view.sizes[st.delta + st.ell_star + 1:].sum()) <= n:
@@ -546,21 +543,22 @@ def balanced_separator(
             charged_ids = np.flatnonzero(dist > istar)
             if st.charged[charged_ids].any():
                 raise SelfVerificationError(
-                    f"iteration {st.iteration}: double charge at layer cut {istar}"
+                    f"iteration {st.stats['iterations']}: double charge at layer cut {istar}"
                 )
             if st.ell * layer.size > charged_ids.size:
                 raise SelfVerificationError(
-                    f"iteration {st.iteration}: cut layer {istar} too thick for its charge"
+                    f"iteration {st.stats['iterations']}: cut layer {istar} too thick "
+                    "for its charge"
                 )
             st.charged[charged_ids] = True
-            st.stats["charged"] += int(charged_ids.size)
+            st.stats["charged"] = int(np.count_nonzero(st.charged))
             st.x_set = st.x_set.union(VertexMask.from_ids(n, layer))
             kept = VertexMask((dist >= 0) & (dist < istar))
             if debug:
                 whole = _largest_component_mask(g, kept)
                 if whole.size != kept.size:
                     raise SelfVerificationError(
-                        f"iteration {st.iteration}: layers below the cut are disconnected"
+                        f"iteration {st.stats['iterations']}: layers below the cut are disconnected"
                     )
             st.live = kept
 

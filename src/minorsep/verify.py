@@ -137,7 +137,7 @@ def certificate(outcome) -> dict:
         return {"type": "separator", "vertices": outcome.separator.ids().tolist()}
     return {
         "type": "witness",
-        "h": outcome.h,
+        "h": outcome.stats["h"],
         "branches": [b.tolist() for b in outcome.model.branches],
     }
 

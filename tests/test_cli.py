@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import re
@@ -16,6 +17,7 @@ from minorsep.cli import (
     main,
 )
 from minorsep.instances import FAMILIES, TEXT_CHUNK, InstanceSpec, generate
+from minorsep.separator import BalancedSeparator, MinorWitness
 from minorsep.verify import certificate
 
 from helpers import loop_graph_to_text
@@ -580,6 +582,16 @@ def test_readme_lists_every_stats_key(tmp_path):
                        (["--gen", "complete:9", "--h", "4"], EXIT_WITNESS)):
         assert run("separate", *argv, "--json", str(rep)) == code
         assert set(documented) == set(json.loads(rep.read_text())["stats"]), argv
+
+
+def test_readme_lists_every_outcome_field():
+    """README's Library paragraph names exactly the fields of each outcome
+    class, in the parentheses after its name."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    for cls in (BalancedSeparator, MinorWitness):
+        listed = re.search(rf"`{cls.__name__}`\s+\(with\s+(.*?)\)", section, re.S).group(1)
+        assert re.findall(r"`\.(\w+)", listed) == [f.name for f in dataclasses.fields(cls)]
 
 
 def test_readme_family_docs_match_the_table():

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from minorsep.errors import InputError, ModelError
-from minorsep.graph import VertexMask, _connected, _connected_sets, build_graph
+from minorsep.graph import VertexMask, _connected_sets, build_graph
 from minorsep.instances import InstanceSpec, generate
 from minorsep.minor_model import (
     MinorModel,
@@ -27,6 +27,11 @@ P4 = generate(InstanceSpec("path", (4,)))
 
 def full(g):
     return VertexMask.full(g.n)
+
+
+def gathered(m, g):
+    """Each branch's neighbors in the whole graph, for `trim` to filter."""
+    return [branch_neighbors(m, g, full(g), i) for i in range(m.size)]
 
 
 # -- construction and growth --------------------------------------------------
@@ -135,25 +140,25 @@ def test_trim_keeps_only_touching_branches():
     m = new_model(5, 1)
     m = add_branch(m, star, [0])
     live = VertexMask.from_ids(5, [3, 4])
-    t, _ = trim(m, star, live)
+    t, _ = trim(m, live, gathered(m, star))
     # leaf branch {1} has no live neighbor; center branch {0} does
     assert t.size == 1
     assert t.branches[0].tolist() == [0]
-    assert trim(m, star, VertexMask.empty(5))[0].size == 0
-    assert trim(m, star, full(star))[0].size == 2
+    assert trim(m, VertexMask.empty(5), gathered(m, star))[0].size == 0
+    assert trim(m, full(star), gathered(m, star))[0].size == 2
 
 
 def test_trim_returns_live_neighbors_of_kept_branches():
     star = generate(InstanceSpec("star", (4,)))  # center 0, leaves 1..4
     m = add_branch(new_model(5, 1), star, [0])
-    kept, nbrs = trim(m, star, VertexMask.from_ids(5, [3, 4]))
+    kept, nbrs = trim(m, VertexMask.from_ids(5, [3, 4]), gathered(m, star))
     assert [nb.tolist() for nb in nbrs] == [[3, 4]]
-    kept, nbrs = trim(m, star, full(star))
+    kept, nbrs = trim(m, full(star), gathered(m, star))
     assert [nb.tolist() for nb in nbrs] == [[0], [1, 2, 3, 4]]
     assert [nb.tolist() for nb in nbrs] == [
         branch_neighbors(kept, star, full(star), i).tolist() for i in range(kept.size)
     ]
-    assert trim(m, star, VertexMask.empty(5))[1] == []
+    assert trim(m, VertexMask.empty(5), gathered(m, star))[1] == []
 
 
 # -- selector ------------------------------------------------------------------
@@ -163,23 +168,23 @@ def test_f_selector_takes_smaller_side():
     m = new_model(6, 0)
     live = VertexMask.from_ids(6, [1, 2, 3, 4, 5])
     # branch {0} is smaller than its 5 live neighbors: take the branch
-    assert f_selector(*trim(m, star, live)).ids().tolist() == [0]
+    assert f_selector(*trim(m, live, gathered(m, star))).ids().tolist() == [0]
 
 
 def test_f_selector_tie_takes_neighbors():
     m = new_model(4, 1)
     live = VertexMask.from_ids(4, [2])
     # |branch| = |neighborhood| = 1: the neighborhood wins ties
-    assert f_selector(*trim(m, P4, live)).ids().tolist() == [2]
+    assert f_selector(*trim(m, live, gathered(m, P4))).ids().tolist() == [2]
 
 
 def test_f_selector_union_over_branches():
     m = new_model(4, 0)
     m = add_branch(m, K4, [1])
     live = VertexMask.from_ids(4, [2, 3])
-    assert f_selector(*trim(m, K4, live)).ids().tolist() == [0, 1]
-    empty, _ = trim(m, K4, VertexMask.empty(4))
-    assert f_selector(*trim(empty, K4, full(K4))).size == 0
+    assert f_selector(*trim(m, live, gathered(m, K4))).ids().tolist() == [0, 1]
+    empty, _ = trim(m, VertexMask.empty(4), gathered(m, K4))
+    assert f_selector(*trim(empty, full(K4), gathered(empty, K4))).size == 0
 
 
 # -- witness checks (verify.verify_witness) ----------------------------------
@@ -249,9 +254,9 @@ def test_connected_matches_union_find_on_induced_subgraphs(seed, k):
     induced = [(local[u], local[v]) for u, v in zip(us.tolist(), vs.tolist())
                if u in keep and v in keep]
     want = len(uf_components(k, induced)) == 1
-    assert _connected(g, ids) == want
+    assert _connected_sets(g, [ids])[0] == want
     # the same set, unsorted and with repeats
-    assert _connected(g, np.concatenate([ids, ids[::-2]])) == want
+    assert _connected_sets(g, [np.concatenate([ids, ids[::-2]])])[0] == want
 
 
 @given(st.integers(0, 2**32 - 1),
@@ -279,7 +284,7 @@ def test_connected_sets_match_a_per_set_bfs(seed, specs):
     edges = list(zip(*(e.tolist() for e in g.edges())))
     want = [induces_connected(n, edges, ids.tolist()) for ids in sets]
     assert _connected_sets(g, sets).tolist() == want
-    assert [_connected(g, ids) for ids in sets] == want
+    assert [bool(_connected_sets(g, [ids])[0]) for ids in sets] == want
     # the witness check reads the same pass
     m = MinorModelFrom([np.unique(ids) for ids in sets], n)
     (passed, detail), = [(ok, d) for name, ok, d in verify_witness(g, m, 3).checks
@@ -366,7 +371,7 @@ def test_random_operation_sequences_preserve_structure(seed, n, steps):
                 m = grow_branch(m, g, i, [int(nb[int(rng.integers(nb.size))])])
         else:
             live_bits = (owner < 0) & (rng.random(n) < 0.8)
-            m, _ = trim(m, g, VertexMask(live_bits))
+            m, _ = trim(m, VertexMask(live_bits), gathered(m, g))
     checks = verify_witness(g, m, max(m.size, 1)).checks
     names = {name: okc for name, okc, _ in checks}
     assert names["pairwise_disjoint"]
