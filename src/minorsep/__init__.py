@@ -37,15 +37,14 @@ from .rng import SplitMix64, derive_seed, stream
 from .separator import (
     BalancedSeparator,
     MinorWitness,
-    SeparatorOutcome,
     balanced_separator,
     ceil_log2,
+    check_invariants,
     default_ell,
 )
 from .verify import (
     VerificationReport,
     certificate,
-    check_invariants,
     verify_balanced,
     verify_certificate,
     verify_witness,

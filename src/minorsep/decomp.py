@@ -143,8 +143,8 @@ def _boundary(g: Graph, center: np.ndarray) -> VertexMask:
 def ldd(g: Graph, live: VertexMask, delta: float, rng: SplitMix64) -> LddResult:
     """Draw the shifts of `live`'s vertices from `rng`; the parts are
     assigned when the result's centers are first read."""
-    if delta <= 0:
-        raise InputError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise InputError(f"delta must be positive and finite, got {delta}")
     ids = live.ids()
     if ids.size == 0:
         return LddResult(ids, np.empty(0), g)

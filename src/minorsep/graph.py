@@ -330,7 +330,7 @@ def bfs_layers(g: Graph, live: VertexMask, root: int, radius: int | None = None)
 
     Stops after `radius` layers when given.  The root must be live.
     """
-    if root not in live:
+    if not 0 <= root < g.n or root not in live:
         raise InputError(f"BFS root {root} is not in the mask")
     dist = np.full(g.n, -1, dtype=np.int64)
     dist[root] = 0

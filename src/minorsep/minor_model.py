@@ -53,13 +53,12 @@ class MinorModel:
             owner[ids] = i
         return owner
 
-    def vertices(self) -> np.ndarray:
-        if not self.branches:
-            return np.empty(0, dtype=np.int64)
-        return _sorted_unique(np.concatenate(self.branches))
-
     def member_mask(self) -> VertexMask:
-        return VertexMask.from_ids(self.n, self.vertices())
+        """Every vertex of a branch."""
+        bits = np.zeros(self.n, dtype=bool)
+        for ids in self.branches:
+            bits[ids] = True
+        return VertexMask(bits)
 
 
 def _as_ids(n: int, vs) -> np.ndarray:

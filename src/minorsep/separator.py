@@ -39,13 +39,17 @@ The branches' live neighbors are carried across iterations in
 only shrink live, so each trim filters the carried sets, and only the
 branch that step 2 adds or step 3 grows is gathered from the graph again.
 
-On a live part of at most EXACT_CENTER_LIMIT vertices step 1 takes as its
-center the smallest id whose delta-ball holds 2n/3 of the graph
-(`_exact_center`), and that search's depth array is the view's layering.
-After step 2 or 3 the same search runs on what is left, and
-`DriverState.center_search` keeps its result with the new live mask: a
-center's reach is the new live part, found with no component pass, and
-step 1 reuses the record while that mask is still live.
+Failing the decomposition, step 1 takes as its center the smallest id
+whose delta-ball holds 2n/3 of the graph (`_exact_center`, which searches
+only live parts of at most EXACT_CENTER_LIMIT vertices and holds that size
+gate), and that search's depth array is the view's layering.  After step 2
+or 3 the same search runs on what is left, and `DriverState.center_search`
+keeps its result with the new live mask: a center's reach is the new live
+part, found with no component pass, and step 1 reuses the record while
+that mask is still live.
+
+`check_invariants` is the debug check of a `DriverState` at every
+iteration start; it lives here, beside the only type whose fields it reads.
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ from .graph import (
     Graph,
     VertexMask,
     _ball_sizes,
+    _component_sizes,
     _reach_without,
     _sorted_unique,
     bfs_layers,
@@ -77,16 +82,16 @@ from .minor_model import (
     trim,
 )
 from .rng import stream
-from .verify import VerificationReport, check_invariants, verify_balanced, verify_witness
+from .verify import VerificationReport, verify_balanced, verify_witness
 
 __all__ = [
-    "SeparatorOutcome",
     "BalancedSeparator",
     "MinorWitness",
     "default_ell",
     "ceil_log2",
     "cluster_diameter",
     "balanced_separator",
+    "check_invariants",
 ]
 
 EXACT_CENTER_LIMIT = 512
@@ -103,20 +108,20 @@ def cluster_diameter(ell: int, h: int) -> int:
 
 
 def default_ell(n: int, h: int) -> int:
-    """max(1, round(sqrt(n) / (h * sqrt(ceil_log2(h))))), rounding half up."""
+    """max(1, round(sqrt(n) / (h * sqrt(ceil_log2(h))))), rounding half up;
+    InputError when n or h is too large to be a float."""
     if h < 3:
         raise InputError("h must be >= 3")
     if n < 1:
         raise InputError("n must be >= 1")
-    return max(1, int(math.sqrt(n) / (h * math.sqrt(ceil_log2(h))) + 0.5))
-
-
-class SeparatorOutcome:
-    kind = "outcome"
+    try:
+        return max(1, int(math.sqrt(n) / (h * math.sqrt(ceil_log2(h))) + 0.5))
+    except OverflowError:
+        raise InputError("the default ell needs n and h below 2**1024; give ell") from None
 
 
 @dataclass
-class BalancedSeparator(SeparatorOutcome):
+class BalancedSeparator:
     kind = "separator"
     separator: VertexMask
     size_breakdown: dict
@@ -125,7 +130,7 @@ class BalancedSeparator(SeparatorOutcome):
 
 
 @dataclass
-class MinorWitness(SeparatorOutcome):
+class MinorWitness:
     kind = "witness"
     model: MinorModel
     stats: dict
@@ -177,6 +182,76 @@ class DriverState:
     @property
     def branch_budget(self) -> int:
         return (self.h - 1) * (self.delta + self.ell_star + self.ell) + 1
+
+
+def check_invariants(st: DriverState) -> VerificationReport:
+    """The properties asserted at every iteration start.
+
+    Everything is recomputed from the graph, and the live neighbors that
+    `st.nbrs` carries for each branch must equal the ones gathered here.
+    """
+    g, n, h, ell, m, live = st.g, st.n, st.h, st.ell, st.model, st.live
+    checks = []
+
+    structural = [c for c in verify_witness(g, m, h).checks if c[0] != "enough_branches"]
+    struct_ok = all(okc for _, okc, _ in structural)
+    small = m.size <= h - 1
+    detail1 = f"|K|={m.size} <= h-1={h - 1}: {small}"
+    if not struct_ok:
+        detail1 += "; " + "; ".join(d for _, okc, d in structural if not okc)
+    checks.append(("model_small_and_valid", small and struct_ok, detail1))
+
+    member = m.member_mask()
+    overlap = live.intersect(member)
+    checks.append((
+        "live_disjoint_from_branches", overlap.size == 0,
+        "disjoint" if overlap.size == 0 else f"overlap at {overlap.ids()[:5].tolist()}",
+    ))
+
+    fresh = [branch_neighbors(m, g, live, i) for i in range(m.size)]
+    nbr_counts = [nb.size for nb in fresh]
+    dead = [i for i, nb in enumerate(nbr_counts) if nb == 0]
+    checks.append((
+        "every_branch_touches_live", not dead,
+        "all touch" if not dead else f"branches without live neighbor: {dead}",
+    ))
+
+    stale = [i for i, (nb, want) in enumerate(zip(st.nbrs, fresh))
+             if not np.array_equal(nb, want)]
+    checks.append((
+        "carried_neighbors_match", not stale and len(st.nbrs) == m.size,
+        f"{len(st.nbrs)} carried lists for {m.size} branches"
+        + ("" if not stale else f"; stale at branches {stale}"),
+    ))
+
+    budget = st.branch_budget
+    bad4 = [(i, int(ids.size), int(nb)) for i, (ids, nb) in enumerate(zip(m.branches, nbr_counts))
+            if ids.size > budget and h * ell * nb > n]
+    checks.append((
+        "branch_size_or_neighborhood", not bad4,
+        f"budget {budget}, n/(h*ell) threshold {n}/{h * ell}"
+        + ("" if not bad4 else f"; violations (idx,|V|,|N|): {bad4}"),
+    ))
+
+    src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
+    touches = (~live.bits[src]) & live.bits[g.indices]
+    outside = _sorted_unique(src[touches])
+    covered = st.x_set.bits[outside] | member.bits[outside]
+    checks.append((
+        "live_boundary_covered", bool(covered.all()),
+        "covered" if covered.all()
+        else f"uncovered outside neighbors: {outside[~covered][:5].tolist()}",
+    ))
+
+    x_live = st.x_set.intersect(live)
+    x_branch = st.x_set.intersect(member)
+    sizes = _component_sizes(g, live)
+    checks.append((
+        "state_sane", x_live.size == 0 and x_branch.size == 0 and sizes.size <= 1,
+        f"|X&live|={x_live.size}, |X&branches|={x_branch.size}, live components={sizes.size}",
+    ))
+
+    return VerificationReport(all(okc for _, okc, _ in checks), checks)
 
 
 def _new_stats() -> dict:
@@ -294,12 +369,13 @@ def _exact_center(g: Graph, live: VertexMask, r: int, n: int) -> np.ndarray | No
     remain at depth r, as otherwise it already reached the root's whole
     component.  When it fails, one bit-parallel BFS from every other id
     (`_ball_sizes`) tests them, and the first passing one is searched in
-    full.  On at most EXACT_CENTER_LIMIT live ids that BFS keeps at most 8
-    words per id, and each round gathers 8 words per live edge end and per
-    id: about 150 KB on grid 22², and 16.8 MB on a 512-vertex clique.  A
-    live part under 2n/3 holds no such ball, so it is not searched.
+    full.  Only live parts of at most EXACT_CENTER_LIMIT ids are searched,
+    so that BFS keeps at most 8 words per id, and each round gathers 8 words
+    per live edge end and per id: about 150 KB on grid 22², and 16.8 MB on a
+    512-vertex clique.  A live part under 2n/3 holds no such ball, so it is
+    not searched either.
     """
-    if 3 * live.size < 2 * n:
+    if live.size > EXACT_CENTER_LIMIT or 3 * live.size < 2 * n:
         return None
     root = int(np.argmax(live.bits))
     dist = bfs_layers(g, live, root, radius=r)
@@ -313,18 +389,18 @@ def _exact_center(g: Graph, live: VertexMask, r: int, n: int) -> np.ndarray | No
 def _update_live(st: DriverState, rest: VertexMask) -> None:
     """Set live to the largest component of `rest`, what step 2 or 3 leaves.
 
-    On a rest of at most EXACT_CENTER_LIMIT vertices `_exact_center` runs
-    on it first, and `center_search` records the result with the new live
-    mask.  A center's ball holds at least 2n/3 >= 2|rest|/3 > |rest|/2
-    vertices, so its reach is rank 0 of `connected_components` and becomes
-    live with no component pass.  Live is a component of rest, so every
-    live id has the same ball in both, and ids outside live fail: the
-    search in live would give the same answer.
+    `_exact_center` runs on rest first.  A center's ball holds at least
+    2n/3 >= 2|rest|/3 > |rest|/2 vertices, so its reach is rank 0 of
+    `connected_components` and becomes live with no component pass.  Live
+    is a component of rest, so every live id has the same ball in both, and
+    ids outside live fail: the search in live would give the same answer.
+    `center_search` records the result with the new live mask only when
+    rest is small enough to be searched, as a smaller live part of a larger
+    rest may still hold a center.
     """
-    searched = rest.size <= EXACT_CENTER_LIMIT
-    dist = _exact_center(st.g, rest, st.delta, st.n) if searched else None
+    dist = _exact_center(st.g, rest, st.delta, st.n)
     st.live = _largest_component_mask(st.g, rest) if dist is None else VertexMask(dist >= 0)
-    if searched:
+    if rest.size <= EXACT_CENTER_LIMIT:
         st.center_search = (st.live, dist)
 
 
@@ -335,39 +411,38 @@ def step1_decompose(st: DriverState) -> LayeredView | None:
     smallest id, when it holds more than 2n/3 (`LddResult.large_component`).
     On sparse inputs none comes close: on grid 316² at delta = 108 the
     largest interior held 1,100 to 1,359 vertices over 4 seeds, against 2n/3
-    of about 66,600.  Failing that, on at most EXACT_CENTER_LIMIT live
-    vertices `_exact_center` may find a center that the boundary hides, as
-    on dense inputs; `center_search` stands in for it while that record's
-    mask is live.  The boundary is read only when it becomes S.
+    of about 66,600.  Failing that, `_exact_center` may find a center that
+    the boundary hides, as on dense inputs; `center_search` stands in for it
+    while that record's mask is live.  The boundary is read only when it
+    becomes S.
     """
     res = ldd(st.g, st.live, float(st.delta), st.rng_ldd)
     st.stats["ldd_calls"] += 1
     root = res.large_component(st.n)
     if root is not None:
         return _layered_view(st, bfs_layers(st.g, st.live, root))
-    if st.live.size <= EXACT_CENTER_LIMIT:
-        mask, dist = st.center_search
-        if mask is not st.live:
-            dist = _exact_center(st.g, st.live, st.delta, st.n)
-        if dist is not None:
-            st.stats["exact_center_used"] += 1
-            return _layered_view(st, dist)
+    mask, dist = st.center_search
+    if mask is not st.live:
+        dist = _exact_center(st.g, st.live, st.delta, st.n)
+    if dist is not None:
+        st.stats["exact_center_used"] += 1
+        return _layered_view(st, dist)
     st.step1_sep = res.boundary
     st.stats["step1_finished"] = 1
     return None
 
 
-def _scan_branches(st: DriverState, view: LayeredView, nbrs: list):
-    """One pass over the branches' live neighbors `nbrs`, in index order.
+def _scan_branches(st: DriverState, view: LayeredView):
+    """One pass over the branches' live neighbors `st.nbrs`, in index order.
 
-    The window is depth 0 to delta + ell* + ell.  Returns (i, nbrs[i]) for
-    the first branch i whose live neighbors all lie below it, or (None,
+    The window is depth 0 to delta + ell* + ell.  Returns (i, st.nbrs[i])
+    for the first branch i whose live neighbors all lie below it, or (None,
     contacts) with the smallest-id window contact of every branch when no
     branch is stuck.
     """
     top = st.delta + st.ell_star + st.ell
     contacts = []
-    for i, nb in enumerate(nbrs):
+    for i, nb in enumerate(st.nbrs):
         hits = nb[view.dist[nb] <= top]
         if hits.size == 0:
             return i, nb
@@ -436,14 +511,12 @@ def _finish_separator(st: DriverState) -> BalancedSeparator:
     """Verify the three separator attempts in order, the first selecting by
     the live neighbors of the model's branches as the last trim left them."""
     members = st.model.member_mask()
-    retired = VertexMask.from_ids(
-        st.n, np.concatenate(st.retired) if st.retired else np.empty(0, dtype=np.int64)
-    )
+    every_branch = MinorModel(st.n, st.model.branches + tuple(st.retired)).member_mask()
     cut = st.x_set.union(st.step1_sep)
     breakdown = {"x": st.x_set.size, "step1_s": st.step1_sep.size}
     attempts = [
         (cut.union(side), {**breakdown, "f_selector": side.size})
-        for side in (f_selector(st.model, st.nbrs), members, members.union(retired))
+        for side in (f_selector(st.model, st.nbrs), members, every_branch)
     ]
     return _first_balanced(st.g, attempts, st.stats, (
         f"no separator attempt balanced: n={st.n}, |X|={st.x_set.size}, "
@@ -458,8 +531,13 @@ def balanced_separator(
     ell: int | None = None,
     seed: int = 0,
     debug: bool = False,
-) -> SeparatorOutcome:
-    """Run the driver to a verified balanced separator or K_h witness."""
+) -> BalancedSeparator | MinorWitness:
+    """Run the driver to a verified balanced separator or K_h witness.
+
+    InputError, before any work, when h < 3, ell < 1, or delta = ell *
+    ceil(log2 h) is too large to be a float (the decomposition draws its
+    shifts in floats).
+    """
     if h < 3:
         raise InputError("h must be >= 3")
     n = g.n
@@ -467,6 +545,11 @@ def balanced_separator(
         ell = default_ell(max(n, 1), h)
     if ell < 1:
         raise InputError("ell must be >= 1")
+    delta = cluster_diameter(ell, h)
+    try:
+        float(delta)
+    except OverflowError:
+        raise InputError("delta = ell * ceil(log2 h) must be below 2**1024") from None
     stats = _new_stats()
     stats.update({"n": n, "m": g.m, "h": h, "ell": ell})
 
@@ -477,7 +560,6 @@ def balanced_separator(
             "degenerate-case separator failed verification",
         )
 
-    delta = cluster_diameter(ell, h)
     model = new_model(n, x)
     st = DriverState(
         g=g, n=n, h=h, ell=ell,
@@ -505,7 +587,7 @@ def balanced_separator(
             if not report.ok:
                 raise SelfVerificationError(
                     f"iteration {st.stats['iterations']}: invariant failures "
-                    f"{[c for c in report.checks if not c[1]]}"
+                    f"{report.failures()}"
                 )
         st.stats["iterations"] += 1
         if st.stats["iterations"] > n:
@@ -515,7 +597,7 @@ def balanced_separator(
         if view is None:
             break
 
-        stuck, found = _scan_branches(st, view, st.nbrs)
+        stuck, found = _scan_branches(st, view)
         if stuck is None:
             cand = step2_grow_model(g, view, found)
             st.model = add_branch(st.model, g, cand)

@@ -2,7 +2,9 @@
 
 Everything here recomputes components and neighborhoods from the graph
 alone; nothing trusts driver-side caches.  A report is a flat list of
-named checks so failures can be printed or serialized verbatim.
+named checks so failures can be printed or serialized verbatim.  The
+driver's per-iteration invariant check returns the same report, but lives
+in `separator.py` beside the state it reads (`check_invariants`).
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from scipy import sparse
 from .errors import InputError
 from .graph import (Graph, VertexMask, _component_sizes, _connected_sets, _index_dtype,
                     _sorted_unique)
-from .minor_model import MinorModel, branch_neighbors
+from .minor_model import MinorModel
 
 __all__ = ["VerificationReport", "certificate", "verify_certificate", "verify_balanced",
-           "verify_witness", "witness_from_json", "check_invariants"]
+           "verify_witness", "witness_from_json"]
 
 
 @dataclass(frozen=True)
@@ -195,79 +197,3 @@ def witness_from_json(n: int, payload) -> tuple:
     )
     return MinorModel(n, branches), h
 
-
-def check_invariants(st) -> VerificationReport:
-    """The properties asserted at every iteration start.
-
-    `st` is a driver state: g, n, h, ell, model, x_set, live, branch_budget,
-    and nbrs, the live neighbors the driver carries for each branch, which
-    must equal the ones gathered here from the graph.
-    """
-    g: Graph = st.g
-    n, h, ell = st.n, st.h, st.ell
-    m: MinorModel = st.model
-    live: VertexMask = st.live
-    checks = []
-
-    structural = [c for c in verify_witness(g, m, h).checks if c[0] != "enough_branches"]
-    struct_ok = all(okc for _, okc, _ in structural)
-    small = m.size <= h - 1
-    detail1 = f"|K|={m.size} <= h-1={h - 1}: {small}"
-    if not struct_ok:
-        detail1 += "; " + "; ".join(d for _, okc, d in structural if not okc)
-    checks.append(("model_small_and_valid", small and struct_ok, detail1))
-
-    member = m.member_mask()
-    overlap = live.intersect(member)
-    checks.append((
-        "live_disjoint_from_branches", overlap.size == 0,
-        "disjoint" if overlap.size == 0 else f"overlap at {overlap.ids()[:5].tolist()}",
-    ))
-
-    fresh = [branch_neighbors(m, g, live, i) for i in range(m.size)]
-    nbr_counts = [nb.size for nb in fresh]
-    dead = [i for i, nb in enumerate(nbr_counts) if nb == 0]
-    checks.append((
-        "every_branch_touches_live", not dead,
-        "all touch" if not dead else f"branches without live neighbor: {dead}",
-    ))
-
-    carried = st.nbrs
-    stale = [i for i, (nb, want) in enumerate(zip(carried, fresh))
-             if not np.array_equal(nb, want)]
-    checks.append((
-        "carried_neighbors_match", not stale and len(carried) == m.size,
-        f"{len(carried)} carried lists for {m.size} branches"
-        + ("" if not stale else f"; stale at branches {stale}"),
-    ))
-
-    budget = st.branch_budget
-    bad4 = []
-    for i, (ids, nb) in enumerate(zip(m.branches, nbr_counts)):
-        if ids.size > budget and h * ell * nb > n:
-            bad4.append((i, int(ids.size), int(nb)))
-    checks.append((
-        "branch_size_or_neighborhood", not bad4,
-        f"budget {budget}, n/(h*ell) threshold {n}/{h * ell}"
-        + ("" if not bad4 else f"; violations (idx,|V|,|N|): {bad4}"),
-    ))
-
-    src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
-    touches = (~live.bits[src]) & live.bits[g.indices]
-    outside = _sorted_unique(src[touches])
-    covered = st.x_set.bits[outside] | member.bits[outside]
-    checks.append((
-        "live_boundary_covered", bool(covered.all()),
-        "covered" if covered.all()
-        else f"uncovered outside neighbors: {outside[~covered][:5].tolist()}",
-    ))
-
-    x_live = st.x_set.intersect(live)
-    x_branch = st.x_set.intersect(member)
-    sizes = _component_sizes(g, live)
-    checks.append((
-        "state_sane", x_live.size == 0 and x_branch.size == 0 and sizes.size <= 1,
-        f"|X&live|={x_live.size}, |X&branches|={x_branch.size}, live components={sizes.size}",
-    ))
-
-    return VerificationReport(all(okc for _, okc, _ in checks), checks)

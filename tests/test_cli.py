@@ -220,6 +220,38 @@ def test_separate_input_errors(tmp_path, capsys):
     assert run("separate", "--gen", "mystery:5", "--h", "4") == EXIT_INPUT
 
 
+@pytest.mark.parametrize("params", [
+    ["--h", "5", "--ell", str(10**309)],
+    ["--h", str(10**309)],
+])
+def test_separate_rejects_a_delta_too_large_for_a_float(tmp_path, capsys, params):
+    # these ended in an OverflowError traceback and exit code 1, the code of
+    # an invalid certificate
+    rep = tmp_path / "r.json"
+    assert run("separate", "--gen", "grid:6,6", *params, "--json", str(rep)) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error:")
+    assert not rep.exists()
+
+
+def test_bench_rejects_an_ell_too_large_for_a_float(capsys):
+    assert run("bench", "--sizes", "16", "--h", "5", "--trials", "1",
+               "--ell", str(10**309)) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "summary" not in captured.out
+
+
+@pytest.mark.parametrize("params,rep_sha", [
+    (["--h", "5", "--ell", str(10**24)],
+     "edb4be23b4e01e24030b2553aa91ad921d06b45c7658bc5e83804d873458aa90"),
+    (["--h", str(10**309), "--ell", "2"],
+     "1be0e368193aea891fc792c3506c303bb22bf499f972af85e0a892c8030306a7"),
+])
+def test_separate_runs_a_large_ell_or_h_whose_delta_is_a_float(tmp_path, params, rep_sha):
+    rep = tmp_path / "r.json"
+    assert run("separate", "--gen", "grid:6,6", *params, "--json", str(rep)) == EXIT_SEPARATOR
+    assert hashlib.sha256(rep.read_bytes()).hexdigest() == rep_sha
+
+
 def test_separate_rejects_the_removed_fast_flag(capsys):
     # README's exit-code table: a bad flag is exit code 2, argparse's usage error
     with pytest.raises(SystemExit) as exc:

@@ -186,6 +186,13 @@ def test_empty_live_and_bad_delta():
         ldd(g, VertexMask.full(5), 0.0, stream(0, "ldd"))
 
 
+@pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+def test_nan_or_infinite_delta_is_an_input_error(delta):
+    # both used to reach `truncated_exponential`'s assert, which python -O skips
+    with pytest.raises(InputError, match="finite"):
+        ldd(gen("path", 5), VertexMask.full(5), delta, stream(0, "ldd"))
+
+
 def test_singleton_live():
     g = gen("path", 5)
     res = ldd(g, VertexMask.from_ids(5, [3]), 4.0, stream(0, "ldd"))

@@ -273,6 +273,19 @@ def test_bfs_root_must_be_live():
         bfs_layers(GRID3, VertexMask.from_ids(9, [1, 2]), 0)
 
 
+@pytest.mark.parametrize("root", [-1, 9])
+def test_bfs_root_outside_the_graph_is_an_input_error(root):
+    # root 9 raised IndexError and root -1 a "negative dimensions" ValueError
+    with pytest.raises(InputError):
+        bfs_layers(GRID3, VertexMask.full(9), root)
+
+
+@pytest.mark.parametrize("root", [-1, 9])
+def test_ball_root_outside_the_graph_is_an_input_error(root):
+    with pytest.raises(InputError):
+        ball(GRID3, VertexMask.full(9), root, 1)
+
+
 def test_ball_on_grid():
     full = VertexMask.full(9)
     assert ball(GRID3, full, 0, 2).ids().tolist() == [0, 1, 2, 3, 4, 6]

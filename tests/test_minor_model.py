@@ -40,7 +40,6 @@ def test_new_model_and_accessors():
     m = new_model(5, 2)
     assert m.size == 1
     assert m.branches[0].tolist() == [2]
-    assert m.vertices().tolist() == [2]
     assert m.branch_of().tolist() == [-1, -1, 0, -1, -1]
     assert m.member_mask().ids().tolist() == [2]
     with pytest.raises(ModelError):

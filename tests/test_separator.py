@@ -64,6 +64,18 @@ def test_h_validation():
         balanced_separator(g, 5, ell=0)
 
 
+def test_delta_too_large_for_a_float_is_an_input_error(monkeypatch):
+    # the decomposition draws its shifts in floats; nothing runs first
+    monkeypatch.setattr(separator, "_prologue", None)
+    g = gen("path", 5)
+    with pytest.raises(InputError, match="delta"):
+        balanced_separator(g, 5, ell=10**309)
+    with pytest.raises(InputError, match="default ell"):
+        balanced_separator(g, 10**309)
+    with pytest.raises(InputError, match="default ell"):
+        default_ell(5, 10**309)
+
+
 # -- trivial and degenerate inputs -------------------------------------------------
 
 def test_empty_graph():
@@ -490,6 +502,18 @@ def test_exact_center_finds_a_late_hub_at_every_position():
         assert scan(g, VertexMask.full(n), 1) == c
         assert scan(g, VertexMask.full(n), 0) is None
         assert scan(g, VertexMask.full(n), 2) == 0
+
+
+def test_exact_center_searches_at_most_512_live_vertices():
+    # the size gate sits in `_exact_center` itself: past 512 live vertices
+    # it answers None, though here the first id's ball holds everything; a
+    # first-id test run at every live size would return the hub on both
+    g = hubs(513, [0])
+    assert _exact_center(g, VertexMask.full(513), 1, 513) is None
+    g = hubs(512, [0])
+    dist = _exact_center(g, VertexMask.full(512), 1, 512)
+    assert int(np.argmax(dist == 0)) == 0
+    assert np.array_equal(dist, bfs_layers(g, VertexMask.full(512), 0))
 
 
 def test_exact_center_takes_the_smallest_of_several_hubs():

@@ -1,4 +1,4 @@
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from hypothesis import given
@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from minorsep.graph import Graph, VertexMask, build_graph
 from minorsep.minor_model import MinorModel
-from minorsep.verify import check_invariants, verify_balanced, verify_witness
+from minorsep.separator import DriverState, check_invariants
+from minorsep.verify import verify_balanced, verify_witness
 
 from helpers import brute_balanced, gen
 
@@ -100,6 +101,14 @@ class FakeState:
     live: VertexMask
     branch_budget: int
     nbrs: list
+
+
+def test_fake_state_fields_are_driver_state_fields():
+    # the fake stands in for DriverState only while it has no field the
+    # driver's state lacks
+    driver = {f.name for f in fields(DriverState)}
+    driver |= {name for name, v in vars(DriverState).items() if isinstance(v, property)}
+    assert {f.name for f in fields(FakeState)} <= driver
 
 
 def healthy_state():
