@@ -60,6 +60,7 @@ them; while every shift is below 2 the degrees alone may settle it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -143,7 +144,8 @@ def _boundary(g: Graph, center: np.ndarray) -> VertexMask:
 def ldd(g: Graph, live: VertexMask, delta: float, rng: SplitMix64) -> LddResult:
     """Draw the shifts of `live`'s vertices from `rng`; the parts are
     assigned when the result's centers are first read."""
-    if not 0 < delta < math.inf:
+    # an int past the largest float compares exactly, and would overflow below
+    if not 0 < delta <= sys.float_info.max:
         raise InputError(f"delta must be positive and finite, got {delta}")
     ids = live.ids()
     if ids.size == 0:

@@ -76,7 +76,7 @@ class VertexMask:
         return np.flatnonzero(self.bits)
 
     def __contains__(self, v: int) -> bool:
-        return bool(self.bits[v])
+        return 0 <= v < self.n and bool(self.bits[v])
 
     def __len__(self) -> int:
         return self._size
@@ -330,7 +330,7 @@ def bfs_layers(g: Graph, live: VertexMask, root: int, radius: int | None = None)
 
     Stops after `radius` layers when given.  The root must be live.
     """
-    if not 0 <= root < g.n or root not in live:
+    if root not in live:
         raise InputError(f"BFS root {root} is not in the mask")
     dist = np.full(g.n, -1, dtype=np.int64)
     dist[root] = 0
@@ -366,8 +366,8 @@ def _ball_sizes(g: Graph, live: VertexMask, r: int, sources: np.ndarray) -> np.n
     j's live neighbors and then j itself: reduceat yields an element, not
     the identity, for an empty segment, and j's own entry keeps none empty.
     A round that changes nothing ends the search.  Distance is symmetric, so
-    column j's bits count j's ball.  A round gathers ceil(k/64) words per
-    live edge end and per live id.
+    column j's bits, counted by `np.bitwise_count`, count j's ball.  A round
+    gathers ceil(k/64) words per live edge end and per live id.
     """
     ids = live.ids()
     k = ids.size
@@ -390,21 +390,7 @@ def _ball_sizes(g: Graph, live: VertexMask, r: int, sources: np.ndarray) -> np.n
         if np.array_equal(grown, cols):
             break
         cols = grown
-    return _popcount(cols).sum(axis=0)[local[sources]]
-
-
-def _popcount(x: np.ndarray) -> np.ndarray:
-    """The number of set bits in each entry of a uint64 array, by the
-    shift-and-mask sums of Hacker's Delight (Warren, 2002) section 5-1;
-    numpy gained `bitwise_count` only in 2.0."""
-    one, two, four = np.uint64(1), np.uint64(2), np.uint64(4)
-    m1, m2, m4 = (np.uint64(0x5555555555555555), np.uint64(0x3333333333333333),
-                  np.uint64(0x0F0F0F0F0F0F0F0F))
-    x = x - ((x >> one) & m1)
-    x = (x & m2) + ((x >> two) & m2)
-    x = (x + (x >> four)) & m4
-    # the byte sums, added into the top byte
-    return (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
+    return np.bitwise_count(cols).sum(axis=0)[local[sources]]
 
 
 def tree_path(g: Graph, dist: np.ndarray, x: int) -> np.ndarray:

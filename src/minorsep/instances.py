@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
@@ -281,6 +282,11 @@ def _read_header(lines) -> tuple:
     raise InputError("line 1: missing header 'p <n> <m>'")
 
 
+# a comment runs from its ``#`` up to its LF; no UTF-8 multibyte character
+# holds the byte of either
+_COMMENT = re.compile(rb"#[^\n]*")
+
+
 def _parse_body(body: str, n: int, m: int):
     """The text after the header as an (m, 2) array, or None when the line
     loop has to decide.
@@ -297,7 +303,7 @@ def _parse_body(body: str, n: int, m: int):
     # an open file's text may hold lone surrogates, which strict UTF-8 refuses
     data = body.encode(errors="surrogatepass")
     if b"#" in data:
-        data = _strip_comments(data)
+        data = _COMMENT.sub(b"", data)
     if data.translate(None, b"0123456789 \t\n"):
         return None
     b = np.frombuffer(data, np.uint8)
@@ -321,20 +327,6 @@ def _parse_body(body: str, n: int, m: int):
     if pairs.max() >= n or (pairs[:, 0] == pairs[:, 1]).any():
         return None
     return pairs
-
-
-def _strip_comments(data: bytes) -> bytes:
-    """data without its ``#`` comments, each of which runs up to its LF.
-    A UTF-8 multibyte character never holds the byte of ``#`` or LF."""
-    b = np.frombuffer(data, np.uint8)
-    lf = np.flatnonzero(b == ord("\n"))
-    hashes = np.flatnonzero(b == ord("#"))
-    stop = np.append(lf, b.size)[np.searchsorted(lf, hashes)]
-    first = np.diff(stop, prepend=-1) > 0  # the first '#' on its line
-    # runs to keep and comments alternate, from a run to keep
-    runs = np.diff(np.column_stack([hashes[first], stop[first]]).ravel(),
-                   prepend=0, append=b.size)
-    return b[np.repeat(np.arange(runs.size) % 2 == 0, runs)].tobytes()
 
 
 def _check_lines(body, first: int, n: int, m: int) -> list:

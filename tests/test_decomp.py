@@ -186,9 +186,11 @@ def test_empty_live_and_bad_delta():
         ldd(g, VertexMask.full(5), 0.0, stream(0, "ldd"))
 
 
-@pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+@pytest.mark.parametrize("delta", [float("nan"), float("inf"),
+                                   pytest.param(10**400, id="int-past-float")])
 def test_nan_or_infinite_delta_is_an_input_error(delta):
-    # both used to reach `truncated_exponential`'s assert, which python -O skips
+    # nan and inf used to reach `truncated_exponential`'s assert, which
+    # python -O skips; the int overflowed on its way to a float
     with pytest.raises(InputError, match="finite"):
         ldd(gen("path", 5), VertexMask.full(5), delta, stream(0, "ldd"))
 

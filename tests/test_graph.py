@@ -126,6 +126,13 @@ def test_mask_operations():
     assert VertexMask.full(4).size == 4
 
 
+def test_mask_membership_outside_the_ids_is_false():
+    # -1 read vertex n - 1 and n raised IndexError
+    mask = VertexMask.from_ids(5, [4])
+    assert 4 in mask
+    assert -1 not in mask and 5 not in mask
+
+
 def test_mask_from_ids_range_check():
     with pytest.raises(InputError):
         VertexMask.from_ids(3, [3])

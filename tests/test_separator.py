@@ -54,6 +54,12 @@ def test_default_ell():
     assert default_ell(10000, 20) < default_ell(10000, 5)
 
 
+@pytest.mark.parametrize("n,h", [(10, 2), (0, 5)])
+def test_default_ell_input_checks(n, h):
+    with pytest.raises(InputError):
+        default_ell(n, h)
+
+
 def test_h_validation():
     g = gen("path", 5)
     with pytest.raises(InputError):
