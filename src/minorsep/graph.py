@@ -101,7 +101,12 @@ class VertexMask:
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph in CSR form; neighbor lists sorted ascending."""
+    """Simple undirected graph in CSR form; neighbor lists sorted ascending.
+
+    `build_graph` makes `indptr` and `indices` read-only, so a Graph never
+    changes once built, and what is computed from it alone may be kept on
+    it (`separator.balanced_separator` keeps its prologue).
+    """
 
     n: int
     indptr: np.ndarray
@@ -151,6 +156,7 @@ def build_graph(n: int, edge_list) -> Graph:
     src, tgt = np.divmod(_sorted_unique(np.concatenate([u * n + v, v * n + u])), max(n, 1))
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    indptr.flags.writeable = tgt.flags.writeable = False
     return Graph(n=n, indptr=indptr, indices=tgt)
 
 

@@ -28,11 +28,14 @@ A sparse solve labels no component when vertex 0's smallest neighbor
 reaches 2n/3 of the graph in g - {0}: that one BFS before the loop yields
 the first branch's vertex and the first live part.  Only otherwise does one
 component pass on g - {0} yield them with g's largest component (see
-`_prologue`).  Verifying the separator counts component sizes without
-labelling them.  Step 1 asks the LDD for a component over 2n/3 of live
-minus its boundary (`LddResult.large_component`, which builds no more of
-the decomposition than that answer needs) and reads the boundary
-otherwise only when it finishes with S.
+`_prologue`).  The prologue depends on g alone, not on h, ell or the seed,
+so it is computed once per Graph object and kept on it: solving a Graph
+again starts at the loop or at the exit.  Verifying the separator counts
+component sizes without labelling them.  Step 1 asks the LDD for a
+component over 2n/3 of live minus its boundary
+(`LddResult.large_component`, which builds no more of the decomposition
+than that answer needs) and reads the boundary otherwise only when it
+finishes with S.
 
 The branches' live neighbors are carried across iterations in
 `DriverState.nbrs`, gathered once for the first branch: steps 2, 3 and 4
@@ -276,7 +279,9 @@ def _largest_component_mask(g: Graph, mask: VertexMask) -> VertexMask:
 
 def _prologue(g: Graph) -> tuple:
     """(x, live, lone): the first branch's vertex, the live part, and the
-    separator of an exit before the loop, None when the loop runs.
+    separator of an exit before the loop, None when the loop runs.  Pure in
+    g; kept per Graph, so `balanced_separator` computes it once for each
+    Graph object whatever h, ell and seed.
 
     First one BFS in g - {0} from vertex 0's smallest neighbor.  When its
     reach R holds 2n/3 of n, |R| > (n - 1)/2, so R is the largest component
@@ -369,18 +374,25 @@ def _exact_center(g: Graph, live: VertexMask, r: int, n: int) -> np.ndarray | No
     remain at depth r, as otherwise it already reached the root's whole
     component.  When it fails, one bit-parallel BFS from every other id
     (`_ball_sizes`) tests them, and the first passing one is searched in
-    full.  Only live parts of at most EXACT_CENTER_LIMIT ids are searched,
-    so that BFS keeps at most 8 words per id, and each round gathers 8 words
-    per live edge end and per id: about 150 KB on grid 22², and 16.8 MB on a
-    512-vertex clique.  A live part under 2n/3 holds no such ball, so it is
-    not searched either.
+    full.  That scan is skipped when the first id's search reached its whole
+    component and the rest of live holds under 2n/3: a ball never leaves its
+    component, so no other ball can pass.  Step 1's live is connected, so
+    only `_update_live`'s rest can meet that.  Only live parts of at most
+    EXACT_CENTER_LIMIT ids are searched, so that BFS keeps at most 8 words
+    per id, and each round gathers 8 words per live edge end and per id:
+    about 150 KB on grid 22², and 16.8 MB on a 512-vertex clique.  A live
+    part under 2n/3 holds no such ball, so it is not searched either.
     """
     if live.size > EXACT_CENTER_LIMIT or 3 * live.size < 2 * n:
         return None
     root = int(np.argmax(live.bits))
     dist = bfs_layers(g, live, root, radius=r)
-    if 3 * np.count_nonzero(dist >= 0) >= 2 * n:
-        return bfs_layers(g, live, root) if (dist == r).any() else dist
+    reached = np.count_nonzero(dist >= 0)
+    whole = not (dist == r).any()
+    if 3 * reached >= 2 * n:
+        return dist if whole else bfs_layers(g, live, root)
+    if whole and 3 * (live.size - reached) < 2 * n:
+        return None
     rest = live.ids()[1:]
     hits = rest[3 * _ball_sizes(g, live, r, rest) >= 2 * n]
     return bfs_layers(g, live, int(hits[0])) if hits.size else None
@@ -537,6 +549,10 @@ def balanced_separator(
     InputError, before any work, when h < 3, ell < 1, or delta = ell *
     ceil(log2 h) is too large to be a float (the decomposition draws its
     shifts in floats).
+
+    The prologue (`_prologue`) is computed on the first solve of g and kept
+    on g for every later one.  Its masks are read-only: an exit before the
+    loop returns the kept mask itself as the separator.
     """
     if h < 3:
         raise InputError("h must be >= 3")
@@ -553,7 +569,16 @@ def balanced_separator(
     stats = _new_stats()
     stats.update({"n": n, "m": g.m, "h": h, "ell": ell})
 
-    x, live, lone = _prologue(g)
+    # g is frozen, so the prologue goes straight into its __dict__, as
+    # functools.cached_property stores a value
+    kept = g.__dict__.get("_prologue")
+    if kept is None:
+        kept = _prologue(g)
+        for mask in kept[1:]:
+            if mask is not None:
+                mask.bits.flags.writeable = False
+        g.__dict__["_prologue"] = kept
+    x, live, lone = kept
     if lone is not None:
         return _first_balanced(
             g, [(lone, {"x": 0, "step1_s": 0, "f_selector": lone.size})], stats,

@@ -48,6 +48,14 @@ def test_build_dedupes_and_sorts():
     assert list(zip(us.tolist(), vs.tolist())) == [(0, 1), (2, 3)]
 
 
+@pytest.mark.parametrize("name", ["indptr", "indices"])
+def test_build_makes_the_arrays_read_only(name):
+    g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(g, name)[1] = 0
+    assert g.neighbors(1).tolist() == [0, 2]
+
+
 def test_build_rejects_bad_input():
     with pytest.raises(InputError):
         build_graph(3, [(0, 0)])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minorsep import decomp, graph, separator, verify
+from minorsep import cli, decomp, graph, separator, verify
 from minorsep.decomp import ldd
 from minorsep.errors import InputError
 from minorsep.graph import VertexMask, ball, bfs_layers, build_graph, connected_components
@@ -20,7 +20,7 @@ from minorsep.separator import (
     ceil_log2,
     default_ell,
 )
-from minorsep.verify import verify_balanced, verify_witness
+from minorsep.verify import certificate, verify_balanced, verify_witness
 
 from helpers import (
     count_calls,
@@ -266,6 +266,79 @@ def test_prologue_matches_two_pass_oracle(g):
 ])
 def test_prologue_cases(n, edges, expect):
     assert check_prologue(build_graph(n, edges)) == expect
+
+
+# one input per prologue route, each built afresh by its function
+PROLOGUE_ROUTES = {
+    # vertex 0's first neighbor reaches 2n/3 in g - {0}: the BFS decides
+    "bfs-grid": lambda: gen("grid", 10, 10),
+    "bfs-cycle": lambda: gen("cycle", 200),
+    # a tree whose vertex 1 reaches under 2n/3 in g - {0}: the pass, x = 0
+    "pass-x0": lambda: build_graph(9, [(0, 1), (1, 2), (0, 3)]
+                                   + [(i, i + 1) for i in range(3, 8)]),
+    # an isolated 0 beside a path: the largest component avoids 0
+    "pass-apart": lambda: build_graph(7, [(i, i + 1) for i in range(1, 6)]),
+    "nothing-removed": lambda: build_graph(6, [(0, 1), (2, 3), (4, 5)]),
+    "lone": lambda: gen("star", 5),
+    "empty": lambda: build_graph(0, []),
+}
+
+# (h, ell, seed) of the three solves of each input
+RESOLVES = [(3, None, 0), (5, 2, 3), (9, 1, 7)]
+
+
+def separate_report(monkeypatch, path, g, h, ell, seed):
+    """The bytes of `minorsep separate --json` run on the Graph object g."""
+    monkeypatch.setattr(cli, "_load_graph", lambda args: (g, "route"))
+    argv = ["separate", "--gen", "route", "--h", str(h), "--seed", str(seed), "--json", str(path)]
+    if ell is not None:
+        argv += ["--ell", str(ell)]
+    assert cli.main(argv) in (cli.EXIT_SEPARATOR, cli.EXIT_WITNESS)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("route", PROLOGUE_ROUTES)
+def test_solving_a_graph_again_equals_solving_a_fresh_one(monkeypatch, tmp_path, route):
+    # the kept prologue stands in for a fresh one on every route, whatever
+    # h, ell and seed
+    build = PROLOGUE_ROUTES[route]
+    kept = build()
+    for h, ell, seed in RESOLVES:
+        got, want = (balanced_separator(g, h, ell, seed) for g in (kept, build()))
+        assert (got.kind, certificate(got), got.stats) == (want.kind, certificate(want), want.stats)
+        got, want = (separate_report(monkeypatch, tmp_path / "r.json", g, h, ell, seed)
+                     for g in (kept, build()))
+        assert got == want
+
+
+@pytest.mark.parametrize("route,reach,labelled", [
+    ("bfs-cycle", 1, 0), ("nothing-removed", 1, 1), ("lone", 1, 1),
+])
+def test_prologue_runs_once_per_graph(monkeypatch, route, reach, labelled):
+    # on these routes only the prologue reaches or labels: three solves of
+    # one Graph pay for it once, three fresh Graphs three times
+    calls = count_calls(monkeypatch, [(separator, "_reach_without", "reach"),
+                                      (separator, "connected_components", "labelled")])
+    kept = PROLOGUE_ROUTES[route]()
+    for h, ell, seed in RESOLVES:
+        balanced_separator(kept, h, ell, seed)
+    assert calls == {"reach": reach, "labelled": labelled}
+    for h, ell, seed in RESOLVES:
+        balanced_separator(PROLOGUE_ROUTES[route](), h, ell, seed)
+    assert calls == {"reach": 4 * reach, "labelled": 4 * labelled}
+
+
+@pytest.mark.parametrize("route,ids", [("lone", [0]), ("nothing-removed", [])])
+def test_an_exit_separator_is_read_only(route, ids):
+    # the exits return the kept mask itself, so a write into an outcome
+    # cannot reach a later solve
+    g = PROLOGUE_ROUTES[route]()
+    out = balanced_separator(g, 3)
+    with pytest.raises(ValueError, match="read-only"):
+        out.separator.bits[1] = not out.separator.bits[1]
+    again = balanced_separator(g, 5, seed=1)
+    assert out.separator.ids().tolist() == again.separator.ids().tolist() == ids
+    assert again.verification.ok
 
 
 @st.composite
@@ -520,6 +593,22 @@ def test_exact_center_searches_at_most_512_live_vertices():
     dist = _exact_center(g, VertexMask.full(512), 1, 512)
     assert int(np.argmax(dist == 0)) == 0
     assert np.array_equal(dist, bfs_layers(g, VertexMask.full(512), 0))
+
+
+@pytest.mark.parametrize("r,scans", [(4, 1), (5, 0), (40, 0)])
+def test_exact_center_skips_a_scan_no_ball_can_pass(monkeypatch, r, scans):
+    # live, as a live update's rest: a 5-vertex path on the smallest ids
+    # beside a 15-vertex clique, with n = 30.  From r = 5 on, the first id's
+    # search reaches its whole path, and the clique's 15 ids are under 2n/3,
+    # so no ball can pass and `_ball_sizes` is not called; at r = 4 the
+    # search stops at depth r and the scan runs
+    clique = [(u, v) for u in range(5, 20) for v in range(u + 1, 20)]
+    g = build_graph(30, [(i, i + 1) for i in range(4)] + clique)
+    live = VertexMask.from_ids(30, range(20))
+    calls = count_calls(monkeypatch, [(separator, "_ball_sizes", "scans")])
+    assert _exact_center(g, live, r, 30) is None
+    assert loop_exact_center(g, live, r, 30) is None
+    assert calls == {"scans": scans}
 
 
 def test_exact_center_takes_the_smallest_of_several_hubs():
