@@ -4,9 +4,11 @@ Subcommands: separate, verify, gen, bench.  Exit codes: 0 balanced
 separator (or valid certificate), 10 minor witness, 1 invalid certificate,
 2 input error or out of memory, 3 self-verification failure (including a
 model operation the driver got wrong).  JSON reports are canonical (sorted
-keys, no whitespace, schema "v1") and contain no timing, so a fixed (input,
+keys, no whitespace, schema "v2") and contain no timing, so a fixed (input,
 h, ell, seed, flags) tuple reproduces them byte for byte; wall-clock time
-goes to stderr.
+goes to stderr.  A report is the solver's `stats`, which hold the run's
+parameters and counters, plus what the solver cannot know: the input's
+digest and source, the verification checks and the outcome.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .instances import (
     write_edge_list,
 )
 from .rng import derive_seed
-from .separator import BalancedSeparator, balanced_separator, cluster_diameter
+from .separator import BalancedSeparator, balanced_separator
 from .verify import certificate, verify_certificate
 
 __all__ = ["main"]
@@ -78,8 +80,7 @@ def _canonical_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _report(g: Graph, source: str, args, outcome, cert: dict) -> dict:
-    ell = outcome.stats["ell"]
+def _report(g: Graph, source: str, outcome, cert: dict) -> dict:
     outcome_body = dict(cert)
     outcome_body["kind"] = outcome_body.pop("type")
     if isinstance(outcome, BalancedSeparator):
@@ -90,14 +91,8 @@ def _report(g: Graph, source: str, args, outcome, cert: dict) -> dict:
             "component_count": len(outcome.verification.component_sizes),
         })
     return {
-        "schema": "v1",
-        "input": {"digest": _digest(g), "n": g.n, "m": g.m, "source": source},
-        "params": {
-            "h": args.h,
-            "ell": ell,
-            "delta": cluster_diameter(ell, args.h),
-            "seed": args.seed,
-        },
+        "schema": "v2",
+        "input": {"digest": _digest(g), "source": source},
         "stats": outcome.stats,
         "verification": outcome.verification.to_dict(),
         "outcome": outcome_body,
@@ -121,7 +116,7 @@ def cmd_separate(args) -> int:
     # newline="\n": canonical bytes end lines in LF on every platform
     if args.json:
         with open(args.json, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_canonical_json(_report(g, source, args, outcome, cert)))
+            fh.write(_canonical_json(_report(g, source, outcome, cert)))
     if args.certificate:
         with open(args.certificate, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(_canonical_json(cert))

@@ -99,13 +99,14 @@ class VertexMask:
         return f"VertexMask(size={self._size} of {self.n})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Simple undirected graph in CSR form; neighbor lists sorted ascending.
 
     `build_graph` makes `indptr` and `indices` read-only, so a Graph never
     changes once built, and what is computed from it alone may be kept on
-    it (`separator.balanced_separator` keeps its prologue).
+    it (`separator.balanced_separator` keeps its prologue).  What is kept is
+    kept per object, so a Graph compares and hashes by identity.
     """
 
     n: int

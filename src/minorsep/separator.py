@@ -257,22 +257,6 @@ def check_invariants(st: DriverState) -> VerificationReport:
     return VerificationReport(all(okc for _, okc, _ in checks), checks)
 
 
-def _new_stats() -> dict:
-    return {
-        "iterations": 0,
-        "ldd_calls": 0,
-        "step1_finished": 0,
-        "step2_count": 0,
-        "step3_count": 0,
-        "step4_count": 0,
-        "exact_center_used": 0,
-        "charged": 0,
-        "retired_branches": 0,
-        "fallback_level": 0,
-        "invariant_checks": 0,
-    }
-
-
 def _largest_component_mask(g: Graph, mask: VertexMask) -> VertexMask:
     return VertexMask(connected_components(g, mask)[0] == 0)
 
@@ -429,7 +413,6 @@ def step1_decompose(st: DriverState) -> LayeredView | None:
     becomes S.
     """
     res = ldd(st.g, st.live, float(st.delta), st.rng_ldd)
-    st.stats["ldd_calls"] += 1
     root = res.large_component(st.n)
     if root is not None:
         return _layered_view(st, bfs_layers(st.g, st.live, root))
@@ -550,6 +533,9 @@ def balanced_separator(
     ceil(log2 h) is too large to be a float (the decomposition draws its
     shifts in floats).
 
+    The outcome's `stats` is the run's one record: its parameters n, m, h,
+    ell, delta and seed, then its counters.
+
     The prologue (`_prologue`) is computed on the first solve of g and kept
     on g for every later one.  Its masks are read-only: an exit before the
     loop returns the kept mask itself as the separator.
@@ -566,8 +552,19 @@ def balanced_separator(
         float(delta)
     except OverflowError:
         raise InputError("delta = ell * ceil(log2 h) must be below 2**1024") from None
-    stats = _new_stats()
-    stats.update({"n": n, "m": g.m, "h": h, "ell": ell})
+    stats = {
+        "n": n, "m": g.m, "h": h, "ell": ell, "delta": delta, "seed": seed,
+        "iterations": 0,
+        "step1_finished": 0,
+        "step2_count": 0,
+        "step3_count": 0,
+        "step4_count": 0,
+        "exact_center_used": 0,
+        "charged": 0,
+        "retired_branches": 0,
+        "fallback_level": 0,
+        "invariant_checks": 0,
+    }
 
     # g is frozen, so the prologue goes straight into its __dict__, as
     # functools.cached_property stores a value

@@ -28,15 +28,12 @@ class VerificationReport:
     ok: bool
     checks: list
     worst_component: int = 0
-    separator_size: int = 0
     component_sizes: tuple = ()  # of g minus the separator, largest first
 
     def to_dict(self) -> dict:
         return {
             "ok": self.ok,
             "checks": [[name, passed, detail] for name, passed, detail in self.checks],
-            "worst_component": self.worst_component,
-            "separator_size": self.separator_size,
         }
 
     def failures(self) -> list:
@@ -53,10 +50,8 @@ def verify_balanced(g: Graph, sep: VertexMask) -> VerificationReport:
         ok,
         f"largest remaining component {worst} of n={g.n}; need 3*{worst} <= 2*{g.n}",
     )]
-    return VerificationReport(
-        ok, checks, worst_component=worst, separator_size=sep.size,
-        component_sizes=tuple(sizes.tolist()),
-    )
+    return VerificationReport(ok, checks, worst_component=worst,
+                              component_sizes=tuple(sizes.tolist()))
 
 
 def verify_witness(g: Graph, m: MinorModel, h: int) -> VerificationReport:

@@ -6,8 +6,8 @@ X, the retired branches and the live part.  Every iteration:
 - gathers each branch's live neighbors from the graph, and retires the
   branches that have none;
 - draws the decomposition from the run's "ldd" stream with
-  `heap_partition`, counted in `ldd_calls`, and labels live minus its
-  boundary with `uf_components`;
+  `heap_partition`, and labels live minus its boundary with
+  `uf_components`;
 - under the driver's size rule, looks for the exact center with
   `loop_exact_center`;
 - runs step 2, 3 or 4 on a BFS layering from the center, and labels what
@@ -15,7 +15,8 @@ X, the retired branches and the live part.  Every iteration:
 
 The prologue is `two_pass_prologue`, and the separator attempts are checked
 by `brute_balanced`.  The result is an outcome's digest body: [kind,
-separator ids or branches, size_breakdown or None, stats], where stats omit
+separator ids or branches, size_breakdown or None, stats], where stats hold
+the run's parameters (n, m, h, ell, delta, seed) and its counters, less
 `invariant_checks`, which counts the checks of debug runs only.
 """
 
@@ -66,7 +67,6 @@ def step1_center(g, edges, live, delta, rng, stats):
     n = g.n
     mask = VertexMask.from_ids(n, sorted(live))
     center, _ = heap_partition(g, mask, float(delta), rng)
-    stats["ldd_calls"] += 1
     boundary = {v for u, w in edges for v in (u, w)
                 if center[u] >= 0 and center[w] >= 0 and center[u] != center[w]}
     inner = components(n, edges, live - boundary)
@@ -99,9 +99,11 @@ def finish(n, edges, attempts, stats):
 def reference_run(g, h, ell=None, seed=0):
     n = g.n
     ell = default_ell(max(n, 1), h) if ell is None else ell
-    stats = {"n": n, "m": g.m, "h": h, "ell": ell, "iterations": 0, "ldd_calls": 0,
-             "step1_finished": 0, "step2_count": 0, "step3_count": 0, "step4_count": 0,
-             "exact_center_used": 0, "charged": 0, "retired_branches": 0, "fallback_level": 0}
+    delta = cluster_diameter(ell, h)
+    stats = {"n": n, "m": g.m, "h": h, "ell": ell, "delta": delta, "seed": seed,
+             "iterations": 0, "step1_finished": 0, "step2_count": 0, "step3_count": 0,
+             "step4_count": 0, "exact_center_used": 0, "charged": 0, "retired_branches": 0,
+             "fallback_level": 0}
     edges = np_edges(g)
     adj = [g.neighbors(v).tolist() for v in range(n)]
     x, live, lone = two_pass_prologue(g)
@@ -110,7 +112,6 @@ def reference_run(g, h, ell=None, seed=0):
         return finish(n, edges, [(ids, {"x": 0, "step1_s": 0, "f_selector": len(ids)})], stats)
 
     live = set(live.ids().tolist())
-    delta = cluster_diameter(ell, h)
     ell_star = delta + ell
     rng = stream(seed, "ldd")
     branches, cut, step1_s, retired = [[x]], set(), set(), set()

@@ -126,10 +126,9 @@ def test_separate_grid_report_and_certificate(tmp_path, capsys):
     assert "separator of size 382" in out
 
     body = json.loads(rep.read_text())
-    assert body["schema"] == "v1"
-    assert body["input"]["n"] == 400 and body["input"]["m"] == 760
-    assert body["params"]["h"] == 5 and body["params"]["ell"] == 2
-    assert body["params"]["delta"] == 6
+    assert body["schema"] == "v2"
+    s = body["stats"]
+    assert (s["n"], s["m"], s["h"], s["ell"], s["delta"], s["seed"]) == (400, 760, 5, 2, 6, 0)
     assert body["outcome"]["kind"] == "separator"
     assert body["outcome"]["separator_size"] == 382
     assert body["verification"]["ok"] is True
@@ -163,20 +162,21 @@ def test_separate_reports_are_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
-# sha256 of (report, certificate) for the criterion-10 jobs, recorded when
-# the schema-v1 report was frozen; a refactor must reproduce them exactly.
+# sha256 of (report, certificate) for the criterion-10 jobs.  The reports
+# were recorded again when the schema-v2 report replaced v1 (certificates
+# unchanged); a refactor must reproduce them exactly.
 FROZEN_DIGESTS = [
     (["--gen", "grid:20,20", "--h", "5"],
-     "09bc02a2efe82bb4d67b8e6bfc6c92b479f797b57ccd7957bfbc07d40e15665f",
+     "e62f154264cb825c65272de98a5025b01f1a22eba32ee9d459afcdac02a44682",
      "4ba5b5866c7727826997d213856cd0f6c41d2e58b9bbfe9e13b3d6ffb39b41a8"),
     (["--gen", "gnp:200,0.015", "--h", "5", "--seed", "3"],
-     "d041afdcf018363b867449b969aba8dd6de25ff4ac6fe043483f8ddd65076cc6",
+     "ceaef9edbfae05ca713da8961f74627a11b8ab70eb4b2f6031908a2f29e1d8df",
      "eacd5d306518e6ba13c4dcf9ca5da0692aef105d88d21159d50ce0c8facc71b0"),
     (["--gen", "complete:9", "--h", "4"],
-     "b88ec8147c2051ef0fe46912b434b1bf43e1207cd823d87b23b418a68aeaaabd",
+     "38699e5b5a1b25da24e7f8af9c8a3ff1ce355a75880c04a7aa57a736a55591e1",
      "aa15305caf54161f51fddee99a921fd96731f41a8863bc35de19bfc188245295"),
     (["--gen", "tree:300", "--h", "4", "--seed", "2", "--debug"],
-     "187ad25ed824c4f3781268999e4472810b5ab189ea9aeb787c39c2972f0beb44",
+     "41a767cd129d03709638f05fd49dbe3960218e8a7ce76b0807ab4d05d58cf6aa",
      "68a2441062347dcc52290a7e43186411e713c19560123f60a910c1fce68cb01e"),
 ]
 
@@ -188,6 +188,37 @@ def test_separate_reports_match_frozen_digests(tmp_path):
         assert code in (EXIT_SEPARATOR, EXIT_WITNESS)
         assert hashlib.sha256(rep.read_bytes()).hexdigest() == rep_sha, argv
         assert hashlib.sha256(cert.read_bytes()).hexdigest() == cert_sha, argv
+
+
+STATS_KEYS = {"n", "m", "h", "ell", "delta", "seed", "iterations", "step1_finished",
+              "step2_count", "step3_count", "step4_count", "exact_center_used", "charged",
+              "retired_branches", "fallback_level", "invariant_checks"}
+
+
+@pytest.mark.parametrize("argv,code,outcome_keys", [
+    (["--gen", "grid:12,12", "--h", "5"], EXIT_SEPARATOR,
+     {"kind", "vertices", "separator_size", "size_breakdown", "largest_component",
+      "component_count"}),
+    (["--gen", "complete:9", "--h", "4"], EXIT_WITNESS, {"kind", "h", "branches"}),
+], ids=["separator", "witness"])
+def test_report_blocks_have_the_v2_keys(tmp_path, argv, code, outcome_keys):
+    # the run's parameters and counters are in stats alone; only a witness
+    # certificate carries its own h
+    rep = tmp_path / "r.json"
+    assert run("separate", *argv, "--json", str(rep)) == code
+    body = json.loads(rep.read_text())
+    assert body["schema"] == "v2"
+    assert set(body) == {"schema", "input", "stats", "verification", "outcome"}
+    assert set(body["input"]) == {"digest", "source"}
+    assert set(body["stats"]) == STATS_KEYS
+    assert set(body["verification"]) == {"ok", "checks"}
+    assert set(body["outcome"]) == outcome_keys
+    restated = STATS_KEYS & (set(body["input"]) | set(body["verification"]) | set(body["outcome"]))
+    assert restated == ({"h"} if code == EXIT_WITNESS else set())
+    if code == EXIT_WITNESS:
+        assert body["outcome"]["h"] == body["stats"]["h"] == 4
+    else:
+        assert set(body["outcome"]["size_breakdown"]) == {"x", "step1_s", "f_selector"}
 
 
 def test_separate_witness_exit_code(tmp_path, capsys):
@@ -207,7 +238,7 @@ def test_separate_from_file(tmp_path):
     assert run("separate", "--input", str(graph), "--h", "3", "--json", str(rep)) == 0
     body = json.loads(rep.read_text())
     assert body["input"]["source"] == str(graph)
-    assert body["input"]["n"] == 30
+    assert body["stats"]["n"] == 30
 
 
 def test_separate_input_errors(tmp_path, capsys):
@@ -242,10 +273,10 @@ def test_bench_rejects_an_ell_too_large_for_a_float(capsys):
 
 @pytest.mark.parametrize("params,rep_sha", [
     (["--h", "5", "--ell", str(10**24)],
-     "edb4be23b4e01e24030b2553aa91ad921d06b45c7658bc5e83804d873458aa90"),
+     "b71c3139ce627fad0d21a243bce9b2c3bf4f0a03d449df25e9cb3a6504be9583"),
     (["--h", str(10**309), "--ell", "2"],
-     "1be0e368193aea891fc792c3506c303bb22bf499f972af85e0a892c8030306a7"),
-])
+     "24769341fad0526c9fa183897a679c736259179ee8af05af73050b052ebe0b7a"),
+], ids=["large-ell", "large-h"])
 def test_separate_runs_a_large_ell_or_h_whose_delta_is_a_float(tmp_path, params, rep_sha):
     rep = tmp_path / "r.json"
     assert run("separate", "--gen", "grid:6,6", *params, "--json", str(rep)) == EXIT_SEPARATOR

@@ -56,6 +56,15 @@ def test_build_makes_the_arrays_read_only(name):
     assert g.neighbors(1).tolist() == [0, 2]
 
 
+def test_graphs_compare_and_hash_by_identity():
+    # what a solve keeps on a Graph is kept per object, so a rebuilt graph
+    # with the same edges is another key
+    g = build_graph(3, [(0, 1)])
+    assert g == g
+    assert build_graph(3, [(0, 1)]) != g
+    assert {g: 1}[g] == 1
+
+
 def test_build_rejects_bad_input():
     with pytest.raises(InputError):
         build_graph(3, [(0, 0)])

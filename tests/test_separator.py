@@ -450,7 +450,7 @@ def test_centred_iterations_build_no_boundary(monkeypatch):
     calls = count_calls(monkeypatch, [(decomp, "_boundary", "boundary")])
     out = balanced_separator(gen("gnp", 450, 0.045, seed=7), 8, seed=1)
     assert out.kind == "witness"
-    assert out.stats["ldd_calls"] == out.stats["exact_center_used"] == 7
+    assert out.stats["iterations"] == out.stats["exact_center_used"] == 7
     assert calls == {"boundary": 0}
 
 
@@ -467,20 +467,21 @@ def test_centred_iterations_build_no_boundary(monkeypatch):
         "cycle500-h5", "path500-h5"])
 def test_step1_assigns_centers_only_past_the_shift_bound(monkeypatch, family, params, h,
                                                          counts):
-    # (ldd calls, center assignments, boundaries built) for solver seeds
-    # 0-2.  gnp at h = 10 and 12 has delta = 4, so every shift is below 2,
-    # and 1 + its largest degree is far below 2n/3: no step 1 assigns the
-    # centers.  At h = 8 (delta = 6) the shifts reach 2, so each call assigns
-    # them, but no part holds 2n/3 and no boundary is built.  K_150's degree
-    # cap and its parts exceed 2n/3, so most calls build the boundary too;
-    # the sparse inputs assign once, and build the boundary only as S.
+    # (iterations, each of which runs one ldd call; center assignments;
+    # boundaries built) for solver seeds 0-2.  gnp at h = 10 and 12 has
+    # delta = 4, so every shift is below 2, and 1 + its largest degree is
+    # far below 2n/3: no step 1 assigns the centers.  At h = 8 (delta = 6)
+    # the shifts reach 2, so each call assigns them, but no part holds 2n/3
+    # and no boundary is built.  K_150's degree cap and its parts exceed
+    # 2n/3, so most calls build the boundary too; the sparse inputs assign
+    # once, and build the boundary only as S.
     calls = count_calls(monkeypatch, [(decomp, "_assign", "assign"),
                                       (decomp, "_boundary", "boundary")])
     g = gen(family, *params, seed=7)
     for seed, want in enumerate(counts):
         calls["assign"] = calls["boundary"] = 0
         out = balanced_separator(g, h, seed=seed)
-        assert (out.stats["ldd_calls"], calls["assign"], calls["boundary"]) == want
+        assert (out.stats["iterations"], calls["assign"], calls["boundary"]) == want
 
 
 @pytest.mark.parametrize("family,params", [("grid", (40, 40)), ("cycle", (2000,))])
@@ -488,7 +489,7 @@ def test_sparse_solve_builds_the_boundary_once(monkeypatch, family, params):
     # the one step 1 finishes with S, which is the only read of its boundary
     calls = count_calls(monkeypatch, [(decomp, "_boundary", "boundary")])
     out = balanced_separator(gen(family, *params), 5)
-    assert out.stats["ldd_calls"] == out.stats["step1_finished"] == 1
+    assert out.stats["iterations"] == out.stats["step1_finished"] == 1
     assert calls == {"boundary": 1}
 
 
@@ -696,51 +697,55 @@ def test_fallback_when_selector_would_unbalance():
 # centered by step 1's component pass rather than the exact scan.
 FROZEN_PATHS = [
     ("deep_anchor_22", lambda: balanced_separator(deep_anchor(68, 22), 5, ell=1),
-     "45d93194d9b95adeb6c64471851f8cb13cd0a9f807ec8c337b87f6c75248cdc5"),
+     "d85511e1be313e9dae5cca0247e92a91169f9e4c2ec653d981f524ca963ba506"),
     ("deep_anchor_30", lambda: balanced_separator(deep_anchor(68, 30), 5, ell=1),
-     "b42c7b332b3bf81966e220dbf26a531374e53a25badce9e8a9a63dca8d59ac1f"),
+     "dc4e78086fc6c1ec62e1445df3ccbf2cdb4bd874c528316a32a56b8a4b3b8506"),
     ("fallback_tree", lambda: balanced_separator(fallback_tree(), 3, ell=1),
-     "84bd1a1bcfff0996d53cb0e58dccfed816120c1b8e3fcf9be1e73204e38009c4"),
+     "e7efb3c648dd9c61351dfea67c89f830fb850e85e53c868c2cf7f3cab02fdc16"),
     ("gnp200_ldd_center",
      lambda: balanced_separator(gen("gnp", 200, 0.015, seed=3), 5, ell=20, seed=3),
-     "d927a14456d19515a5a992547c0043746ce31dc1267f35af8eb84eccf4c0dcfd"),
+     "a3a1984c387eee82e76fb840985c324112815d2789e0e23ea0fa640280fedca8"),
     ("complete9", lambda: balanced_separator(gen("complete", 9), 4),
-     "91b0cbfae1f7943775274c6f13f315921d4fa04b09ccf1a7bd92c82cd21ca418"),
+     "ddb8e1928d1bfae460cb3ab324a3e3d961a7a6a8a3e650d06200550534fa1dd0"),
     ("retired_fallback", lambda: balanced_separator(retired_fallback(), 6, ell=3),
-     "66cb6d3e8c33f0fdaa300ddca6a09ee48788615ec022611b3d5590c89972c7bd"),
+     "99e225d4071ecafb6b92ae59bcc31cec7f1f22e7f9cd59fc7049d4ee86bcd3d1"),
     # witnesses grown by 7, 11 and 14 exactly centred iterations, whose live
     # updates find the next center's search
     ("gnp450_h8", lambda: balanced_separator(gen("gnp", 450, 0.045, seed=7), 8, seed=1),
-     "c579a5e0ef754aafbf73729d96cd7bc7070de9dc8e7b36066087e271ff1af350"),
+     "3f3d6a85181942ebb9dbc90727e537d62ce2b7549ae10789a8d3d9e86040d0dd"),
     ("gnp450_h12", lambda: balanced_separator(gen("gnp", 450, 0.045, seed=7), 12, seed=1),
-     "5b3dc2195eeafb8b2c2208499d790e6bf72ed4c7b8a93e52cddee998e74f6b07"),
+     "9878827db79961a68559d69d69d187c462d6c62898b9062b8cee29d6c722722d"),
     ("complete150_h15", lambda: balanced_separator(gen("complete", 150), 15, seed=1),
-     "e5902f3c4bc3b516ba7b13d0b90bc0ae6fda5c2ce15d3e0d967efff360559c81"),
+     "e456719a0cb0257110690d68a3fab2c4cae4e8bbba08893f9e57309636ba4d26"),
     # a live update's search finds no center in what is left, so step 1
     # takes that record and does not search again
     ("subdivided_clique9_2_h9",
      lambda: balanced_separator(gen("subdivided_clique", 9, 2), 9, seed=1),
-     "7581be7f960f2502b94cfcd47f31e82602dd5e70518c8a2fa37b90bec57352a9"),
+     "15c37857ea78b22f348f373b95270846d0cca933bd80cf6c8c5fc6545449b86b"),
     # a live update's first id falls outside the new live part, whose
     # center is a later id: live is that center's reach, and the record of
     # an earlier live part must not stand in for step 1's search
     ("gnp80_unrecorded_failure",
      lambda: balanced_separator(gen("gnp", 80, 0.05, seed=5), 5, ell=2),
-     "80e8c5ae7b843529c2c260b5b66604ceebdeb0f2378ca65b5b36f99bf150aead"),
+     "0aec9e1b732c72b7569694ff8eb39cd91ff0ab359681e781d026085259c1d53e"),
     # a layer cut after a live update's search leaves live with no record,
     # so step 1 searches again rather than take the update's
     ("two_hub_tail", lambda: balanced_separator(two_hub_tail(), 9, ell=1),
-     "384be451e86d9946aab021f904a98c0d50579b86a242b0b33632bb4a7dc4cfca"),
+     "305f723f19c113c513af0bbd3433c9617215e03cd879c7c6fd8e96c15ece9e7e"),
     # a live update on more than EXACT_CENTER_LIMIT vertices does not search,
     # and its smaller live part must still get step 1's search
     ("two_hub_wheel", lambda: balanced_separator(two_hub_wheel(), 5, ell=20),
-     "175b6af587173b678e038dd21f7e61c791c714041a99fcc2a8925f93a0d512ad"),
+     "4671c279e667154a7acf6c9b520a290888068998ce36608283f980a345c2e7a7"),
 ]
 
 
 @pytest.mark.parametrize("name,run,sha", FROZEN_PATHS, ids=[p[0] for p in FROZEN_PATHS])
 def test_step_paths_match_frozen_digests(name, run, sha):
     out = run()
+    s = out.stats
+    # every iteration ends in step 1's finish or in one of steps 2-4
+    assert s["iterations"] == (s["step1_finished"] + s["step2_count"] + s["step3_count"]
+                               + s["step4_count"])
     if out.kind == "separator":
         body = [out.kind, out.separator.ids().tolist(), out.size_breakdown, out.stats]
     else:
@@ -795,9 +800,8 @@ def test_trees_and_paths_always_balanced(n, seed):
 def test_stats_are_internally_consistent():
     out = balanced_separator(gen("grid", 12, 12), 5, debug=True)
     s = out.stats
-    assert s["n"] == 144 and s["h"] == 5
+    assert (s["n"], s["m"], s["h"], s["ell"], s["delta"], s["seed"]) == (144, 264, 5, 1, 3, 0)
     assert s["iterations"] >= s["step1_finished"]
-    assert s["ldd_calls"] == s["iterations"]
     assert s["charged"] <= s["n"]
     assert out.separator.size == len(out.separator.ids())
     # breakdown sources cover the separator (they may overlap each other)

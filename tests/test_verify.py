@@ -21,7 +21,7 @@ def model_from(branches, n):
 def test_balance_examples():
     p3 = gen("path", 3)
     r = verify_balanced(p3, VertexMask.from_ids(3, [1]))
-    assert r.ok and r.worst_component == 1 and r.separator_size == 1
+    assert r.ok and r.worst_component == 1
 
     k4 = gen("complete", 4)
     r = verify_balanced(k4, VertexMask.empty(4))
@@ -31,7 +31,7 @@ def test_balance_examples():
     grid = gen("grid", 5, 5)
     mid_col = VertexMask.from_ids(25, [2, 7, 12, 17, 22])
     r = verify_balanced(grid, mid_col)
-    assert r.ok and r.worst_component == 10 and r.separator_size == 5
+    assert r.ok and r.worst_component == 10
 
 
 def test_balance_edge_cases():
@@ -46,7 +46,7 @@ def test_balance_edge_cases():
 def test_report_to_dict_shape():
     r = verify_balanced(gen("path", 3), VertexMask.from_ids(3, [1]))
     d = r.to_dict()
-    assert set(d) == {"ok", "checks", "worst_component", "separator_size"}
+    assert set(d) == {"ok", "checks"}
     assert d["checks"][0][0] == "balanced" and d["checks"][0][1] is True
 
 
