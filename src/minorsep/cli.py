@@ -33,7 +33,7 @@ from .instances import (
     write_edge_list,
 )
 from .rng import derive_seed
-from .separator import BalancedSeparator, balanced_separator
+from .separator import balanced_separator
 from .verify import certificate, verify_certificate
 
 __all__ = ["main"]
@@ -83,12 +83,13 @@ def _canonical_json(payload: dict) -> str:
 def _report(g: Graph, source: str, outcome, cert: dict) -> dict:
     outcome_body = dict(cert)
     outcome_body["kind"] = outcome_body.pop("type")
-    if isinstance(outcome, BalancedSeparator):
+    if outcome.kind == "separator":
+        sizes = outcome.verification.component_sizes
         outcome_body.update({
             "separator_size": outcome.separator.size,
             "size_breakdown": outcome.size_breakdown,
-            "largest_component": outcome.verification.worst_component,
-            "component_count": len(outcome.verification.component_sizes),
+            "largest_component": sizes[0] if sizes else 0,
+            "component_count": len(sizes),
         })
     return {
         "schema": "v2",
@@ -121,10 +122,11 @@ def cmd_separate(args) -> int:
         with open(args.certificate, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(_canonical_json(cert))
 
-    if isinstance(outcome, BalancedSeparator):
+    if outcome.kind == "separator":
+        sizes = outcome.verification.component_sizes
         print(
             f"separator of size {outcome.separator.size} on n={g.n} "
-            f"(largest remaining component {outcome.verification.worst_component}, "
+            f"(largest remaining component {sizes[0] if sizes else 0}, "
             f"breakdown {outcome.size_breakdown}, "
             f"fallback_level {outcome.stats['fallback_level']})"
         )
@@ -183,7 +185,7 @@ def cmd_bench(args) -> int:
             t0 = time.perf_counter()
             outcome = balanced_separator(g, args.h, ell=args.ell, seed=run_seed)
             ms = (time.perf_counter() - t0) * 1000.0
-            if isinstance(outcome, BalancedSeparator):
+            if outcome.kind == "separator":
                 size = outcome.separator.size
                 ratio = size / math.sqrt(n)
             else:

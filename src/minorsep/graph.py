@@ -11,8 +11,9 @@ Determinism rules implemented here and relied on everywhere else:
 
 * connected components are labelled by rank: rank 0 is the largest, and
   components of equal size rank by their smallest id;
-* a BFS is its depth array; `tree_path` steps from a vertex to its
-  smallest-id neighbor one layer up, so BFS-tree paths need no parents.
+* a BFS is its depth array, which every correct BFS gives alike;
+  `tree_path` steps from a vertex to its smallest-id neighbor one layer
+  up, so BFS-tree paths need no parents.
 """
 
 from __future__ import annotations
@@ -331,23 +332,32 @@ def _reach_without(g: Graph, v: int, root: int) -> np.ndarray:
     return reach
 
 
-def bfs_layers(g: Graph, live: VertexMask, root: int, radius: int | None = None) -> np.ndarray:
+def bfs_layers(g: Graph, live: VertexMask, root: int) -> np.ndarray:
     """Depths of the BFS from `root` within `live`: dist[v] is v's live
-    distance from root, -1 outside `live` or unreached.
+    distance from root, -1 outside `live` or unreached.  The root must be
+    live.
 
-    Stops after `radius` layers when given.  The root must be live.
+    One csgraph BFS lists the reached ids in BFS order with their parents.
+    Pointer doubling on the parents' positions gives the depths in
+    ceil(log2(depth)) rounds of array work, none per layer: up[i] is the
+    position depth[i] steps above i, until every pointer reaches the root.
     """
     if root not in live:
         raise InputError(f"BFS root {root} is not in the mask")
+    order, pred = csgraph.breadth_first_order(
+        _masked_adjacency(g, live.bits), root, directed=True, return_predecessors=True
+    )
+    pred[root] = root
+    at = np.empty(g.n, dtype=np.intp)
+    at[order] = np.arange(order.size)
+    up = at[pred[order]]
+    depth = np.ones(order.size, dtype=np.int64)
+    depth[0] = 0
+    while up.any():
+        depth += depth[up]
+        up = up[up]
     dist = np.full(g.n, -1, dtype=np.int64)
-    dist[root] = 0
-    frontier = np.array([root], dtype=np.int64)
-    d = 0
-    while frontier.size and (radius is None or d < radius):
-        tgt = _gather(g, frontier)[1]
-        frontier = _sorted_unique(tgt[live.bits[tgt] & (dist[tgt] < 0)])
-        d += 1
-        dist[frontier] = d
+    dist[order] = depth
     return dist
 
 
@@ -355,7 +365,8 @@ def ball(g: Graph, live: VertexMask, v: int, r: int) -> VertexMask:
     """Vertices within live-distance r of v (v included)."""
     if r < 0:
         raise InputError("ball radius must be nonnegative")
-    return VertexMask(bfs_layers(g, live, v, radius=r) >= 0)
+    dist = bfs_layers(g, live, v)
+    return VertexMask((dist >= 0) & (dist <= r))
 
 
 def _ball_sizes(g: Graph, live: VertexMask, r: int, sources: np.ndarray) -> np.ndarray:

@@ -332,7 +332,7 @@ def _retire_and_trim(st: DriverState) -> None:
 
 
 def _layered_view(st: DriverState, dist: np.ndarray) -> LayeredView:
-    """The view of `dist`, a full `bfs_layers` depth array within live."""
+    """The view of `dist`, a `bfs_layers` depth array within live."""
     root = int(np.argmax(dist == 0))
     sizes = np.bincount(dist[dist >= 0])
     if sizes.sum() != st.live.size:
@@ -353,13 +353,12 @@ def _exact_center(g: Graph, live: VertexMask, r: int, n: int) -> np.ndarray | No
     """The BFS depth array within live from its smallest id whose radius-r
     ball holds 2n/3 of n, or None when none does.
 
-    The first id's radius-r search tests it, and is where dense witness
-    inputs pass; it runs once more without the radius only when vertices
-    remain at depth r, as otherwise it already reached the root's whole
-    component.  When it fails, one bit-parallel BFS from every other id
-    (`_ball_sizes`) tests them, and the first passing one is searched in
-    full.  That scan is skipped when the first id's search reached its whole
-    component and the rest of live holds under 2n/3: a ball never leaves its
+    One full-depth search from the first id tests it, and is where dense
+    witness inputs pass: its depths count the first id's radius-r ball and
+    its whole component.  When the ball fails, one bit-parallel BFS from
+    every other id (`_ball_sizes`) tests them, and the first passing one is
+    searched in full.  That scan is skipped when neither the first id's
+    component nor the rest of live holds 2n/3: a ball never leaves its
     component, so no other ball can pass.  Step 1's live is connected, so
     only `_update_live`'s rest can meet that.  Only live parts of at most
     EXACT_CENTER_LIMIT ids are searched, so that BFS keeps at most 8 words
@@ -369,13 +368,11 @@ def _exact_center(g: Graph, live: VertexMask, r: int, n: int) -> np.ndarray | No
     """
     if live.size > EXACT_CENTER_LIMIT or 3 * live.size < 2 * n:
         return None
-    root = int(np.argmax(live.bits))
-    dist = bfs_layers(g, live, root, radius=r)
+    dist = bfs_layers(g, live, int(np.argmax(live.bits)))
+    if 3 * np.count_nonzero((dist >= 0) & (dist <= r)) >= 2 * n:
+        return dist
     reached = np.count_nonzero(dist >= 0)
-    whole = not (dist == r).any()
-    if 3 * reached >= 2 * n:
-        return dist if whole else bfs_layers(g, live, root)
-    if whole and 3 * (live.size - reached) < 2 * n:
+    if 3 * max(reached, live.size - reached) < 2 * n:
         return None
     rest = live.ids()[1:]
     hits = rest[3 * _ball_sizes(g, live, r, rest) >= 2 * n]

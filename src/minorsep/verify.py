@@ -27,7 +27,6 @@ __all__ = ["VerificationReport", "certificate", "verify_certificate", "verify_ba
 class VerificationReport:
     ok: bool
     checks: list
-    worst_component: int = 0
     component_sizes: tuple = ()  # of g minus the separator, largest first
 
     def to_dict(self) -> dict:
@@ -50,8 +49,7 @@ def verify_balanced(g: Graph, sep: VertexMask) -> VerificationReport:
         ok,
         f"largest remaining component {worst} of n={g.n}; need 3*{worst} <= 2*{g.n}",
     )]
-    return VerificationReport(ok, checks, worst_component=worst,
-                              component_sizes=tuple(sizes.tolist()))
+    return VerificationReport(ok, checks, component_sizes=tuple(sizes.tolist()))
 
 
 def verify_witness(g: Graph, m: MinorModel, h: int) -> VerificationReport:

@@ -278,9 +278,8 @@ def test_criterion_08_decomposition_soundness(verdict):
         for comp in component_lists(*connected_components(g, rest)):
             members = comp.tolist()
             for v in members:
-                # all-pairs check via one BFS per member, in the host graph;
-                # stopping at floor(delta) leaves farther members at -1
-                dist = bfs_layers(g, live, v, radius=int(delta))
+                # all-pairs check via one BFS per member, in the host graph
+                dist = bfs_layers(g, live, v)
                 if any(dist[w] < 0 or dist[w] > delta for w in members):
                     diam_violations += 1
                     break

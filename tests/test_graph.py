@@ -285,13 +285,6 @@ def test_bfs_grid_depths():
     assert dist.tolist() == [0, 1, 2, 1, 2, 3, 2, 3, 4]
 
 
-def test_bfs_radius_cut():
-    full = VertexMask.full(9)
-    dist = bfs_layers(GRID3, full, 0, radius=2)
-    assert dist.max() == 2
-    assert dist[5] == -1 and dist[4] == 2
-
-
 def test_bfs_root_must_be_live():
     with pytest.raises(InputError):
         bfs_layers(GRID3, VertexMask.from_ids(9, [1, 2]), 0)
@@ -327,26 +320,54 @@ def test_tree_path_on_grid():
         tree_path(GRID3, cut, 8)
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(2, 35), st.integers(1, 70))
-def test_bfs_dist_matches_plain_bfs(seed, n, m):
-    rng = np.random.default_rng(seed)
-    edges = random_edges(rng, n, m)
-    g = build_graph(n, edges)
-    keep = rng.random(n) < 0.75
-    root = int(rng.integers(n))
-    keep[root] = True
-    live = VertexMask(keep)
-    dist = bfs_layers(g, live, root)
+def assert_bfs_matches_plain_bfs(n, edges, keep, root):
+    """`bfs_layers` from root within `keep` against the deque oracle."""
+    dist = bfs_layers(build_graph(n, edges), VertexMask(keep), root)
     live_edges = [(u, v) for u, v in edges if keep[u] and keep[v]]
     want = bfs_dist(adjacency(n, live_edges, keep=np.flatnonzero(keep)), [root])
-    for v in range(n):
-        assert dist[v] == (want.get(v, -1) if keep[v] else -1)
+    assert dist.tolist() == [want.get(v, -1) if keep[v] else -1 for v in range(n)]
     # layers 0..max are nonempty and partition the reached set, ascending
     layers = [np.flatnonzero(dist == d) for d in range(dist.max() + 1)]
     assert all(layer.size for layer in layers)
     assert np.concatenate(layers).size == np.count_nonzero(dist >= 0)
     for layer in layers:
         assert np.all(np.diff(layer) > 0)
+    return dist
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 35), st.integers(1, 70))
+def test_bfs_dist_matches_plain_bfs(seed, n, m):
+    rng = np.random.default_rng(seed)
+    edges = random_edges(rng, n, m)
+    keep = rng.random(n) < 0.75
+    root = int(rng.integers(n))
+    keep[root] = True
+    assert_bfs_matches_plain_bfs(n, edges, keep, root)
+
+
+def _path(n):
+    return [(i, i + 1) for i in range(n - 1)]
+
+
+def _holed_cycle(n, hole):
+    keep = np.ones(n, dtype=bool)
+    keep[hole] = False
+    return n, _path(n) + [(0, n - 1)], keep
+
+
+@pytest.mark.parametrize("n,edges,keep,root,depth", [
+    # pointer doubling runs ceil(log2(depth)) rounds: 13 here
+    (5000, _path(5000), np.ones(5000, dtype=bool), 0, 4999),
+    # 12 rounds, down both arcs of the cycle from the root to the hole
+    (*_holed_cycle(5001, 3000), 0, 2999),
+    # the root's one neighbor is masked out: only the root is reached
+    (6, _path(6), np.array([1, 0, 1, 1, 1, 1], dtype=bool), 0, 0),
+    # the mask cuts the path in two: the far part stays unreached
+    (12, _path(12), np.arange(12) != 7, 2, 4),
+], ids=["path5000", "holed-cycle5001", "isolated-root", "unreached"])
+def test_bfs_dist_matches_plain_bfs_on_deep_and_cut_inputs(n, edges, keep, root, depth):
+    dist = assert_bfs_matches_plain_bfs(n, edges, keep, root)
+    assert dist.max() == depth
 
 
 @given(st.integers(0, 2**32 - 1), st.booleans())

@@ -106,7 +106,7 @@ def test_already_balanced_disconnected_graph():
     edges += [(4 + i, 4 + j) for i in range(4) for j in range(i + 1, 4)]
     out = balanced_separator(build_graph(8, edges), 5, debug=True)
     assert out.separator.size == 0
-    assert out.verification.ok and out.verification.worst_component == 4
+    assert out.verification.ok and out.verification.component_sizes[0] == 4
 
 
 def test_balanced_at_exact_threshold():
@@ -120,14 +120,14 @@ def test_star_resolved_by_removing_the_center():
     out = balanced_separator(gen("star", 10), 3, debug=True)
     assert out.separator.ids().tolist() == [0]
     assert out.stats["iterations"] == 0
-    assert out.verification.worst_component == 1
+    assert out.verification.component_sizes[0] == 1
 
 
 def test_random_tree_center_shortcut():
     out = balanced_separator(gen("tree", 500, seed=2), 5, debug=True)
     assert out.separator.ids().tolist() == [0]
     assert out.stats["iterations"] == 0
-    assert out.verification.ok and out.verification.worst_component == 207
+    assert out.verification.ok and out.verification.component_sizes[0] == 207
 
 
 # -- frozen full runs ---------------------------------------------------------------
@@ -146,7 +146,6 @@ def test_grid20_frozen_run():
     out = balanced_separator(gen("grid", 20, 20), 5, debug=True)
     assert out.separator.size == 382
     assert out.stats["iterations"] == 1
-    assert out.verification.worst_component == 5
     assert out.size_breakdown == {"x": 0, "step1_s": 381, "f_selector": 1}
     assert out.verification.component_sizes[0] == 5
     assert sum(out.verification.component_sizes) + out.separator.size == 400
@@ -161,7 +160,7 @@ def test_small_clique_below_witness_threshold():
     assert out.stats["iterations"] == 2
     assert out.stats["step2_count"] == 2
     assert out.stats["exact_center_used"] >= 1
-    assert out.verification.worst_component == 4
+    assert out.verification.component_sizes[0] == 4
 
     out = balanced_separator(gen("complete", 6), 4, debug=True)
     assert isinstance(out, BalancedSeparator)
@@ -596,13 +595,13 @@ def test_exact_center_searches_at_most_512_live_vertices():
     assert np.array_equal(dist, bfs_layers(g, VertexMask.full(512), 0))
 
 
-@pytest.mark.parametrize("r,scans", [(4, 1), (5, 0), (40, 0)])
+@pytest.mark.parametrize("r,scans", [(4, 0), (5, 0), (40, 0)])
 def test_exact_center_skips_a_scan_no_ball_can_pass(monkeypatch, r, scans):
     # live, as a live update's rest: a 5-vertex path on the smallest ids
-    # beside a 15-vertex clique, with n = 30.  From r = 5 on, the first id's
-    # search reaches its whole path, and the clique's 15 ids are under 2n/3,
-    # so no ball can pass and `_ball_sizes` is not called; at r = 4 the
-    # search stops at depth r and the scan runs
+    # beside a 15-vertex clique, with n = 30.  The first id's full-depth
+    # search counts its whole path at every r, and the path's 5 ids and the
+    # clique's 15 are each under 2n/3, so no ball can pass and `_ball_sizes`
+    # is not called
     clique = [(u, v) for u in range(5, 20) for v in range(u + 1, 20)]
     g = build_graph(30, [(i, i + 1) for i in range(4)] + clique)
     live = VertexMask.from_ids(30, range(20))

@@ -21,17 +21,17 @@ def model_from(branches, n):
 def test_balance_examples():
     p3 = gen("path", 3)
     r = verify_balanced(p3, VertexMask.from_ids(3, [1]))
-    assert r.ok and r.worst_component == 1
+    assert r.ok and r.component_sizes[0] == 1
 
     k4 = gen("complete", 4)
     r = verify_balanced(k4, VertexMask.empty(4))
-    assert not r.ok and r.worst_component == 4
+    assert not r.ok and r.component_sizes[0] == 4
     assert r.failures() and r.failures()[0][0] == "balanced"
 
     grid = gen("grid", 5, 5)
     mid_col = VertexMask.from_ids(25, [2, 7, 12, 17, 22])
     r = verify_balanced(grid, mid_col)
-    assert r.ok and r.worst_component == 10
+    assert r.ok and r.component_sizes[0] == 10
 
 
 def test_balance_edge_cases():
@@ -63,7 +63,7 @@ def test_balance_matches_brute_force(seed, n, m):
     r = verify_balanced(g, VertexMask(sep_bits))
     ok, worst = brute_balanced(n, sorted(edges), np.flatnonzero(sep_bits).tolist())
     assert r.ok == ok
-    assert r.worst_component == worst
+    assert max(r.component_sizes, default=0) == worst
 
 
 # -- witness -------------------------------------------------------------------
