@@ -148,8 +148,6 @@ def ldd(g: Graph, live: VertexMask, delta: float, rng: SplitMix64) -> LddResult:
     if not 0 < delta <= sys.float_info.max:
         raise InputError(f"delta must be positive and finite, got {delta}")
     ids = live.ids()
-    if ids.size == 0:
-        return LddResult(ids, np.empty(0), g)
     rate = 2.0 * math.log(max(ids.size, 2)) / delta
     return LddResult(ids, truncated_exponential(rng.block_floats(ids.size), rate, delta / 2.0), g)
 

@@ -96,7 +96,7 @@ class VertexMask:
     def intersect(self, other: "VertexMask") -> "VertexMask":
         return VertexMask(self.bits & other.bits)
 
-    def __repr__(self) -> str:  # pragma: no cover
+    def __repr__(self) -> str:
         return f"VertexMask(size={self._size} of {self.n})"
 
 

@@ -11,8 +11,8 @@ by `branch_neighbors`, and a caller whose live mask only shrinks carries
 the sets from there: `trim` takes each branch's set against an earlier
 live mask and filters it to the current one, which is exact because the
 earlier mask contains the current one; only a branch added or grown since
-needs gathering again.  `trim` hands back the sets it keeps, and
-`f_selector` takes them as they are.
+needs gathering again.  `trim` hands back the sets it keeps, and the
+branches it drops, and `f_selector` takes the kept sets as they are.
 """
 
 from __future__ import annotations
@@ -128,14 +128,16 @@ def grow_branch(m: MinorModel, g: Graph, idx: int, z) -> MinorModel:
 def trim(m: MinorModel, live: VertexMask, nbrs: list) -> tuple:
     """Keep exactly the branches with a neighbor in live, order preserved.
 
-    Returns (kept model, list of each kept branch's live neighbors).
-    `nbrs[i]` holds branch i's neighbors against a live mask that contains
-    `live`, as `branch_neighbors` gathers them; they are filtered to `live`,
-    which leaves exactly the branch's neighbors in it, still ascending.
+    Returns (kept model, each kept branch's live neighbors, the dropped
+    branches), both lists in branch order.  `nbrs[i]` holds branch i's
+    neighbors against a live mask that contains `live`, as
+    `branch_neighbors` gathers them; they are filtered to `live`, which
+    leaves exactly the branch's neighbors in it, still ascending.
     """
     nbrs = [nb[live.bits[nb]] for nb in nbrs]
     keep = [i for i, nb in enumerate(nbrs) if nb.size]
-    return MinorModel(m.n, tuple(m.branches[i] for i in keep)), [nbrs[i] for i in keep]
+    dropped = [ids for ids, nb in zip(m.branches, nbrs) if not nb.size]
+    return MinorModel(m.n, tuple(m.branches[i] for i in keep)), [nbrs[i] for i in keep], dropped
 
 
 def f_selector(m: MinorModel, nbrs: list) -> VertexMask:

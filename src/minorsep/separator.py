@@ -37,10 +37,15 @@ component over 2n/3 of live minus its boundary
 than that answer needs) and reads the boundary otherwise only when it
 finishes with S.
 
+The run's parameters n, h, ell and delta = ell * ceil(log2 h) are kept
+once, in `DriverState.stats`, where each step reads them (ell* = delta + ell).
+
 The branches' live neighbors are carried across iterations in
 `DriverState.nbrs`, gathered once for the first branch: steps 2, 3 and 4
 only shrink live, so each trim filters the carried sets, and only the
 branch that step 2 adds or step 3 grows is gathered from the graph again.
+The branches each trim drops go to `DriverState.retired`, for the third
+separator attempt.
 
 Failing the decomposition, step 1 takes as its center the smallest id
 whose delta-ball holds 2n/3 of the graph (`_exact_center`, which searches
@@ -58,6 +63,7 @@ iteration start; it lives here, beside the only type whose fields it reads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,6 +106,13 @@ __all__ = [
 EXACT_CENTER_LIMIT = 512
 
 
+def _as_int(name: str, value) -> int:
+    """`value` as a Python int by `operator.index`; InputError for a bool or a non-integer."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 def ceil_log2(h: int) -> int:
     """Smallest k with 2**k >= h (h >= 1)."""
     return (h - 1).bit_length()
@@ -112,7 +125,8 @@ def cluster_diameter(ell: int, h: int) -> int:
 
 def default_ell(n: int, h: int) -> int:
     """max(1, round(sqrt(n) / (h * sqrt(ceil_log2(h))))), rounding half up;
-    InputError when n or h is too large to be a float."""
+    InputError when n or h is no integer, or too large to be a float."""
+    n, h = _as_int("n", n), _as_int("h", h)
     if h < 3:
         raise InputError("h must be >= 3")
     if n < 1:
@@ -157,19 +171,15 @@ class LayeredView:
 @dataclass
 class DriverState:
     g: Graph
-    n: int
-    h: int
-    ell: int
     model: MinorModel
     x_set: VertexMask
     live: VertexMask
     step1_sep: VertexMask
-    # the run's counters; "iterations" numbers the current iteration
+    # the run's one record, which the driver reads its parameters from, and
+    # its counters; "iterations" numbers the current iteration
     stats: dict
     # the vertices below step 4's cuts; stats["charged"] counts them
     charged: np.ndarray
-    delta: int
-    ell_star: int
     rng_ldd: object
     # each branch's live neighbors, as the last trim left them, with a branch
     # that steps 2 and 3 added or grew since gathered again
@@ -182,10 +192,6 @@ class DriverState:
     # new mask
     center_search: tuple = (None, None)
 
-    @property
-    def branch_budget(self) -> int:
-        return (self.h - 1) * (self.delta + self.ell_star + self.ell) + 1
-
 
 def check_invariants(st: DriverState) -> VerificationReport:
     """The properties asserted at every iteration start.
@@ -193,7 +199,9 @@ def check_invariants(st: DriverState) -> VerificationReport:
     Everything is recomputed from the graph, and the live neighbors that
     `st.nbrs` carries for each branch must equal the ones gathered here.
     """
-    g, n, h, ell, m, live = st.g, st.n, st.h, st.ell, st.model, st.live
+    g, m, live = st.g, st.model, st.live
+    n, h, ell, delta = (st.stats[k] for k in ("n", "h", "ell", "delta"))
+    ell_star = delta + ell
     checks = []
 
     structural = [c for c in verify_witness(g, m, h).checks if c[0] != "enough_branches"]
@@ -227,7 +235,7 @@ def check_invariants(st: DriverState) -> VerificationReport:
         + ("" if not stale else f"; stale at branches {stale}"),
     ))
 
-    budget = st.branch_budget
+    budget = (h - 1) * (delta + ell_star + ell) + 1
     bad4 = [(i, int(ids.size), int(nb)) for i, (ids, nb) in enumerate(zip(m.branches, nbr_counts))
             if ids.size > budget and h * ell * nb > n]
     checks.append((
@@ -315,24 +323,9 @@ def _prologue(g: Graph) -> tuple:
     return x, live, VertexMask.from_ids(n, [x]) if 3 * live.size < 2 * n else None
 
 
-def _retire_and_trim(st: DriverState) -> None:
-    """Trim the model and its carried neighbors `st.nbrs` to live; the
-    branches trim drops are retired.
-
-    Steps 2, 3 and 4 only ever shrink live, so the carried neighbors of an
-    unchanged branch hold its new live neighbors; the first branch's were
-    gathered against the prologue's live.  Branches are disjoint and
-    nonempty, so a branch's first id names it.
-    """
-    kept, st.nbrs = trim(st.model, st.live, st.nbrs)
-    firsts = {int(ids[0]) for ids in kept.branches}
-    st.retired.extend(ids for ids in st.model.branches if int(ids[0]) not in firsts)
-    st.stats["retired_branches"] = len(st.retired)
-    st.model = kept
-
-
 def _layered_view(st: DriverState, dist: np.ndarray) -> LayeredView:
     """The view of `dist`, a `bfs_layers` depth array within live."""
+    n, delta = st.stats["n"], st.stats["delta"]
     root = int(np.argmax(dist == 0))
     sizes = np.bincount(dist[dist >= 0])
     if sizes.sum() != st.live.size:
@@ -340,11 +333,11 @@ def _layered_view(st: DriverState, dist: np.ndarray) -> LayeredView:
             f"iteration {st.stats['iterations']}: live is not connected "
             f"(BFS from {root} reached {sizes.sum()} of {st.live.size})"
         )
-    delta_ball = int(sizes[:st.delta + 1].sum())
-    if 3 * delta_ball < 2 * st.n:
+    delta_ball = int(sizes[:delta + 1].sum())
+    if 3 * delta_ball < 2 * n:
         raise SelfVerificationError(
             f"iteration {st.stats['iterations']}: center {root} has delta ball "
-            f"{delta_ball} < 2n/3 of n={st.n}"
+            f"{delta_ball} < 2n/3 of n={n}"
         )
     return LayeredView(root=root, dist=dist, sizes=sizes)
 
@@ -391,7 +384,7 @@ def _update_live(st: DriverState, rest: VertexMask) -> None:
     rest is small enough to be searched, as a smaller live part of a larger
     rest may still hold a center.
     """
-    dist = _exact_center(st.g, rest, st.delta, st.n)
+    dist = _exact_center(st.g, rest, st.stats["delta"], st.stats["n"])
     st.live = _largest_component_mask(st.g, rest) if dist is None else VertexMask(dist >= 0)
     if rest.size <= EXACT_CENTER_LIMIT:
         st.center_search = (st.live, dist)
@@ -409,13 +402,14 @@ def step1_decompose(st: DriverState) -> LayeredView | None:
     while that record's mask is live.  The boundary is read only when it
     becomes S.
     """
-    res = ldd(st.g, st.live, float(st.delta), st.rng_ldd)
-    root = res.large_component(st.n)
+    n, delta = st.stats["n"], st.stats["delta"]
+    res = ldd(st.g, st.live, float(delta), st.rng_ldd)
+    root = res.large_component(n)
     if root is not None:
         return _layered_view(st, bfs_layers(st.g, st.live, root))
     mask, dist = st.center_search
     if mask is not st.live:
-        dist = _exact_center(st.g, st.live, st.delta, st.n)
+        dist = _exact_center(st.g, st.live, delta, n)
     if dist is not None:
         st.stats["exact_center_used"] += 1
         return _layered_view(st, dist)
@@ -432,7 +426,9 @@ def _scan_branches(st: DriverState, view: LayeredView):
     contacts) with the smallest-id window contact of every branch when no
     branch is stuck.
     """
-    top = st.delta + st.ell_star + st.ell
+    delta, ell = st.stats["delta"], st.stats["ell"]
+    ell_star = delta + ell
+    top = delta + ell_star + ell
     contacts = []
     for i, nb in enumerate(st.nbrs):
         hits = nb[view.dist[nb] <= top]
@@ -455,10 +451,12 @@ def step3_grow_branch(st: DriverState, view: LayeredView, sel_nbrs: np.ndarray):
     branch can reach through its live neighbors `sel_nbrs` (nonempty, as
     `trim` keeps only branches that touch live); afterwards its live
     neighborhood fits in that layer."""
-    lo = st.delta + st.ell_star + 1
-    window = view.sizes[lo:lo + st.ell]
+    n, h, ell, delta = (st.stats[k] for k in ("n", "h", "ell", "delta"))
+    ell_star = delta + ell
+    lo = delta + ell_star + 1
+    window = view.sizes[lo:lo + ell]
     y = lo + int(np.argmin(window))
-    if st.h * st.ell * int(view.sizes[y]) > st.n:
+    if h * ell * int(view.sizes[y]) > n:
         raise SelfVerificationError(
             f"iteration {st.stats['iterations']}: thinnest layer {y} has "
             f"{view.sizes[y]} vertices, exceeds n/(h*ell)"
@@ -472,15 +470,17 @@ def step3_grow_branch(st: DriverState, view: LayeredView, sel_nbrs: np.ndarray):
 def step4_cut_layer(st: DriverState, view: LayeredView) -> int:
     """Smallest layer index in the middle band whose size is at most 1/ell
     of everything below it."""
+    delta, ell = st.stats["delta"], st.stats["ell"]
+    ell_star = delta + ell
     sizes = view.sizes
-    top = st.delta + st.ell_star
+    top = delta + ell_star
     suffix = np.concatenate([np.cumsum(sizes[::-1])[::-1], [0]])
-    for i in range(st.delta + 1, top + 1):
-        if i < sizes.size and st.ell * int(sizes[i]) <= int(suffix[i + 1]):
+    for i in range(delta + 1, top + 1):
+        if i < sizes.size and ell * int(sizes[i]) <= int(suffix[i + 1]):
             return i
     raise SelfVerificationError(
         f"iteration {st.stats['iterations']}: no cuttable layer in "
-        f"[{st.delta + 1}, {top}] (sizes {sizes[st.delta + 1:top + 1].tolist()})"
+        f"[{delta + 1}, {top}] (sizes {sizes[delta + 1:top + 1].tolist()})"
     )
 
 
@@ -503,7 +503,7 @@ def _finish_separator(st: DriverState) -> BalancedSeparator:
     """Verify the three separator attempts in order, the first selecting by
     the live neighbors of the model's branches as the last trim left them."""
     members = st.model.member_mask()
-    every_branch = MinorModel(st.n, st.model.branches + tuple(st.retired)).member_mask()
+    every_branch = MinorModel(st.model.n, st.model.branches + tuple(st.retired)).member_mask()
     cut = st.x_set.union(st.step1_sep)
     breakdown = {"x": st.x_set.size, "step1_s": st.step1_sep.size}
     attempts = [
@@ -511,7 +511,7 @@ def _finish_separator(st: DriverState) -> BalancedSeparator:
         for side in (f_selector(st.model, st.nbrs), members, every_branch)
     ]
     return _first_balanced(st.g, attempts, st.stats, (
-        f"no separator attempt balanced: n={st.n}, |X|={st.x_set.size}, "
+        f"no separator attempt balanced: n={st.stats['n']}, |X|={st.x_set.size}, "
         f"|live|={st.live.size}, model={[len(b) for b in st.model.branches]}, "
         f"retired={[len(b) for b in st.retired]}"
     ))
@@ -526,22 +526,24 @@ def balanced_separator(
 ) -> BalancedSeparator | MinorWitness:
     """Run the driver to a verified balanced separator or K_h witness.
 
-    InputError, before any work, when h < 3, ell < 1, or delta = ell *
+    h, ell and seed are integers, anything `operator.index` takes (a numpy
+    integer too), kept as Python ints.  InputError, before any work, when
+    one is a bool or a non-integer, h < 3, ell < 1, or delta = ell *
     ceil(log2 h) is too large to be a float (the decomposition draws its
     shifts in floats).
 
-    The outcome's `stats` is the run's one record: its parameters n, m, h,
-    ell, delta and seed, then its counters.
+    The outcome's `stats` is the run's one record, which the driver reads:
+    its parameters n, m, h, ell, delta and seed, then its counters.
 
     The prologue (`_prologue`) is computed on the first solve of g and kept
     on g for every later one.  Its masks are read-only: an exit before the
     loop returns the kept mask itself as the separator.
     """
+    h, seed = _as_int("h", h), _as_int("seed", seed)
     if h < 3:
         raise InputError("h must be >= 3")
     n = g.n
-    if ell is None:
-        ell = default_ell(max(n, 1), h)
+    ell = default_ell(max(n, 1), h) if ell is None else _as_int("ell", ell)
     if ell < 1:
         raise InputError("ell must be >= 1")
     delta = cluster_diameter(ell, h)
@@ -581,23 +583,24 @@ def balanced_separator(
 
     model = new_model(n, x)
     st = DriverState(
-        g=g, n=n, h=h, ell=ell,
+        g=g,
         model=model,
         x_set=VertexMask.empty(n),
         live=live,
         step1_sep=VertexMask.empty(n),
         stats=stats,
         charged=np.zeros(n, dtype=bool),
-        delta=delta,
-        ell_star=delta + ell,
         rng_ldd=stream(seed, "ldd"),
         nbrs=[branch_neighbors(model, g, live, 0)],
     )
+    ell_star = delta + ell
 
     while True:
         # x touches live, so the first pass retires nothing; every pass
         # leaves the live neighbors of each kept branch for the scan
-        _retire_and_trim(st)
+        st.model, st.nbrs, dropped = trim(st.model, st.live, st.nbrs)
+        st.retired.extend(dropped)
+        st.stats["retired_branches"] = len(st.retired)
         if 3 * st.live.size < 2 * n:
             break
         if debug:
@@ -624,13 +627,11 @@ def balanced_separator(
             if st.model.size == h:
                 report = verify_witness(g, st.model, h)
                 if not report.ok:
-                    raise SelfVerificationError(
-                        f"witness failed validation: {report.failures()}"
-                    )
+                    raise SelfVerificationError(f"witness failed validation: {report.failures()}")
                 return MinorWitness(model=st.model, stats=dict(st.stats), verification=report)
             st.nbrs.append(branch_neighbors(st.model, g, st.live, st.model.size - 1))
             _update_live(st, st.live.minus_ids(cand))
-        elif st.h * int(view.sizes[st.delta + st.ell_star + 1:].sum()) <= n:
+        elif h * int(view.sizes[delta + ell_star + 1:].sum()) <= n:
             z = step3_grow_branch(st, view, found)
             st.stats["step3_count"] += 1
             st.model = grow_branch(st.model, g, stuck, z)
@@ -646,7 +647,7 @@ def balanced_separator(
                 raise SelfVerificationError(
                     f"iteration {st.stats['iterations']}: double charge at layer cut {istar}"
                 )
-            if st.ell * layer.size > charged_ids.size:
+            if ell * layer.size > charged_ids.size:
                 raise SelfVerificationError(
                     f"iteration {st.stats['iterations']}: cut layer {istar} too thick "
                     "for its charge"
@@ -655,17 +656,15 @@ def balanced_separator(
             st.stats["charged"] = int(np.count_nonzero(st.charged))
             st.x_set = st.x_set.union(VertexMask.from_ids(n, layer))
             kept = VertexMask((dist >= 0) & (dist < istar))
-            if debug:
-                whole = _largest_component_mask(g, kept)
-                if whole.size != kept.size:
-                    raise SelfVerificationError(
-                        f"iteration {st.stats['iterations']}: layers below the cut are disconnected"
-                    )
+            if debug and _largest_component_mask(g, kept).size != kept.size:
+                raise SelfVerificationError(
+                    f"iteration {st.stats['iterations']}: layers below the cut are disconnected"
+                )
             st.live = kept
 
-    if st.ell * st.x_set.size > st.stats["charged"]:
+    if ell * st.x_set.size > st.stats["charged"]:
         raise SelfVerificationError(
-            f"charge ledger broken: ell*|X|={st.ell * st.x_set.size} "
+            f"charge ledger broken: ell*|X|={ell * st.x_set.size} "
             f"> charged={st.stats['charged']}"
         )
     return _finish_separator(st)

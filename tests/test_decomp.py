@@ -178,10 +178,13 @@ def test_deterministic_per_seed():
 
 def test_empty_live_and_bad_delta():
     g = gen("path", 5)
-    res = ldd(g, VertexMask.empty(5), 4.0, stream(0, "ldd"))
+    rng = stream(0, "ldd")
+    res = ldd(g, VertexMask.empty(5), 4.0, rng)
     assert parts(res.center) == []
     assert res.ids.size == res.shifts.size == 0
     assert res.boundary.size == 0
+    # an empty live part draws nothing from the stream
+    assert rng.next_u64() == stream(0, "ldd").next_u64()
     with pytest.raises(InputError):
         ldd(g, VertexMask.full(5), 0.0, stream(0, "ldd"))
 

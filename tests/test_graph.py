@@ -141,6 +141,7 @@ def test_mask_operations():
     assert a.minus_ids(np.array([0])).ids().tolist() == [2, 4]
     assert VertexMask.empty(4).size == 0
     assert VertexMask.full(4).size == 4
+    assert repr(a) == "VertexMask(size=3 of 6)"
 
 
 def test_mask_membership_outside_the_ids_is_false():

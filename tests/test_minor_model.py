@@ -139,20 +139,24 @@ def test_trim_keeps_only_touching_branches():
     m = new_model(5, 1)
     m = add_branch(m, star, [0])
     live = VertexMask.from_ids(5, [3, 4])
-    t, _ = trim(m, live, gathered(m, star))
+    t, _, dropped = trim(m, live, gathered(m, star))
     # leaf branch {1} has no live neighbor; center branch {0} does
     assert t.size == 1
     assert t.branches[0].tolist() == [0]
-    assert trim(m, VertexMask.empty(5), gathered(m, star))[0].size == 0
-    assert trim(m, full(star), gathered(m, star))[0].size == 2
+    assert [ids.tolist() for ids in dropped] == [[1]]
+    t, _, dropped = trim(m, VertexMask.empty(5), gathered(m, star))
+    assert t.size == 0
+    assert [ids.tolist() for ids in dropped] == [[1], [0]]
+    t, _, dropped = trim(m, full(star), gathered(m, star))
+    assert t.size == 2 and dropped == []
 
 
 def test_trim_returns_live_neighbors_of_kept_branches():
     star = generate(InstanceSpec("star", (4,)))  # center 0, leaves 1..4
     m = add_branch(new_model(5, 1), star, [0])
-    kept, nbrs = trim(m, VertexMask.from_ids(5, [3, 4]), gathered(m, star))
+    kept, nbrs, _ = trim(m, VertexMask.from_ids(5, [3, 4]), gathered(m, star))
     assert [nb.tolist() for nb in nbrs] == [[3, 4]]
-    kept, nbrs = trim(m, full(star), gathered(m, star))
+    kept, nbrs, _ = trim(m, full(star), gathered(m, star))
     assert [nb.tolist() for nb in nbrs] == [[0], [1, 2, 3, 4]]
     assert [nb.tolist() for nb in nbrs] == [
         branch_neighbors(kept, star, full(star), i).tolist() for i in range(kept.size)
@@ -167,23 +171,23 @@ def test_f_selector_takes_smaller_side():
     m = new_model(6, 0)
     live = VertexMask.from_ids(6, [1, 2, 3, 4, 5])
     # branch {0} is smaller than its 5 live neighbors: take the branch
-    assert f_selector(*trim(m, live, gathered(m, star))).ids().tolist() == [0]
+    assert f_selector(*trim(m, live, gathered(m, star))[:2]).ids().tolist() == [0]
 
 
 def test_f_selector_tie_takes_neighbors():
     m = new_model(4, 1)
     live = VertexMask.from_ids(4, [2])
     # |branch| = |neighborhood| = 1: the neighborhood wins ties
-    assert f_selector(*trim(m, live, gathered(m, P4))).ids().tolist() == [2]
+    assert f_selector(*trim(m, live, gathered(m, P4))[:2]).ids().tolist() == [2]
 
 
 def test_f_selector_union_over_branches():
     m = new_model(4, 0)
     m = add_branch(m, K4, [1])
     live = VertexMask.from_ids(4, [2, 3])
-    assert f_selector(*trim(m, live, gathered(m, K4))).ids().tolist() == [0, 1]
-    empty, _ = trim(m, VertexMask.empty(4), gathered(m, K4))
-    assert f_selector(*trim(empty, full(K4), gathered(empty, K4))).size == 0
+    assert f_selector(*trim(m, live, gathered(m, K4))[:2]).ids().tolist() == [0, 1]
+    empty, _, _ = trim(m, VertexMask.empty(4), gathered(m, K4))
+    assert f_selector(*trim(empty, full(K4), gathered(empty, K4))[:2]).size == 0
 
 
 # -- witness checks (verify.verify_witness) ----------------------------------
@@ -370,7 +374,11 @@ def test_random_operation_sequences_preserve_structure(seed, n, steps):
                 m = grow_branch(m, g, i, [int(nb[int(rng.integers(nb.size))])])
         else:
             live_bits = (owner < 0) & (rng.random(n) < 0.8)
-            m, _ = trim(m, VertexMask(live_bits), gathered(m, g))
+            kept, _, dropped = trim(m, VertexMask(live_bits), gathered(m, g))
+            # every branch is either kept or dropped
+            assert sorted(map(tuple, kept.branches + tuple(dropped))) == sorted(
+                map(tuple, m.branches))
+            m = kept
     checks = verify_witness(g, m, max(m.size, 1)).checks
     names = {name: okc for name, okc, _ in checks}
     assert names["pairwise_disjoint"]

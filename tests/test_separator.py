@@ -1,5 +1,6 @@
 import hashlib
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from minorsep import cli, decomp, graph, separator, verify
 from minorsep.decomp import ldd
-from minorsep.errors import InputError
+from minorsep.errors import InputError, SelfVerificationError
 from minorsep.graph import VertexMask, ball, bfs_layers, build_graph, connected_components
 from minorsep.rng import stream
 from minorsep.separator import (
@@ -20,7 +21,7 @@ from minorsep.separator import (
     ceil_log2,
     default_ell,
 )
-from minorsep.verify import certificate, verify_balanced, verify_witness
+from minorsep.verify import VerificationReport, certificate, verify_balanced, verify_witness
 
 from helpers import (
     count_calls,
@@ -80,6 +81,34 @@ def test_delta_too_large_for_a_float_is_an_input_error(monkeypatch):
         balanced_separator(g, 10**309)
     with pytest.raises(InputError, match="default ell"):
         default_ell(5, 10**309)
+
+
+@pytest.mark.parametrize("name", ["h", "ell", "seed"])
+def test_numpy_integer_parameters_run_as_python_ints(name):
+    args = {"h": 5, "ell": 2, "seed": 3}
+    want = balanced_separator(gen("grid", 8, 8), **args)
+    got = balanced_separator(gen("grid", 8, 8), **{**args, name: np.int64(args[name])})
+    assert got.stats == want.stats
+    assert {k: type(v) for k, v in got.stats.items()} == dict.fromkeys(got.stats, int)
+    json.dumps(got.stats)
+    assert got.separator.ids().tolist() == want.separator.ids().tolist()
+    assert default_ell(np.int64(10000), np.int64(5)) == 12
+
+
+@pytest.mark.parametrize("name,value", [
+    ("h", 5.0), ("h", True), ("h", "5"), ("ell", 2.5), ("ell", 2.0), ("ell", True),
+    ("seed", 3.0), ("seed", False), pytest.param("seed", np.float64(3), id="seed-float64"),
+])
+def test_non_integer_parameters_are_input_errors(monkeypatch, name, value):
+    # bools are not integers here, as in a certificate; nothing runs first
+    monkeypatch.setattr(separator, "_prologue", None)
+    with pytest.raises(InputError, match=f"{name} must be an integer"):
+        balanced_separator(gen("path", 5), **{"h": 5, "ell": 2, "seed": 0, name: value})
+    if name == "h":
+        with pytest.raises(InputError, match="h must be an integer"):
+            default_ell(100, value)
+        with pytest.raises(InputError, match="n must be an integer"):
+            default_ell(value, 5)
 
 
 # -- trivial and degenerate inputs -------------------------------------------------
@@ -688,6 +717,139 @@ def test_fallback_when_selector_would_unbalance():
     assert out.stats["fallback_level"] == 1
     assert sorted(out.separator.ids().tolist()) == [1, 2]
     assert out.verification.ok
+
+
+# -- the driver's own checks ------------------------------------------------
+
+# Each test hands the driver one wrong answer from a collaborator and
+# expects the check that guards it to raise; the checks never fire on a
+# correct run.
+
+def _failed_report(*args, **kwargs):
+    return VerificationReport(False, [("forced", False, "injected failure")])
+
+
+def test_no_balanced_attempt_is_a_self_verification_error(monkeypatch):
+    monkeypatch.setattr(separator, "verify_balanced", _failed_report)
+    with pytest.raises(SelfVerificationError, match="no separator attempt balanced"):
+        balanced_separator(gen("grid", 8, 8), 5)
+    # a star exits before the loop with its center alone
+    with pytest.raises(SelfVerificationError, match="degenerate-case"):
+        balanced_separator(gen("star", 6), 5)
+
+
+def test_a_witness_that_fails_validation_is_not_returned(monkeypatch):
+    monkeypatch.setattr(separator, "verify_witness", _failed_report)
+    with pytest.raises(SelfVerificationError, match="witness failed validation"):
+        balanced_separator(gen("complete", 9), 4)
+
+
+def test_debug_invariant_failure_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(separator, "check_invariants", _failed_report)
+    argv = ["separate", "--gen", "grid:20,20", "--h", "5", "--debug"]
+    assert cli.main(argv) == cli.EXIT_SELF_VERIFY == 3
+    assert "invariant failures [('forced', False, 'injected failure')]" in capsys.readouterr().err
+    # without --debug nothing asks
+    assert cli.main(argv[:-1]) == cli.EXIT_SEPARATOR
+
+
+@pytest.mark.parametrize("fault,message", [
+    # every vertex but the root pushed past delta: the ball is the root alone
+    (lambda d, r: np.where(d > 0, d + r + 1, d), "has delta ball 1 < 2n/3 of n=9"),
+    # one live vertex left unreached
+    (lambda d, r: np.where(d == d.max(), -1, d), "live is not connected"),
+])
+def test_a_wrong_exact_center_is_caught(monkeypatch, fault, message):
+    real = separator._exact_center
+
+    def wrong(g, live, r, n):
+        dist = real(g, live, r, n)
+        return None if dist is None else fault(dist, r)
+
+    monkeypatch.setattr(separator, "_exact_center", wrong)
+    # K9 at h = 4 takes every step 1 center from the exact search
+    with pytest.raises(SelfVerificationError, match=message):
+        balanced_separator(gen("complete", 9), 4)
+
+
+@pytest.mark.parametrize("g,h", [(deep_anchor(68, 30), 5), (two_hub_tail(), 9)],
+                         ids=["deep_anchor", "two_hub_tail"])
+def test_a_layer_cut_thicker_than_its_charge_is_caught(monkeypatch, g, h):
+    # the deepest layer charges nothing below it
+    monkeypatch.setattr(separator, "step4_cut_layer", lambda st, view: view.sizes.size - 1)
+    with pytest.raises(SelfVerificationError, match="too thick for its charge"):
+        balanced_separator(g, h, ell=1)
+
+
+def test_a_layer_cut_over_charged_vertices_is_caught(monkeypatch):
+    real = separator.step4_cut_layer
+
+    def charge_all(st, view):
+        st.charged[:] = True
+        return real(st, view)
+
+    monkeypatch.setattr(separator, "step4_cut_layer", charge_all)
+    with pytest.raises(SelfVerificationError, match="double charge at layer cut"):
+        balanced_separator(deep_anchor(68, 30), 5, ell=1)
+
+
+def test_a_disconnected_remainder_below_a_cut_is_caught(monkeypatch):
+    real = separator._largest_component_mask
+
+    def short(g, mask):
+        whole = real(g, mask)
+        return whole.minus_ids(whole.ids()[:1])
+
+    monkeypatch.setattr(separator, "_largest_component_mask", short)
+    with pytest.raises(SelfVerificationError, match="layers below the cut are disconnected"):
+        balanced_separator(deep_anchor(68, 30), 5, ell=1, debug=True)
+
+
+def test_a_branch_growth_that_leaves_live_whole_stops_at_n_iterations(monkeypatch):
+    monkeypatch.setattr(separator, "step3_grow_branch",
+                        lambda st, view, nbrs: np.empty(0, dtype=np.int64))
+    with pytest.raises(SelfVerificationError, match="iteration count exceeded n"):
+        balanced_separator(deep_anchor(68, 22), 5, ell=1)
+
+
+def test_an_uncharged_cut_vertex_breaks_the_charge_ledger(monkeypatch):
+    real = separator.step1_decompose
+
+    def uncharged_cut(st):
+        view = real(st)
+        if view is None:
+            st.x_set = st.x_set.union(VertexMask.from_ids(st.g.n, [0]))
+        return view
+
+    monkeypatch.setattr(separator, "step1_decompose", uncharged_cut)
+    # grid 20x20 finishes at step 1 with nothing charged
+    with pytest.raises(SelfVerificationError, match=r"charge ledger broken: ell\*\|X\|=\d+ > charged=0"):
+        balanced_separator(gen("grid", 20, 20), 5)
+
+
+def _band_state(n, h, ell, delta):
+    return SimpleNamespace(stats={"n": n, "h": h, "ell": ell, "delta": delta, "iterations": 1})
+
+
+def _view(sizes):
+    sizes = np.asarray(sizes, dtype=np.int64)
+    return separator.LayeredView(root=0, dist=np.repeat(np.arange(sizes.size), sizes),
+                                 sizes=sizes)
+
+
+def test_a_band_with_no_cuttable_layer_is_caught():
+    # delta = 2, ell = 1, ell* = 3: each of layers 3..5 outweighs all below it
+    view = _view([1, 1, 1, 10, 5, 2, 1])
+    with pytest.raises(SelfVerificationError, match=r"no cuttable layer in \[3, 5\]"):
+        separator.step4_cut_layer(_band_state(21, 3, 1, 2), view)
+    assert separator.step4_cut_layer(_band_state(21, 3, 1, 2), _view([1, 1, 1, 4, 5])) == 3
+
+
+def test_a_window_with_no_thin_layer_is_caught():
+    # the window is layer delta + ell* + 1 = 6 alone; h*ell*5 = 15 > n = 10
+    view = _view([1, 1, 1, 1, 1, 1, 5])
+    with pytest.raises(SelfVerificationError, match="thinnest layer 6 has 5 vertices"):
+        separator.step3_grow_branch(_band_state(10, 3, 1, 2), view, np.array([0]))
 
 
 # sha256 of (kind, separator ids or branches, size_breakdown, stats) for runs

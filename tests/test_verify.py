@@ -93,13 +93,11 @@ def test_witness_tampered_branch_rejected():
 @dataclass
 class FakeState:
     g: Graph
-    n: int
-    h: int
-    ell: int
     model: MinorModel
     x_set: VertexMask
     live: VertexMask
-    branch_budget: int
+    # the run parameters check_invariants reads: n, h, ell and delta
+    stats: dict
     nbrs: list
 
 
@@ -115,8 +113,8 @@ def healthy_state():
     g = gen("grid", 4, 4)
     model = model_from([[0]], 16)
     live = VertexMask.from_ids(16, [v for v in range(16) if v not in (0,)])
-    return FakeState(g=g, n=16, h=4, ell=2, model=model,
-                     x_set=VertexMask.empty(16), live=live, branch_budget=8,
+    return FakeState(g=g, model=model, x_set=VertexMask.empty(16), live=live,
+                     stats={"n": 16, "h": 4, "ell": 2, "delta": 4},
                      nbrs=[np.array([1, 4])])
 
 
@@ -150,7 +148,7 @@ def test_invariants_catch_stale_carried_neighbors():
 
 def test_invariants_catch_model_too_large():
     s = healthy_state()
-    s.h = 1  # now |K| = 1 > h-1 = 0
+    s.stats["h"] = 1  # now |K| = 1 > h-1 = 0
     assert "model_small_and_valid" in failing(check_invariants(s))
 
 
@@ -187,12 +185,18 @@ def test_invariants_catch_oversized_branch():
     snake = [0, 1, 2, 3, 7, 11, 15, 14, 13]
     s.model = model_from([snake], 16)
     s.live = VertexMask.from_ids(16, [v for v in range(16) if v not in snake])
-    s.branch_budget = 4
-    s.ell = 2
-    s.n = 16
-    assert "branch_size_or_neighborhood" in failing(check_invariants(s))
-    # the second arm forgives a big branch with a tiny live neighborhood
-    s.n = 1000
+    # budget (h-1)*(delta + ell* + ell) + 1 with ell* = delta + ell: 3*2 + 1
+    # = 7 < 9 here; no delta the driver computes (ell*ceil(log2 h) >= 2)
+    # makes a budget below 13, which a 16-vertex grid cannot outgrow with
+    # live neighbors to spare
+    s.stats.update(n=16, h=4, ell=1, delta=0)
+    r = check_invariants(s)
+    assert "branch_size_or_neighborhood" in failing(r)
+    detail = next(d for name, _, d in r.checks if name == "branch_size_or_neighborhood")
+    assert detail.startswith("budget 7, n/(h*ell) threshold 16/4")
+    # the second arm forgives a big branch with a tiny live neighborhood:
+    # h*ell*|N| = 4*1*6 = 24 <= n
+    s.stats["n"] = 1000
     assert "branch_size_or_neighborhood" not in failing(check_invariants(s))
 
 
