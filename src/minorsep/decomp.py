@@ -67,7 +67,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError
-from .graph import Graph, VertexMask, _gather, _sorted_unique, connected_components
+from .graph import Graph, VertexMask, _gather, connected_components
 from .rng import SplitMix64, truncated_exponential
 
 __all__ = ["LddResult", "ldd"]
@@ -132,13 +132,15 @@ class LddResult:
 def _boundary(g: Graph, center: np.ndarray) -> VertexMask:
     """The live vertices with a live neighbor of another center, in one
     pass over every edge of g; an end outside live has center -1.
-    `cross` is symmetric, so the targets it marks are its sources."""
+    `cross` is symmetric on the edges with both ends live, so the live
+    targets it marks are its sources; a live source also marks its
+    neighbors outside live, which the last step clears."""
     c_src = np.repeat(center, np.diff(g.indptr))
     c_tgt = center[g.indices]
-    cross = (c_src >= 0) & (c_tgt >= 0) & (c_src != c_tgt)
+    cross = (c_src != c_tgt) & (c_src >= 0)
     bits = np.zeros(g.n, dtype=bool)
     bits[g.indices[cross]] = True
-    return VertexMask(bits)
+    return VertexMask(bits & (center >= 0))
 
 
 def ldd(g: Graph, live: VertexMask, delta: float, rng: SplitMix64) -> LddResult:
@@ -154,7 +156,19 @@ def ldd(g: Graph, live: VertexMask, delta: float, rng: SplitMix64) -> LddResult:
 
 def _assign(g: Graph, ids: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """The center of every vertex, -1 off `ids`: the bucket loop over the
-    live ids `ids` (ascending) and their shifts."""
+    live ids `ids` (ascending) and their shifts.
+
+    A bucket's pool may hold a vertex twice: offered to twice, or offered
+    to and also starting there.  A stamp array keeps one entry of each, in
+    no particular order, which is all `np.minimum.at` needs.  Offers read
+    the settled vertices' keys and centers through `_gather`'s rows.  An
+    offer is kept when its key is at most its target's, and centers are
+    compared only among the offers tied on the key the target ends the
+    bucket with.  A kept offer that ties its target's key with a center no
+    smaller changes nothing: `np.minimum.at` keeps the center, and the
+    target, open with a key in the next bucket, is in the next pool
+    already.
+    """
     n_live = ids.size
     center = np.full(g.n, -1, dtype=np.int64)
     # A vertex outside live holds key -inf, so no offer ever beats it, and a
@@ -164,6 +178,7 @@ def _assign(g: Graph, ids: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     key[ids] = -shifts
     center[ids] = ids
     is_open = center >= 0
+    stamp = np.empty(g.n, dtype=np.intp)
     # the live ids by start bucket; the order inside a bucket does not matter
     floors = np.floor(-shifts)
     order = np.argsort(floors)
@@ -177,27 +192,29 @@ def _assign(g: Graph, ids: np.ndarray, shifts: np.ndarray) -> np.ndarray:
         tail = int(np.searchsorted(floors, b, side="right"))
         pool = np.concatenate([by_start[head:tail], carry])
         head = tail
-        # a vertex can be offered to twice and also start in this bucket
-        settle = _sorted_unique(pool[is_open[pool]])
+        settle = pool[is_open[pool]]
+        # each repeated id is stamped with one of its positions, and only
+        # the entry at that position is kept
+        at = np.arange(settle.size)
+        stamp[settle] = at
+        settle = settle[stamp[settle] == at]
         is_open[settle] = False
         if b >= -1:
             # a key above -1 offers above 0, above every live key
             settle = settle[key[settle] <= -1.0]
-        src, tgt = _gather(g, settle)
-        cand = key[src] + 1.0
+        row, tgt = _gather(g, settle)
+        cand = (key[settle] + 1.0)[row]
         k_old = key[tgt]
-        # keep the offers that beat their target's label; most lose on the
-        # key alone, so the center test runs on what is left
+        # keep the offers that beat or tie their target's key; most lose on
+        # the key alone
         keep = np.flatnonzero(cand <= k_old)
-        src, tgt, cand, k_old = src[keep], tgt[keep], cand[keep], k_old[keep]
-        c_src = center[src]
-        keep = np.flatnonzero((cand < k_old) | (c_src < center[tgt]))
-        tgt, cand, c_src, k_old = tgt[keep], cand[keep], c_src[keep], k_old[keep]
+        row, tgt, cand, k_old = row[keep], tgt[keep], cand[keep], k_old[keep]
         # lowest key first, then the smallest center among offers tied on it
         np.minimum.at(key, tgt, cand)
         k_new = key[tgt]
+        c_settle = center[settle]
         center[tgt[k_new < k_old]] = g.n  # a lower key discards the old center
-        tie = cand == k_new
-        np.minimum.at(center, tgt[tie], c_src[tie])
+        tie = np.flatnonzero(cand == k_new)
+        np.minimum.at(center, tgt[tie], c_settle[row[tie]])
         carry = tgt
     return center

@@ -45,7 +45,7 @@ class VertexMask:
     def __init__(self, bits: np.ndarray):
         assert bits.dtype == np.bool_, "mask must be boolean"
         self.bits = bits
-        self._size = int(bits.sum())
+        self._size = int(np.count_nonzero(bits))
 
     @classmethod
     def empty(cls, n: int) -> "VertexMask":
@@ -175,17 +175,23 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
     return a[first]
 
 
-def _gather(g: Graph, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat (source, target) arrays for all edges leaving `frontier`."""
+def _edge_slots(g: Graph, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (row, slot) arrays for all edges leaving `frontier`: row is the
+    position in `frontier` of the edge's source, so a per-vertex array over
+    `frontier` is read per edge by indexing it with row, and slot is the
+    edge's index in g.indices."""
     starts = g.indptr[frontier]
     counts = g.indptr[frontier + 1] - starts
-    ends = np.cumsum(counts)
-    if ends.size == 0 or ends[-1] == 0:
-        e = np.empty(0, dtype=np.int64)
-        return e, e
-    # output entry i sits at offset i - (ends - counts)[row] of its row
-    pos = np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
-    return np.repeat(frontier, counts), g.indices[pos]
+    row = np.repeat(np.arange(frontier.size), counts)
+    # entry i sits at offset i - (ends - counts)[row] of its row
+    return row, np.arange(row.size) + (starts - np.cumsum(counts) + counts)[row]
+
+
+def _gather(g: Graph, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (row, target) arrays for all edges leaving `frontier`, row as
+    in `_edge_slots`."""
+    row, slot = _edge_slots(g, frontier)
+    return row, g.indices[slot]
 
 
 def _index_dtype(g: Graph, *counts: int) -> type:
@@ -203,6 +209,9 @@ def _masked_adjacency(g: Graph, keep: np.ndarray) -> sparse.csr_matrix:
     The other edges are stored as zeros and dropped, so the matrix is
     symmetric and a vertex outside `keep` has no entries.  float64 is the
     dtype csgraph computes in, so it makes no converted copy of its own.
+    `bfs_layers` keeps this matrix: on `_sink_adjacency`'s a search enters
+    the sinks beside what it reaches, and with half of cycle 10^5 cut it
+    ran slower (1.57 against 1.36 ms, 2-vCPU VM).
     """
     edge = np.repeat(keep, np.diff(g.indptr)) & keep[g.indices]
     idx = _index_dtype(g)
@@ -212,6 +221,30 @@ def _masked_adjacency(g: Graph, keep: np.ndarray) -> sparse.csr_matrix:
     )
     adj.eliminate_zeros()
     return adj
+
+
+def _sink_adjacency(g: Graph, cut: np.ndarray) -> sparse.csr_matrix:
+    """g's matrix with every vertex in the id array `cut` made a sink: each
+    entry of its row points at itself.
+
+    No path leaves a sink, so under a directed strong-components pass it is
+    its own component, and the other vertices' components are those of g
+    minus `cut`.  The rewrite costs O(edges at `cut`) on the int32 copy of
+    g's indices that the matrix needs anyway.  With the 28% of grid 316^2
+    that `sparse_large`'s separator cuts it built in 1.88 ms, against 2.59
+    for `_masked_adjacency`'s per-edge mask and compaction (2-vCPU VM); from
+    about half cut it is the slower.  A sink row may repeat its self-loop:
+    scipy 1.17's strong pass never pushes a self-loop's target, whose vertex
+    is numbered already, while a repeated entry to another vertex made it
+    loop forever.
+    """
+    idx = _index_dtype(g)
+    indices = g.indices.astype(idx)
+    row, slot = _edge_slots(g, cut)
+    indices[slot] = cut[row]
+    return sparse.csr_matrix(
+        (np.ones(indices.size), indices, g.indptr.astype(idx)), shape=(g.n, g.n)
+    )
 
 
 def _connected_sets(g: Graph, sets) -> np.ndarray:
@@ -267,14 +300,15 @@ def _raw_components(g: Graph, live: VertexMask | None) -> tuple:
     """(ids, raw, sizes): the ids in `live` (every id when None), csgraph's
     unranked component label of each, and the number of them per raw label.
 
-    Every vertex outside `live` is a singleton of the masked matrix and is
-    not counted, so its label's size is 0.  The matrix is symmetric, so its
-    strong components are its components, found without the transpose an
+    Every vertex outside `live` is a sink of `_sink_adjacency`'s matrix, a
+    singleton component, and is not counted, so its label's size is 0.  Off
+    the sinks the matrix is symmetric, so the strong components of the live
+    vertices are their components, found without the transpose an
     undirected pass builds.
     """
     keep = np.ones(g.n, dtype=bool) if live is None else live.bits
     count, raw = csgraph.connected_components(
-        _masked_adjacency(g, keep), directed=True, connection="strong"
+        _sink_adjacency(g, np.flatnonzero(~keep)), directed=True, connection="strong"
     )
     ids = np.flatnonzero(keep)
     raw = raw[ids]
@@ -315,17 +349,12 @@ def _reach_without(g: Graph, v: int, root: int) -> np.ndarray:
     """Boolean mask of the vertices that `root` reaches in g - {v}, for
     root != v: ``bfs_layers(g, all but v, root) >= 0``.
 
-    One csgraph BFS on g's matrix with row v cut out.  v is then a sink that
-    no path leaves, so it is dropped from the reach afterwards, and no
+    One csgraph BFS on g's matrix with v made a sink (`_sink_adjacency`).
+    No path leaves v, so it is dropped from the reach afterwards, and no
     per-edge mask is built as `_masked_adjacency` would.  The traversal is
     directed, so csgraph does not symmetrize the matrix.
     """
-    lo, hi = g.indptr[v], g.indptr[v + 1]
-    idx = _index_dtype(g)
-    indptr = g.indptr.astype(idx)
-    indptr[v + 1:] -= hi - lo
-    indices = np.concatenate((g.indices[:lo], g.indices[hi:]), dtype=idx)
-    adj = sparse.csr_matrix((np.ones(indices.size), indices, indptr), shape=(g.n, g.n))
+    adj = _sink_adjacency(g, np.array([v]))
     reach = np.zeros(g.n, dtype=bool)
     reach[csgraph.breadth_first_order(adj, root, return_predecessors=False)] = True
     reach[v] = False
@@ -392,9 +421,9 @@ def _ball_sizes(g: Graph, live: VertexMask, r: int, sources: np.ndarray) -> np.n
     j = np.arange(k)
     local = np.full(g.n, -1, dtype=np.int64)
     local[ids] = j
-    src, tgt = _gather(g, ids)
+    row, tgt = _gather(g, ids)
     inside = live.bits[tgt]
-    seg = np.concatenate([local[src[inside]], j])
+    seg = np.concatenate([row[inside], j])
     members = np.concatenate([local[tgt[inside]], j])[np.argsort(seg, kind="stable")]
     count = np.bincount(seg, minlength=k)
     words = (k + 63) >> 6

@@ -484,9 +484,10 @@ def step4_cut_layer(st: DriverState, view: LayeredView) -> int:
     )
 
 
-def _first_balanced(g: Graph, attempts: list, stats: dict, failure: str) -> BalancedSeparator:
+def _first_balanced(g: Graph, attempts, stats: dict, failure: str) -> BalancedSeparator:
     """The BalancedSeparator of the first attempt (separator, size_breakdown)
-    that passes verification; its index is the fallback level."""
+    in the iterable `attempts` that passes verification; its index is the
+    fallback level.  No attempt after it is drawn."""
     for level, (sep, size_breakdown) in enumerate(attempts):
         report = verify_balanced(g, sep)
         if report.ok:
@@ -501,15 +502,16 @@ def _first_balanced(g: Graph, attempts: list, stats: dict, failure: str) -> Bala
 
 def _finish_separator(st: DriverState) -> BalancedSeparator:
     """Verify the three separator attempts in order, the first selecting by
-    the live neighbors of the model's branches as the last trim left them."""
-    members = st.model.member_mask()
-    every_branch = MinorModel(st.model.n, st.model.branches + tuple(st.retired)).member_mask()
+    the live neighbors of the model's branches as the last trim left them.
+    Each attempt is built only when the one before it fails."""
+    def sides():
+        yield f_selector(st.model, st.nbrs)
+        yield st.model.member_mask()
+        yield MinorModel(st.model.n, st.model.branches + tuple(st.retired)).member_mask()
+
     cut = st.x_set.union(st.step1_sep)
     breakdown = {"x": st.x_set.size, "step1_s": st.step1_sep.size}
-    attempts = [
-        (cut.union(side), {**breakdown, "f_selector": side.size})
-        for side in (f_selector(st.model, st.nbrs), members, every_branch)
-    ]
+    attempts = ((cut.union(side), {**breakdown, "f_selector": side.size}) for side in sides())
     return _first_balanced(st.g, attempts, st.stats, (
         f"no separator attempt balanced: n={st.stats['n']}, |X|={st.x_set.size}, "
         f"|live|={st.live.size}, model={[len(b) for b in st.model.branches]}, "

@@ -12,6 +12,7 @@ from collections import deque
 from itertools import combinations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from minorsep.errors import InputError
 from minorsep.graph import VertexMask, ball, build_graph, connected_components
@@ -61,6 +62,18 @@ def heap_labels(g, live, delta, rng):
             if live.bits[w] and center[w] < 0:
                 heapq.heappush(heap, (key + 1.0, c, w))
     return center, shift, final
+
+
+@st.composite
+def live_graphs(draw):
+    """A hypothesis strategy: a random graph of up to 30 vertices and a
+    live mask on it."""
+    n = draw(st.integers(1, 30))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=5 * n))
+    g = build_graph(n, [(u, v) for u, v in pairs if u != v])
+    bits = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return g, VertexMask(bits)
 
 
 def parts(center):
@@ -197,6 +210,20 @@ def adjacency(n, edges, keep=None):
             adj[u].append(v)
             adj[v].append(u)
     return adj
+
+
+def bfs_components(n, edges, keep):
+    """The components of the subgraph that the vertices `keep` induce, by a
+    plain BFS from each unreached vertex in turn: ascending id lists,
+    largest first, ties by smallest id."""
+    adj = adjacency(n, edges, keep)
+    seen, comps = set(), []
+    for s in sorted(adj):
+        if s not in seen:
+            comp = sorted(v for v, d in bfs_dist(adj, [s]).items() if d >= 0)
+            seen.update(comp)
+            comps.append(comp)
+    return sorted(comps, key=lambda c: (-len(c), c[0]))
 
 
 def induces_connected(n, edges, ids):

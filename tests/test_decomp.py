@@ -18,6 +18,7 @@ from helpers import (
     heap_labels,
     heap_partition,
     large_inner_component,
+    live_graphs,
     np_edges,
     parts,
 )
@@ -317,23 +318,30 @@ def test_delta_below_one_keeps_every_vertex_its_own_center(delta, monkeypatch):
             assert tally["vertices"] == 0
 
 
+@given(live_graphs(), st.lists(st.integers(0, 3), min_size=30, max_size=30))
+def test_whole_shifts_match_heap_reference(graph_live, whole):
+    # Shifts on whole numbers make keys tie across centers, so the center
+    # rule decides, and put vertices offered to twice, or offered to and
+    # starting, in one bucket's pool.
+    g, live = graph_live
+
+    def whole_shifts(u, rate, cap):
+        return np.array(whole[:u.size], dtype=float)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("minorsep.decomp.truncated_exponential", whole_shifts)
+        mp.setattr("helpers.truncated_exponential", whole_shifts)
+        part = ldd(g, live, 8.0, stream(0, "ldd"))
+        center, _ = heap_partition(g, live, 8.0, stream(0, "ldd"))
+        assert np.array_equal(part.center, center)
+
+
 @pytest.mark.parametrize("delta", [1e17, 1e300])
 def test_huge_delta_ends_with_every_vertex_assigned(delta):
     # keys beyond 2**52 in magnitude, where key + 1.0 can round back to key
     g = gen("grid", 15, 15)
     part = ldd(g, VertexMask.full(g.n), delta, stream(1, "ldd"))
     assert np.all(part.center >= 0)
-
-
-@st.composite
-def live_graphs(draw):
-    """A random graph of up to 30 vertices and a live mask on it."""
-    n = draw(st.integers(1, 30))
-    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                          max_size=5 * n))
-    g = build_graph(n, [(u, v) for u, v in pairs if u != v])
-    bits = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    return g, VertexMask(bits)
 
 
 def largest_part(center):

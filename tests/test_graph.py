@@ -18,7 +18,16 @@ from minorsep.graph import (
     tree_path,
 )
 
-from helpers import adjacency, bfs_dist, lexsort_csr, uf_components
+from helpers import (
+    adjacency,
+    bfs_components,
+    bfs_dist,
+    component_lists,
+    lexsort_csr,
+    live_graphs,
+    np_edges,
+    uf_components,
+)
 
 # 3x3 grid, row-major ids: 0 1 2 / 3 4 5 / 6 7 8
 GRID3 = build_graph(9, [
@@ -266,6 +275,24 @@ def test_component_sizes_match_the_labelled_pass(args):
         want = connected_components(g, mask)[1]
         got = _component_sizes(g, mask)
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+@given(live_graphs())
+def test_component_passes_match_a_bfs_oracle(graph_live):
+    # every vertex outside the mask is a sink of the component pass; the
+    # masks that keep every vertex, none, one, or all but one rewrite no
+    # row, every row, all rows but one, or one
+    g, live = graph_live
+    edges = np_edges(g)
+    masks = [live, None, VertexMask.empty(g.n)]
+    masks += [VertexMask.from_ids(g.n, [v]) for v in range(g.n)]
+    masks += [VertexMask.full(g.n).minus_ids(np.array([v])) for v in range(g.n)]
+    for mask in masks:
+        keep = range(g.n) if mask is None else mask.ids().tolist()
+        want = bfs_components(g.n, edges, keep)
+        label, sizes = connected_components(g, mask)
+        assert [c.tolist() for c in component_lists(label, sizes)] == want
+        assert _component_sizes(g, mask).tolist() == sizes.tolist() == [len(c) for c in want]
 
 
 @given(masked_graphs(min_n=2), st.data())
