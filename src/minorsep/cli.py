@@ -27,10 +27,11 @@ from .instances import (
     FAMILIES,
     InstanceSpec,
     bench_spec,
+    canonical_edges,
     edge_list_chunks,
     generate,
     read_edge_list,
-    write_edge_list,
+    write_edges,
 )
 from .rng import derive_seed
 from .separator import balanced_separator
@@ -162,9 +163,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    g = generate(InstanceSpec(args.family, _parse_params(args.params), args.seed))
-    write_edge_list(g, args.out)
-    print(f"wrote {args.out}: n={g.n} m={g.m}")
+    # the family's canonical edges go straight to text, with no Graph
+    n, us, vs = canonical_edges(InstanceSpec(args.family, _parse_params(args.params), args.seed))
+    write_edges(n, us, vs, args.out)
+    print(f"wrote {args.out}: n={n} m={us.size}")
     return 0
 
 

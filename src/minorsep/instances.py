@@ -6,9 +6,16 @@ trailing) and blank lines are ignored.  Writing is canonical: edges are
 emitted with u < v in lexicographic order, so equal graphs serialize to
 identical bytes.
 
-`generate` checks every spec against its family's row in `FAMILIES`, so
-the builders only build; a seeded row's builder draws from a SplitMix64
-sub-stream named after the family.
+`canonical_edges` checks every spec against its family's row in
+`FAMILIES`, so the builders only build; a seeded row's builder draws from
+a SplitMix64 sub-stream named after the family.  Every builder returns
+the family's canonical edge list (n, us, vs): u < v, in strictly
+increasing u * n + v order, with no repeats, which is the order the text
+holds and `Graph.edges` gives.  The CLI's `gen` writes those arrays as
+they come; `generate` hands them to `build_graph`, the one CSR
+constructor.  Grid and torus mask a per-vertex table of forward
+neighbours, path, cycle, star, complete and gnp come out in order, and
+tree and subdivided_clique make one sort of their m keys.
 
 gnp iterates the vertex pairs (0,1), (0,2), ..., (n-2,n-1) in
 lexicographic order against its stream, one uniform per pair, which pins
@@ -21,9 +28,9 @@ set per seed is unchanged; memory is O(block + m).  tree takes its n - 1
 draws as one block, with the same product and truncation as
 `SplitMix64.next_below`.
 
-Every family but subdivided_clique (which is small) builds its edges as
-numpy arrays.  The text codec is array code too, with no Python object per
-id or per line.  The writer formats TEXT_CHUNK edges at a time with digit
+Every family builds its edges as numpy arrays, with no Python loop per
+edge.  The text codec is array code too, with no Python object per id or
+per line.  The writer formats TEXT_CHUNK edges at a time with digit
 arithmetic on a byte array.  The reader parses the text after the header
 with array checks on its bytes and numpy's C integer scanner, and checks
 ids, self-loops and the edge count on the array.  A file that fails any of
@@ -51,10 +58,12 @@ from .rng import stream
 __all__ = [
     "InstanceSpec",
     "FAMILIES",
+    "canonical_edges",
     "generate",
     "bench_spec",
     "read_edge_list",
     "write_edge_list",
+    "write_edges",
     "graph_to_text",
     "edge_list_chunks",
 ]
@@ -80,54 +89,76 @@ class InstanceSpec:
     seed: int = 0
 
 
-def _gen_grid(rows: int, cols: int, wrap: bool = False) -> Graph:
-    """The rows x cols lattice; with `wrap`, the torus."""
-    _check_count("vertex count", rows * cols)
-    v = np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
+def _gen_grid(rows: int, cols: int, wrap: bool = False) -> tuple:
+    """The rows x cols lattice; with `wrap`, the torus.
+
+    A per-vertex table of k slots holds the forward neighbours u + steps:
+    right and down, and for the torus also the row wrap (from the first
+    column) and the column wrap (from the first row), in increasing order
+    since rows, cols >= 3 there.  The slots that do not exist are masked
+    out; the others, read row by row, are the edges in canonical order.
+    """
+    n = rows * cols
+    _check_count("vertex count", n)
+    steps = np.array((1, cols - 1, cols, (rows - 1) * cols) if wrap else (1, cols))
+    ok = np.ones((rows, cols, steps.size), dtype=bool)
+    ok[:, -1, 0] = False  # no right neighbour in the last column
+    ok[-1, :, 2 if wrap else 1] = False  # none below the last row
     if wrap:
-        ends = [(v, np.roll(v, -1, axis=1)), (v, np.roll(v, -1, axis=0))]
-    else:
-        ends = [(v[:, :-1], v[:, 1:]), (v[:-1], v[1:])]
-    edges = np.concatenate([np.column_stack([a.ravel(), b.ravel()]) for a, b in ends])
-    return build_graph(rows * cols, edges)
+        ok[:, 1:, 1] = False  # the row wrap leaves the first column only
+        ok[1:, :, 3] = False  # the column wrap leaves the first row only
+    # entry i of the raveled table is vertex i // k's slot i % k; k is 2
+    # or 4, so a shift and a mask split i
+    slot = np.flatnonzero(ok)
+    u = slot >> (steps.size // 2)
+    return n, u, u + steps[slot & (steps.size - 1)]
 
 
-def _gen_path(n: int, closed: bool = False) -> Graph:
-    """The path on n vertices; with `closed`, the cycle."""
+def _gen_path(n: int, closed: bool = False) -> tuple:
+    """The path on n vertices; with `closed`, the cycle, whose edge
+    (0, n - 1) sorts right after (0, 1)."""
     v = np.arange(n, dtype=np.int64)
-    return build_graph(n, np.column_stack([v, np.roll(v, -1)] if closed else [v[:-1], v[1:]]))
+    if closed:
+        return n, np.concatenate([[0], v[:-1]]), np.concatenate([[1, n - 1], v[2:]])
+    return n, v[:-1], v[1:]
 
 
-def _gen_star(leaves: int) -> Graph:
+def _gen_star(leaves: int) -> tuple:
     leaf = np.arange(1, leaves + 1, dtype=np.int64)
-    return build_graph(leaves + 1, np.column_stack([np.zeros_like(leaf), leaf]))
+    return leaves + 1, np.zeros_like(leaf), leaf
 
 
-def _gen_complete(k: int) -> Graph:
+def _gen_complete(k: int) -> tuple:
     _check_count("edge count", k * (k - 1) // 2)
-    return build_graph(k, np.column_stack(np.triu_indices(k, 1)))
+    return (k, *np.triu_indices(k, 1))
 
 
-def _gen_gnp(n: int, p: float, seed: int) -> Graph:
+def _gen_gnp(n: int, p: float, seed: int) -> tuple:
     # row i holds the pairs (i, i+1..n-1) from pair index start[i] on;
     # start[n-1] is the pair count
     i = np.arange(n, dtype=np.int64)
     start = i * (n - 1) - i * (i - 1) // 2
     t = stream(seed, "gnp").hits_below(int(start[-1]), p)
     row = np.searchsorted(start, t, side="right") - 1
-    return build_graph(n, np.column_stack([row, t - start[row] + row + 1]))
+    return n, row, t - start[row] + row + 1
 
 
-def _gen_tree(n: int, seed: int) -> Graph:
+def _sorted_pairs(n: int, us: np.ndarray, vs: np.ndarray) -> tuple:
+    """(n, us, vs) of distinct pairs (us[i], vs[i]), each u < v, put in
+    canonical order by one sort of their keys u * n + v."""
+    return (n, *np.divmod(np.sort(us * n + vs), n))
+
+
+def _gen_tree(n: int, seed: int) -> tuple:
     """Random recursive tree: vertex k attaches to a uniform vertex < k."""
     rng = stream(seed, "tree")
     k = np.arange(1, n, dtype=np.int64)
     # the product and truncation of SplitMix64.next_below(k), one draw per k
     parent = (rng.block_floats(n - 1) * k).astype(np.int64)
-    return build_graph(n, np.column_stack([parent, k]))
+    return _sorted_pairs(n, parent, k)
 
 
-def _gen_subdivided_clique(h: int, t: int) -> Graph:
+def _gen_subdivided_clique(h: int, t: int) -> tuple:
     """K_h with every edge subdivided t times.
 
     Original vertices keep ids 0..h-1; the t interior vertices of edge
@@ -136,21 +167,24 @@ def _gen_subdivided_clique(h: int, t: int) -> Graph:
     """
     # t + 1 edges and t vertices per edge of K_h
     _check_count("edge count", (t + 1) * (h * (h - 1) // 2))
-    edges = []
-    nxt = h
-    for i in range(h):
-        for j in range(i + 1, h):
-            chain = [i] + list(range(nxt, nxt + t)) + [j]
-            nxt += t
-            edges.extend(zip(chain, chain[1:]))
-    return build_graph(nxt, edges)
+    i, j = np.triu_indices(h, 1)
+    n = h + i.size * t
+    if t == 0:
+        return n, i, j
+    first = h + np.arange(i.size, dtype=np.int64) * t
+    # each chain: i to its first interior vertex, the interior path, and
+    # its last interior vertex to j
+    inner = (first[:, None] + np.arange(t - 1, dtype=np.int64)).ravel()
+    return _sorted_pairs(n, np.concatenate([i, j, inner]),
+                         np.concatenate([first, first + t - 1, inner + 1]))
 
 
 @dataclass(frozen=True)
 class Family:
     """One instance family.  `params` holds a (name, lower bound) pair per
     parameter, an integer size or count; a bound of None marks a probability
-    in [0, 1].  `build` takes the parameters, then the seed when `seeded`.
+    in [0, 1].  `build` takes the parameters, then the seed when `seeded`,
+    and returns the canonical edge list (n, us, vs).
     `bench` turns a vertex count n into parameters; None when it cannot."""
     build: Callable
     params: tuple
@@ -182,9 +216,11 @@ FAMILIES = {
 }
 
 
-def generate(spec: InstanceSpec) -> Graph:
-    """Build the graph described by `spec`; pure in (family, params, seed).
-    A spec that does not fit its row is an InputError naming the family."""
+def canonical_edges(spec: InstanceSpec) -> tuple:
+    """The canonical edge list (n, us, vs) of the graph `spec` describes:
+    us < vs, in strictly increasing us * n + vs order, with no repeats.
+    Pure in (family, params, seed); a spec that does not fit its row is an
+    InputError naming the family."""
     if spec.family not in FAMILIES:
         raise InputError(f"unknown family {spec.family!r}; know {sorted(FAMILIES)}")
     row = FAMILIES[spec.family]
@@ -204,6 +240,14 @@ def generate(spec: InstanceSpec) -> Graph:
     if row.seeded:
         return row.build(*spec.params, spec.seed)
     return row.build(*spec.params)
+
+
+def generate(spec: InstanceSpec) -> Graph:
+    """Build the graph described by `spec`: `canonical_edges` in CSR form."""
+    n, us, vs = canonical_edges(spec)
+    pairs = np.column_stack([us, vs])
+    del us, vs  # copied into pairs; freed before build_graph's own peak
+    return build_graph(n, pairs)
 
 
 def bench_spec(family: str, n: int, seed: int) -> InstanceSpec:
@@ -393,22 +437,33 @@ def _edge_lines(us: np.ndarray, vs: np.ndarray) -> bytes:
     return rows.T.tobytes().translate(None, b"\0")
 
 
-def edge_list_chunks(g: Graph):
-    """The canonical edge-list text in pieces of ASCII bytes: the header,
-    then the edges with u < v in lexicographic order, TEXT_CHUNK lines a
-    piece."""
-    us, vs = g.edges()
-    yield f"p {g.n} {us.size}\n".encode()
+def _text_chunks(n: int, us: np.ndarray, vs: np.ndarray):
+    """The edge-list text of the edges (us[i], vs[i]) on n vertices in
+    pieces of ASCII bytes: the header, then the edge lines in the given
+    order, TEXT_CHUNK lines a piece.  The text is canonical when the edges
+    are, as `Graph.edges` and `canonical_edges` give them."""
+    yield f"p {n} {us.size}\n".encode()
     for lo in range(0, us.size, TEXT_CHUNK):
         yield _edge_lines(us[lo:lo + TEXT_CHUNK], vs[lo:lo + TEXT_CHUNK])
+
+
+def edge_list_chunks(g: Graph):
+    """The canonical edge-list text of g in pieces, as `_text_chunks`."""
+    return _text_chunks(g.n, *g.edges())
 
 
 def graph_to_text(g: Graph) -> str:
     return b"".join(edge_list_chunks(g)).decode()
 
 
-def write_edge_list(g: Graph, path: str) -> None:
-    """Write canonical bytes: header, then edges with u < v in lex order,
-    every line ended by LF on any platform."""
+def write_edges(n: int, us: np.ndarray, vs: np.ndarray, path: str) -> None:
+    """Write the `_text_chunks` bytes of (n, us, vs) to path, every line
+    ended by LF on any platform."""
     with open(path, "wb") as fh:
-        fh.writelines(edge_list_chunks(g))
+        fh.writelines(_text_chunks(n, us, vs))
+
+
+def write_edge_list(g: Graph, path: str) -> None:
+    """Write g's canonical bytes: header, then edges with u < v in lex
+    order."""
+    write_edges(g.n, *g.edges(), path)

@@ -396,11 +396,26 @@ def loop_grid_edges(rows, cols, wrap):
     return edges
 
 
+def loop_subdivided_clique_edges(h, t):
+    """(n, edge list) of K_h with each edge a chain through t new vertices,
+    numbered in edge order."""
+    edges = []
+    nxt = h
+    for i in range(h):
+        for j in range(i + 1, h):
+            chain = [i] + list(range(nxt, nxt + t)) + [j]
+            nxt += t
+            edges.extend(zip(chain, chain[1:]))
+    return nxt, edges
+
+
 def loop_family(family, params, seed=0):
     """(n, edge list) of a family, one Python tuple per edge."""
     if family in ("grid", "torus"):
         rows, cols = params
         return rows * cols, loop_grid_edges(rows, cols, wrap=family == "torus")
+    if family == "subdivided_clique":
+        return loop_subdivided_clique_edges(*params)
     (n,) = params
     if family == "path":
         return n, [(i, i + 1) for i in range(n - 1)]

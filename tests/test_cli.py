@@ -107,11 +107,18 @@ def test_out_of_memory_is_an_input_error(tmp_path, monkeypatch, capsys):
     def exhausted(spec):
         raise MemoryError
 
+    # gen builds the canonical edges alone; separate --gen builds the Graph
+    monkeypatch.setattr("minorsep.cli.canonical_edges", exhausted)
     monkeypatch.setattr("minorsep.cli.generate", exhausted)
     out = tmp_path / "x"
     assert run("gen", "--family", "gnp", "--params", "200000,0.1", "--out", str(out)) == EXIT_INPUT
     assert "error: out of memory" in capsys.readouterr().err
     assert not out.exists()
+    report = tmp_path / "r.json"
+    assert run("separate", "--gen", "gnp:200000,0.1", "--h", "5",
+               "--json", str(report)) == EXIT_INPUT
+    assert "error: out of memory" in capsys.readouterr().err
+    assert not report.exists()
 
 
 # -- separate -----------------------------------------------------------------

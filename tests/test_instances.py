@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from minorsep.cli import main as cli_main
 from minorsep.errors import InputError
 from minorsep.graph import build_graph, connected_components
 from minorsep.instances import (
@@ -16,6 +17,7 @@ from minorsep.instances import (
     InstanceSpec,
     _edge_lines,
     _parse_body,
+    canonical_edges,
     edge_list_chunks,
     generate,
     graph_to_text,
@@ -101,6 +103,8 @@ LOOP_CASES = [
     ("star", (0,)), ("star", (1,)), ("star", (60,)),
     ("complete", (1,)), ("complete", (2,)), ("complete", (30,)),
     ("tree", (1,)), ("tree", (2,)), ("tree", (3000,)),
+    ("subdivided_clique", (2, 0)), ("subdivided_clique", (3, 1)), ("subdivided_clique", (3, 2)),
+    ("subdivided_clique", (6, 20)), ("subdivided_clique", (9, 0)),
 ]
 
 
@@ -110,6 +114,51 @@ def test_families_match_loop_reference(family, params):
         n, edges = loop_family(family, params, seed)
         want = loop_graph_to_text(build_graph(n, edges))
         assert graph_to_text(gen(family, *params, seed=seed)) == want
+
+
+CONTRACT_CASES = LOOP_CASES + [
+    ("gnp", (n, p)) for n in (1, 2, 300) for p in (0.0, 0.05, 1.0)
+]
+
+
+def assert_canonical_contract(tmp_path, family, params, seed):
+    """`canonical_edges(spec)` is canonical and is `generate(spec).edges()`,
+    and `gen` writes it as `graph_to_text(generate(spec))`."""
+    spec = InstanceSpec(family, params, seed)
+    n, us, vs = canonical_edges(spec)
+    assert (us < vs).all()
+    assert (np.diff(us * n + vs) > 0).all()
+    g = generate(spec)
+    assert g.n == n
+    for got, want in zip((us, vs), g.edges()):
+        assert np.array_equal(got, want)
+    out = tmp_path / "gen.txt"
+    argv = ["gen", "--family", family, "--params", ",".join(map(str, params)),
+            "--seed", str(seed), "--out", str(out)]
+    assert cli_main(argv) == 0
+    assert out.read_bytes() == graph_to_text(g).encode()
+
+
+@pytest.mark.parametrize("family,params", CONTRACT_CASES, ids=lambda p: str(p))
+def test_builders_give_canonical_edges(tmp_path, family, params):
+    for seed in (0, 7):
+        assert_canonical_contract(tmp_path, family, params, seed)
+
+
+@st.composite
+def family_specs(draw):
+    """A (family, params) pair at a hypothesis-drawn size within its bounds."""
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    params = tuple(draw(st.sampled_from([0.0, 0.03, 0.3, 1.0])) if low is None
+                   else draw(st.integers(low, low + 12))
+                   for _, low in FAMILIES[family].params)
+    return family, params
+
+
+@given(family_specs(), st.integers(0, 2**31))
+def test_drawn_builders_give_canonical_edges(tmp_path_factory, family_params, seed):
+    family, params = family_params
+    assert_canonical_contract(tmp_path_factory.getbasetemp(), family, params, seed)
 
 
 def test_star_shape():
