@@ -125,11 +125,12 @@ class Graph:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """All edges as (us, vs) with us < vs, lexicographically sorted."""
+        """All edges as int64 arrays (us, vs) with us < vs, lexicographically
+        sorted."""
         src = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
         tgt = self.indices
         keep = src < tgt
-        return src[keep], tgt[keep].astype(np.int64)
+        return src[keep], tgt[keep]
 
 
 def build_graph(n: int, edge_list) -> Graph:
@@ -194,54 +195,28 @@ def _gather(g: Graph, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return row, g.indices[slot]
 
 
-def _index_dtype(g: Graph, *counts: int) -> type:
-    """The dtype of a csgraph matrix's index arrays over g: int32 when every
-    vertex id and edge offset fits it, and every one of `counts`, else
-    int64.  scipy would downcast g's int64 arrays to int32 itself, but only
-    after a pass checking their range, so the matrices here are built on
-    int32 arrays to begin with."""
-    return np.int32 if max(g.n, g.indices.size, *counts) < 2**31 else np.int64
+def _adjacency(g: Graph, cut: np.ndarray | None = None) -> sparse.csr_matrix:
+    """g's csgraph matrix, the one every csgraph pass over g's ids runs on,
+    with every vertex in the id array `cut` made a sink: each entry of its
+    row points at itself.  With no `cut` it is g's plain matrix.
 
-
-def _masked_adjacency(g: Graph, keep: np.ndarray) -> sparse.csr_matrix:
-    """The n x n matrix of the edges with both ends in `keep`.
-
-    The other edges are stored as zeros and dropped, so the matrix is
-    symmetric and a vertex outside `keep` has no entries.  float64 is the
-    dtype csgraph computes in, so it makes no converted copy of its own.
-    `bfs_layers` keeps this matrix: on `_sink_adjacency`'s a search enters
-    the sinks beside what it reaches, and with half of cycle 10^5 cut it
-    ran slower (1.57 against 1.36 ms, 2-vCPU VM).
+    No path leaves a sink, so under a directed pass it is its own strong
+    component and reaches nothing, and the other vertices' components and
+    distances are those of g minus `cut`.  The rewrite costs O(edges at
+    `cut`) on the copy of g's indices that the matrix needs anyway: int32
+    when every id and edge offset fits it, as scipy would downcast g's int64
+    arrays itself, but only after a pass checking their range.  With the 28%
+    of grid 316^2 that `sparse_large`'s separator cuts it built in 1.88 ms,
+    against 2.59 for a per-edge mask and compaction (2-vCPU VM).  A sink
+    row may repeat its self-loop: scipy 1.17's strong pass never pushes a
+    self-loop's target, whose vertex is numbered already, while a repeated
+    entry to another vertex made it loop forever.
     """
-    edge = np.repeat(keep, np.diff(g.indptr)) & keep[g.indices]
-    idx = _index_dtype(g)
-    adj = sparse.csr_matrix(
-        (edge, g.indices.astype(idx), g.indptr.astype(idx)), shape=(g.n, g.n),
-        dtype=np.float64, copy=False,
-    )
-    adj.eliminate_zeros()
-    return adj
-
-
-def _sink_adjacency(g: Graph, cut: np.ndarray) -> sparse.csr_matrix:
-    """g's matrix with every vertex in the id array `cut` made a sink: each
-    entry of its row points at itself.
-
-    No path leaves a sink, so under a directed strong-components pass it is
-    its own component, and the other vertices' components are those of g
-    minus `cut`.  The rewrite costs O(edges at `cut`) on the int32 copy of
-    g's indices that the matrix needs anyway.  With the 28% of grid 316^2
-    that `sparse_large`'s separator cuts it built in 1.88 ms, against 2.59
-    for `_masked_adjacency`'s per-edge mask and compaction (2-vCPU VM); from
-    about half cut it is the slower.  A sink row may repeat its self-loop:
-    scipy 1.17's strong pass never pushes a self-loop's target, whose vertex
-    is numbered already, while a repeated entry to another vertex made it
-    loop forever.
-    """
-    idx = _index_dtype(g)
+    idx = np.int32 if max(g.n, g.indices.size) < 2**31 else np.int64
     indices = g.indices.astype(idx)
-    row, slot = _edge_slots(g, cut)
-    indices[slot] = cut[row]
+    if cut is not None:
+        row, slot = _edge_slots(g, cut)
+        indices[slot] = cut[row]
     return sparse.csr_matrix(
         (np.ones(indices.size), indices, g.indptr.astype(idx)), shape=(g.n, g.n)
     )
@@ -281,11 +256,10 @@ def _connected_sets(g: Graph, sets) -> np.ndarray:
     tgt += np.repeat(key - vid, deg)
     pos = np.searchsorted(key, tgt)
     inside = key.take(pos, mode="clip") == tgt
-    idx = _index_dtype(g, key.size, tgt.size)
-    kept = np.zeros(inside.size + 1, dtype=idx)
+    kept = np.zeros(inside.size + 1, dtype=np.int64)
     np.cumsum(inside, out=kept[1:])
     adj = sparse.csr_matrix(
-        (np.ones(kept[-1]), pos[inside].astype(idx), kept[ends]), shape=(key.size, key.size)
+        (np.ones(kept[-1]), pos[inside], kept[ends]), shape=(key.size, key.size)
     )
     parts, label = csgraph.connected_components(adj, directed=True, connection="strong")
     whole = count > 0
@@ -300,7 +274,7 @@ def _raw_components(g: Graph, live: VertexMask | None) -> tuple:
     """(ids, raw, sizes): the ids in `live` (every id when None), csgraph's
     unranked component label of each, and the number of them per raw label.
 
-    Every vertex outside `live` is a sink of `_sink_adjacency`'s matrix, a
+    Every vertex outside `live` is a sink of `_adjacency`'s matrix, a
     singleton component, and is not counted, so its label's size is 0.  Off
     the sinks the matrix is symmetric, so the strong components of the live
     vertices are their components, found without the transpose an
@@ -308,7 +282,7 @@ def _raw_components(g: Graph, live: VertexMask | None) -> tuple:
     """
     keep = np.ones(g.n, dtype=bool) if live is None else live.bits
     count, raw = csgraph.connected_components(
-        _sink_adjacency(g, np.flatnonzero(~keep)), directed=True, connection="strong"
+        _adjacency(g, np.flatnonzero(~keep)), directed=True, connection="strong"
     )
     ids = np.flatnonzero(keep)
     raw = raw[ids]
@@ -349,12 +323,11 @@ def _reach_without(g: Graph, v: int, root: int) -> np.ndarray:
     """Boolean mask of the vertices that `root` reaches in g - {v}, for
     root != v: ``bfs_layers(g, all but v, root) >= 0``.
 
-    One csgraph BFS on g's matrix with v made a sink (`_sink_adjacency`).
-    No path leaves v, so it is dropped from the reach afterwards, and no
-    per-edge mask is built as `_masked_adjacency` would.  The traversal is
+    One csgraph BFS on `_adjacency`'s matrix with v made a sink.  No path
+    leaves v, so it is dropped from the reach afterwards.  The traversal is
     directed, so csgraph does not symmetrize the matrix.
     """
-    adj = _sink_adjacency(g, np.array([v]))
+    adj = _adjacency(g, np.array([v]))
     reach = np.zeros(g.n, dtype=bool)
     reach[csgraph.breadth_first_order(adj, root, return_predecessors=False)] = True
     reach[v] = False
@@ -366,16 +339,23 @@ def bfs_layers(g: Graph, live: VertexMask, root: int) -> np.ndarray:
     distance from root, -1 outside `live` or unreached.  The root must be
     live.
 
-    One csgraph BFS lists the reached ids in BFS order with their parents.
-    Pointer doubling on the parents' positions gives the depths in
-    ceil(log2(depth)) rounds of array work, none per layer: up[i] is the
-    position depth[i] steps above i, until every pointer reaches the root.
+    One csgraph BFS on `_adjacency`'s matrix, with every vertex outside
+    `live` a sink, lists the reached ids in BFS order with their parents.
+    The search enters the sinks beside the live vertices but leaves none, so
+    dropping them from the order leaves the live BFS, and a live vertex's
+    parent is live.  Each sink costs the search one entry; the solver calls
+    it with 3*|live| >= 2n, so at most a third of g is cut.  Pointer
+    doubling on the parents' positions gives the depths in ceil(log2(depth))
+    rounds of array work, none per layer: up[i] is the position depth[i]
+    steps above i, until every pointer reaches the root.
     """
     if root not in live:
         raise InputError(f"BFS root {root} is not in the mask")
     order, pred = csgraph.breadth_first_order(
-        _masked_adjacency(g, live.bits), root, directed=True, return_predecessors=True
+        _adjacency(g, np.flatnonzero(~live.bits)), root, directed=True,
+        return_predecessors=True,
     )
+    order = order[live.bits[order]]
     pred[root] = root
     at = np.empty(g.n, dtype=np.intp)
     at[order] = np.arange(order.size)

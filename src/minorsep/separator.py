@@ -75,6 +75,7 @@ from .graph import (
     VertexMask,
     _ball_sizes,
     _component_sizes,
+    _gather,
     _reach_without,
     _sorted_unique,
     bfs_layers,
@@ -244,9 +245,8 @@ def check_invariants(st: DriverState) -> VerificationReport:
         + ("" if not bad4 else f"; violations (idx,|V|,|N|): {bad4}"),
     ))
 
-    src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
-    touches = (~live.bits[src]) & live.bits[g.indices]
-    outside = _sorted_unique(src[touches])
+    _, tgt = _gather(g, live.ids())
+    outside = _sorted_unique(tgt[~live.bits[tgt]])
     covered = st.x_set.bits[outside] | member.bits[outside]
     checks.append((
         "live_boundary_covered", bool(covered.all()),

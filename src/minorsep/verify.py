@@ -15,7 +15,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import InputError
-from .graph import (Graph, VertexMask, _component_sizes, _connected_sets, _index_dtype,
+from .graph import (Graph, VertexMask, _adjacency, _component_sizes, _connected_sets,
                     _sorted_unique)
 from .minor_model import MinorModel
 
@@ -88,18 +88,13 @@ def verify_witness(g: Graph, m: MinorModel, h: int) -> VerificationReport:
     # entry (i, j) of inc @ adj @ inc.T counts the edges from branch i to
     # branch j; inc has a row per branch, so overlapping branches are fine
     k = m.size
-    idx = _index_dtype(g)
-    cols = np.concatenate([np.empty(0, dtype=idx), *m.branches], dtype=idx)
+    cols = np.concatenate([np.empty(0, dtype=np.int64), *m.branches], dtype=np.int64)
     inc = sparse.csr_matrix(
         (np.ones(cols.size), cols,
-         np.cumsum([0] + [ids.size for ids in m.branches], dtype=idx)),
+         np.cumsum([0] + [ids.size for ids in m.branches], dtype=np.int64)),
         shape=(k, g.n),
     )
-    adj = sparse.csr_matrix(
-        (np.ones(g.indices.size), g.indices.astype(idx), g.indptr.astype(idx)),
-        shape=(g.n, g.n),
-    )
-    joined = sparse.triu(inc @ adj @ inc.T, 1, format="csr")
+    joined = sparse.triu(inc @ _adjacency(g) @ inc.T, 1, format="csr")
     joined.sort_indices()
     # row i has k - 1 - i pairs (i, j > i); the entries are counts of edges,
     # so every stored one is a joined pair

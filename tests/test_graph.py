@@ -392,7 +392,10 @@ def _holed_cycle(n, hole):
     (6, _path(6), np.array([1, 0, 1, 1, 1, 1], dtype=bool), 0, 0),
     # the mask cuts the path in two: the far part stays unreached
     (12, _path(12), np.arange(12) != 7, 2, 4),
-], ids=["path5000", "holed-cycle5001", "isolated-root", "unreached"])
+    # K40 with ids 0-3 live: every live vertex's search enters the 36 cut
+    # ids, and none of them may be given a depth
+    (40, [(u, v) for u in range(40) for v in range(u + 1, 40)], np.arange(40) < 4, 0, 1),
+], ids=["path5000", "holed-cycle5001", "isolated-root", "unreached", "dense-mostly-cut"])
 def test_bfs_dist_matches_plain_bfs_on_deep_and_cut_inputs(n, edges, keep, root, depth):
     dist = assert_bfs_matches_plain_bfs(n, edges, keep, root)
     assert dist.max() == depth
