@@ -26,6 +26,7 @@ from .graph import Graph
 from .instances import (
     FAMILIES,
     InstanceSpec,
+    _read_text,
     bench_spec,
     canonical_edges,
     edge_list_chunks,
@@ -141,11 +142,7 @@ def cmd_separate(args) -> int:
 
 def cmd_verify(args) -> int:
     g = read_edge_list(args.input)
-    try:
-        with open(args.certificate, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{args.certificate}: not UTF-8 text (byte {exc.start})") from None
+    text = _read_text(args.certificate)
     try:
         payload = json.loads(text)
     except (ValueError, RecursionError) as exc:

@@ -58,7 +58,7 @@ class VertexMask:
     @classmethod
     def from_ids(cls, n: int, ids) -> "VertexMask":
         bits = np.zeros(n, dtype=bool)
-        idx = np.asarray(list(ids) if not isinstance(ids, np.ndarray) else ids, dtype=np.int64)
+        idx = _int_array(ids)
         if idx.size:
             if idx.min() < 0 or idx.max() >= n:
                 raise InputError(f"vertex id out of range 0..{n - 1}")
@@ -133,16 +133,25 @@ class Graph:
         return src[keep], tgt[keep]
 
 
+def _int_array(ids) -> np.ndarray:
+    """Vertex ids (or (u, v) pairs) as an int64 array; InputError unless
+    numpy reads them as integers, so no float is rounded and no string
+    parsed.  An empty input of any dtype passes."""
+    arr = np.asarray(list(ids) if not isinstance(ids, np.ndarray) else ids)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise InputError(f"vertex ids must be integers, got {arr.dtype} values")
+    return arr.astype(np.int64, copy=False)
+
+
 def build_graph(n: int, edge_list) -> Graph:
     """Build a Graph from an iterable of (u, v) pairs.
 
     Self-loops are rejected; parallel edges and reversed duplicates collapse
-    to a single edge.  Ids must lie in [0, n).
+    to a single edge.  Ids must be integers in [0, n).
     """
     if n < 0:
         raise InputError("vertex count must be nonnegative")
-    pairs = np.asarray(list(edge_list) if not isinstance(edge_list, np.ndarray) else edge_list,
-                       dtype=np.int64)
+    pairs = _int_array(edge_list)
     if pairs.size == 0:
         pairs = pairs.reshape(0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -246,20 +255,17 @@ def _connected_sets(g: Graph, sets) -> np.ndarray:
     count = np.bincount(blk, minlength=k)
     if count.max(initial=0) <= 1:
         return count == 1
-    # the edges leaving each position, row by row as `_gather` lists them,
-    # their targets numbered in the source's block
-    starts = g.indptr[vid]
-    deg = g.indptr[vid + 1] - starts
-    ends = np.zeros(key.size + 1, dtype=np.int64)
-    np.cumsum(deg, out=ends[1:])
-    tgt = g.indices[np.arange(ends[-1]) + np.repeat(starts - ends[:-1], deg)]
-    tgt += np.repeat(key - vid, deg)
+    # the edges leaving each position, their targets numbered in the
+    # source's block; row ascends, so a position's kept edges start where
+    # its number would sort among the kept rows
+    row, slot = _edge_slots(g, vid)
+    tgt = g.indices[slot] + (key - vid)[row]
     pos = np.searchsorted(key, tgt)
     inside = key.take(pos, mode="clip") == tgt
-    kept = np.zeros(inside.size + 1, dtype=np.int64)
-    np.cumsum(inside, out=kept[1:])
     adj = sparse.csr_matrix(
-        (np.ones(kept[-1]), pos[inside], kept[ends]), shape=(key.size, key.size)
+        (np.ones(np.count_nonzero(inside)), pos[inside],
+         np.searchsorted(row[inside], np.arange(key.size + 1))),
+        shape=(key.size, key.size),
     )
     parts, label = csgraph.connected_components(adj, directed=True, connection="strong")
     whole = count > 0

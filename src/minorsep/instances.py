@@ -15,7 +15,8 @@ holds and `Graph.edges` gives.  The CLI's `gen` writes those arrays as
 they come; `generate` hands them to `build_graph`, the one CSR
 constructor.  Grid and torus mask a per-vertex table of forward
 neighbours, path, cycle, star, complete and gnp come out in order, and
-tree and subdivided_clique make one sort of their m keys.
+tree and subdivided_clique make one sort of their m keys.  complete is
+subdivided_clique with t = 0, whose K_k edges need no sort.
 
 gnp iterates the vertex pairs (0,1), (0,2), ..., (n-2,n-1) in
 lexicographic order against its stream, one uniform per pair, which pins
@@ -128,11 +129,6 @@ def _gen_star(leaves: int) -> tuple:
     return leaves + 1, np.zeros_like(leaf), leaf
 
 
-def _gen_complete(k: int) -> tuple:
-    _check_count("edge count", k * (k - 1) // 2)
-    return (k, *np.triu_indices(k, 1))
-
-
 def _gen_gnp(n: int, p: float, seed: int) -> tuple:
     # row i holds the pairs (i, i+1..n-1) from pair index start[i] on;
     # start[n-1] is the pair count
@@ -207,7 +203,7 @@ FAMILIES = {
     "path": Family(_gen_path, (("n", 1),), bench=lambda n: (n,)),
     "cycle": Family(partial(_gen_path, closed=True), (("n", 3),), bench=lambda n: (n,)),
     "star": Family(_gen_star, (("leaves", 0),), bench=lambda n: (n - 1,)),
-    "complete": Family(_gen_complete, (("k", 1),), bench=lambda n: (n,)),
+    "complete": Family(partial(_gen_subdivided_clique, t=0), (("k", 1),), bench=lambda n: (n,)),
     # bench: about three edges per vertex; p stays a probability below n = 3
     "gnp": Family(_gen_gnp, (("n", 1), ("p", None)), seeded=True,
                   bench=lambda n: (n, min(1.0, 3.0 / n))),
@@ -228,6 +224,8 @@ def canonical_edges(spec: InstanceSpec) -> tuple:
         raise InputError(
             f"{spec.family} takes {len(row.params)} parameter(s), got {len(spec.params)}")
     for (name, low), v in zip(row.params, spec.params):
+        if isinstance(v, (bool, np.bool_)):
+            raise InputError(f"{spec.family} parameters must be numbers, got {v!r}")
         if low is None:
             if not 0.0 <= v <= 1.0:
                 raise InputError(f"{spec.family} needs 0 <= {name} <= 1")
@@ -265,26 +263,19 @@ def read_edge_list(source) -> Graph:
     """Parse the ``p n m`` edge-list format from a path or an open text
     file; errors carry 1-based line numbers.
 
-    A path is read with universal newlines, so CR LF and a lone CR end a
-    line as LF does.  An open file is read as it yields lines: an
-    ``io.StringIO`` ends them at LF only.  A path is decoded in one piece,
-    so a decoding error names the bad byte's offset in the file.
+    The text is split into lines at LF alone (`_lines_of`).  A path is
+    read with universal newlines, so its CR LF and lone CR have become LF
+    by then; an open file is read as its `read()` returns the text, so an
+    ``io.StringIO`` or a file opened with ``newline=""`` ends a line at LF
+    only.  A path is decoded in one piece, so a decoding error names the
+    bad byte's offset in the file.
 
     The header is found by scanning the leading lines; the text after it
     goes to the array parser (`_parse_body`), and is split into lines only
     when that parser leaves the file to the line loop (`_check_lines`).
     """
-    if isinstance(source, (str, bytes, os.PathLike)):
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise InputError(f"{os.fsdecode(source)}: not UTF-8 text (byte {exc.start})") from None
-        lines = _lines_of(text)
-    else:
-        read = source.readlines()
-        text = "".join(read)
-        lines = iter(read)
+    text = _read_text(source) if isinstance(source, (str, bytes, os.PathLike)) else source.read()
+    lines = _lines_of(text)
     head, n, m, start = _read_header(lines)
     pairs = _parse_body(text[start:], n, m)
     if pairs is None:
@@ -292,11 +283,20 @@ def read_edge_list(source) -> Graph:
     return build_graph(n, pairs)
 
 
+def _read_text(path) -> str:
+    """The file at `path` decoded as UTF-8 in one piece, with universal
+    newlines; InputError naming the first bad byte's offset in the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{os.fsdecode(path)}: not UTF-8 text (byte {exc.start})") from None
+
+
 def _lines_of(text: str):
-    """The lines of a path's text one at a time, each with its LF, the only
-    line end left after universal newlines.  str.splitlines would also
-    split at characters such as form feed (0x0c) that readlines keeps in a
-    line."""
+    """The lines of `text` one at a time, each with its LF: LF is the one
+    line end.  str.splitlines would also split at CR and at characters such
+    as form feed (0x0c), which stay in a line here."""
     start = 0
     while start < len(text):
         end = text.find("\n", start) + 1 or len(text)

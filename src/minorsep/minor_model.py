@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError
-from .graph import Graph, VertexMask, _connected_sets, _gather, _sorted_unique
+from .graph import Graph, VertexMask, _connected_sets, _gather, _int_array, _sorted_unique
 
 __all__ = [
     "MinorModel",
@@ -62,9 +62,7 @@ class MinorModel:
 
 
 def _as_ids(n: int, vs) -> np.ndarray:
-    arr = _sorted_unique(
-        np.asarray(list(vs) if not isinstance(vs, np.ndarray) else vs, dtype=np.int64)
-    )
+    arr = _sorted_unique(_int_array(vs))
     if arr.size and (arr[0] < 0 or arr[-1] >= n):
         raise ModelError(f"vertex id out of range 0..{n - 1}")
     return arr

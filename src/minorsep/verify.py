@@ -140,9 +140,7 @@ def verify_certificate(g: Graph, payload) -> VerificationReport:
     kind = payload["type"]
     if kind == "separator":
         ids = _json_ids(payload.get("vertices"), "separator certificate field 'vertices'", g.n)
-        bits = np.zeros(g.n, dtype=bool)
-        bits[ids] = True
-        return verify_balanced(g, VertexMask(bits))
+        return verify_balanced(g, VertexMask.from_ids(g.n, ids))
     if kind == "witness":
         model, h = witness_from_json(g.n, payload)
         return verify_witness(g, model, h)

@@ -446,6 +446,7 @@ def test_verify_non_utf8_certificate_is_an_input_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "certificate" not in captured.out
     assert captured.err.startswith("error:") and str(cert) in captured.err
+    assert "(byte 0)" in captured.err
 
 
 @pytest.mark.parametrize("text,field", [

@@ -6,6 +6,8 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from minorsep.errors import InputError
+from minorsep.instances import InstanceSpec, canonical_edges, generate
+from minorsep.minor_model import add_branch, grow_branch, new_model
 from minorsep.graph import (
     VertexMask,
     _ball_sizes,
@@ -165,6 +167,33 @@ def test_mask_from_ids_range_check():
         VertexMask.from_ids(3, [3])
     with pytest.raises(InputError):
         VertexMask.from_ids(3, [-1])
+
+
+# each of these was rounded, parsed or built as another instance; an id or
+# size parameter that is not an integer is refused, as in a certificate
+@pytest.mark.parametrize("call", [
+    lambda: build_graph(3, [(0, 1.5)]),
+    lambda: build_graph(3, [("0", "1")]),
+    lambda: build_graph(3, np.array([[0.0, 1.0]])),
+    lambda: VertexMask.from_ids(5, [1.7]),
+    lambda: VertexMask.from_ids(5, np.array([False, True])),
+    lambda: add_branch(new_model(9, 0), GRID3, [1.0]),
+    lambda: grow_branch(new_model(9, 0), GRID3, 0, ["1"]),
+    lambda: generate(InstanceSpec("grid", (4, True))),
+    lambda: generate(InstanceSpec("gnp", (5, True), 1)),
+    lambda: canonical_edges(InstanceSpec("gnp", (5, np.True_), 1)),
+], ids=["build-float", "build-str", "build-float-array", "mask-float", "mask-bool-array",
+        "add-branch-float", "grow-branch-str", "grid-bool", "gnp-bool-p", "gnp-numpy-bool-p"])
+def test_non_integer_ids_and_sizes_are_input_errors(call):
+    with pytest.raises(InputError):
+        call()
+
+
+def test_empty_ids_of_any_dtype_pass():
+    assert build_graph(3, np.empty((0, 2))).m == 0
+    assert VertexMask.from_ids(3, np.array([], dtype=str)).size == 0
+    m = new_model(9, 0)
+    assert grow_branch(m, GRID3, 0, []) is m
 
 
 # -- components -------------------------------------------------------------

@@ -386,13 +386,19 @@ def test_bad_byte_error_prints_every_kind_of_path(tmp_path):
         assert str(exc.value) == f"{path}: not UTF-8 text (byte 8)"
 
 def test_read_newline_rule_by_source(tmp_path):
-    # a path is read with universal newlines, an open file as it yields lines
+    # LF alone ends a line; a path is read with universal newlines, an open
+    # file as its read() returns the text
     text = "p 4 2\n0 1\r2 3\n"
     path = tmp_path / "g.txt"
     path.write_bytes(text.encode())
     assert graph_to_text(read_edge_list(str(path))) == "p 4 2\n0 1\n2 3\n"
     with pytest.raises(InputError) as exc:
         read_edge_list(io.StringIO(text))
+    assert str(exc.value) == "line 2: expected 'u v'"
+    # a file opened with newline="" keeps its lone CR inside the line too
+    with open(path, newline="") as fh:
+        with pytest.raises(InputError) as exc:
+            read_edge_list(fh)
     assert str(exc.value) == "line 2: expected 'u v'"
     # neither ends a line at a form feed, which separates tokens as a space does
     text = "p 3 1\n0\x0c1\n"
