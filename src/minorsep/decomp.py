@@ -48,13 +48,17 @@ round to x.  The loop ends there too: each pass moves past a start bucket or
 consumes the carried targets, and each vertex is settled once.)
 
 `ldd` only draws the shifts.  The centers are assigned on their first
-read and kept, as is the boundary: every live vertex with a live neighbor
-assigned elsewhere, whose removal disconnects distinct parts from each
-other, in one more pass over every edge of the graph.  Step 1 asks one
-question of the result, `LddResult.large_component`: which component of
-live minus the boundary, if any, holds more than 2n/3.  It builds the
-centers, the boundary and the components only as far as the answer needs
-them; while every shift is below 2 the degrees alone may settle it.
+read and kept, as is the boundary: one end of every live edge between two
+parts, the end whose part has the larger center id, found in one more
+pass over every edge of the graph.  Any set that meets every such edge
+leaves each component of live minus it inside one part, and this one
+holds at most one vertex per cut edge, where both ends would hold about
+twice as many; an edge is cut with probability about the shift rate
+2*ln(N)/delta (Miller, Peng and Xu).  Step 1 asks one question of the
+result, `LddResult.large_component`: which component of live minus the
+boundary, if any, holds more than 2n/3.  It builds the centers, the
+boundary and the components only as far as the answer needs them; while
+every shift is below 2 the degrees alone may settle it.
 """
 
 from __future__ import annotations
@@ -79,7 +83,8 @@ class LddResult:
     `shifts` in that order.
 
     center[v] is the center of live vertex v's part, -1 outside the mask;
-    boundary holds the live vertices with a live neighbor in another part.
+    boundary holds the live vertices with a live neighbor in a part of
+    smaller center, which is one end of every live edge between parts.
     Both are computed when first read and kept.
     """
 
@@ -106,9 +111,9 @@ class LddResult:
           degree among the ids with shift >= 1 caps every part, and no
           center is assigned;
         - the part sizes.  Parts are disjoint, so only one can exceed 2n/3;
-        - that part less the boundary.  The boundary holds both ends of
+        - that part less the boundary.  The boundary holds one end of
           every live edge between parts, so each component of live minus it
-          lies in one part's interior;
+          lies in one part;
         - one component pass on that interior.
         """
         if not self.ids.size:
@@ -130,17 +135,17 @@ class LddResult:
 
 
 def _boundary(g: Graph, center: np.ndarray) -> VertexMask:
-    """The live vertices with a live neighbor of another center, in one
-    pass over every edge of g; an end outside live has center -1.
-    `cross` is symmetric on the edges with both ends live, so the live
-    targets it marks are its sources; a live source also marks its
-    neighbors outside live, which the last step clears."""
+    """The live vertices with a live neighbor of a smaller center, in one
+    pass over every edge of g; an end outside live has center -1.  Each
+    live edge between two parts is stored in both directions, so exactly
+    one of them has its source's center below its target's, and its target
+    is the end marked.  c_tgt > c_src >= 0 makes every marked target live."""
     c_src = np.repeat(center, np.diff(g.indptr))
     c_tgt = center[g.indices]
-    cross = (c_src != c_tgt) & (c_src >= 0)
+    cross = (c_tgt > c_src) & (c_src >= 0)
     bits = np.zeros(g.n, dtype=bool)
     bits[g.indices[cross]] = True
-    return VertexMask(bits & (center >= 0))
+    return VertexMask(bits)
 
 
 def ldd(g: Graph, live: VertexMask, delta: float, rng: SplitMix64) -> LddResult:

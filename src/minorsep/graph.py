@@ -18,6 +18,7 @@ Determinism rules implemented here and relied on everywhere else:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,11 +137,35 @@ class Graph:
 def _int_array(ids) -> np.ndarray:
     """Vertex ids (or (u, v) pairs) as an int64 array; InputError unless
     numpy reads them as integers, so no float is rounded and no string
-    parsed.  An empty input of any dtype passes."""
-    arr = np.asarray(list(ids) if not isinstance(ids, np.ndarray) else ids)
+    parsed.  An empty input of any dtype passes.
+
+    An array is judged by its dtype alone.  Any other input is also read
+    entry by entry, since numpy infers one dtype for all of it: a bool
+    among ints would pass as 0 or 1, and an int past int64 would make the
+    whole input uint64, float or object."""
+    if isinstance(ids, np.ndarray):
+        arr = ids
+    else:
+        ids = list(ids)
+        arr = np.asarray(ids)
+        if arr.size and arr.dtype.kind != "b":
+            types = set(map(type, _entries(ids, arr.ndim)))
+            if bool in types or np.bool_ in types:
+                raise InputError("vertex ids must be integers, got bool values")
+            if (arr.dtype.kind not in "iu" or arr.dtype == np.uint64) and all(
+                    issubclass(t, (int, np.integer)) for t in types) and not all(
+                    -2**63 <= x < 2**63 for x in _entries(ids, arr.ndim)):
+                raise InputError("vertex id out of range")
     if arr.size and arr.dtype.kind not in "iu":
         raise InputError(f"vertex ids must be integers, got {arr.dtype} values")
     return arr.astype(np.int64, copy=False)
+
+
+def _entries(ids: list, ndim: int):
+    """The scalars of a nested list that numpy reads with `ndim` axes."""
+    for _ in range(ndim - 1):
+        ids = itertools.chain.from_iterable(ids)
+    return ids
 
 
 def build_graph(n: int, edge_list) -> Graph:

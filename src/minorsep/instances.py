@@ -373,8 +373,9 @@ def _parse_body(body: str, n: int, m: int):
     return pairs
 
 
-def _check_lines(body, first: int, n: int, m: int) -> list:
-    """Edge lines one at a time: the first bad line raises, else the edges.
+def _check_lines(body, first: int, n: int, m: int) -> np.ndarray:
+    """Edge lines one at a time: the first bad line raises, else the edges
+    as an (m, 2) array, whose ids `build_graph` need not read one by one.
 
     This is the reader for files the array parser turns down; `first` is
     the line number of the first line of `body`.
@@ -397,7 +398,7 @@ def _check_lines(body, first: int, n: int, m: int) -> list:
         edges.append((u, v))
     if len(edges) != m:
         raise InputError(f"header declares {m} edges but file has {len(edges)}")
-    return edges
+    return np.array(edges, dtype=np.int64).reshape(m, 2)
 
 
 # Edges per piece of the edge-list text.  The writer and the CLI's report

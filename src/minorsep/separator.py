@@ -396,7 +396,7 @@ def step1_decompose(st: DriverState) -> LayeredView | None:
     A component of live minus the boundary centers the view, on its
     smallest id, when it holds more than 2n/3 (`LddResult.large_component`).
     On sparse inputs none comes close: on grid 316² at delta = 108 the
-    largest interior held 1,100 to 1,359 vertices over 4 seeds, against 2n/3
+    largest interior held 1,172 to 1,439 vertices over 4 seeds, against 2n/3
     of about 66,600.  Failing that, `_exact_center` may find a center that
     the boundary hides, as on dense inputs; `center_search` stands in for it
     while that record's mask is live.  The boundary is read only when it

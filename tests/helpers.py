@@ -89,11 +89,13 @@ def parts(center):
 
 def large_inner_component(g, live, center, n):
     """Step 1's question of an LDD with centers `center`, answered in full:
-    the smallest id of rank 0 of `connected_components` on live minus every
-    vertex with a live neighbor of another center, when that component
-    holds more than 2n/3 of n; else None."""
-    cut = {v for u, w in np_edges(g) for v in (u, w)
-           if center[u] >= 0 and center[w] >= 0 and center[u] != center[w]}
+    the smallest id of rank 0 of `connected_components` on live minus the
+    larger-center end of every live edge between two centers, when that
+    component holds more than 2n/3 of n; else None."""
+    cut = set()
+    for u, w in np_edges(g):
+        if center[u] >= 0 and center[w] >= 0 and center[u] != center[w]:
+            cut.add(u if center[u] > center[w] else w)
     inner = VertexMask.from_ids(g.n, [v for v in live.ids().tolist() if v not in cut])
     label, sizes = connected_components(g, inner)
     return int(np.argmax(label == 0)) if sizes.size and 3 * int(sizes[0]) > 2 * n else None
@@ -345,12 +347,13 @@ def two_hub_wheel(rim=480, pendants=4, length=10):
     """A cycle of `rim` vertices under two hubs, 1 and rim + 2, with vertex 0
     and `pendants` paths of `length` hung off hub 1 alone.
 
-    With h = 5, ell = 20 and solver seed 0 the decomposition centres the
-    first step 1 on rim vertex 2, and step 2 takes 2 and hub 1 as a branch.
-    The 520 vertices left are more than EXACT_CENTER_LIMIT, so the live
-    update does not search; their largest component, the 480-vertex wheel
-    under the other hub, is within it, and the next step 1 finds its exact
-    center.
+    With h = 5 and ell = 20 the decomposition centres the first step 1,
+    and step 2 takes a branch that holds hub 1: {1, 2} at solver seed 0,
+    {1} at seed 10.  The 520 or 521 vertices left are more than
+    EXACT_CENTER_LIMIT, so the live update does not search; their largest
+    component, the wheel under the other hub, is within it.  At seed 0 the
+    next decomposition centres that wheel; at seed 10 it does not, and the
+    next step 1 finds the wheel's exact center.
     """
     b = 2 + rim
     edges = [(0, 1)]

@@ -67,8 +67,11 @@ def step1_center(g, edges, live, delta, rng, stats):
     n = g.n
     mask = VertexMask.from_ids(n, sorted(live))
     center, _ = heap_partition(g, mask, float(delta), rng)
-    boundary = {v for u, w in edges for v in (u, w)
-                if center[u] >= 0 and center[w] >= 0 and center[u] != center[w]}
+    # one end of each live edge between two parts: the larger center's
+    boundary = set()
+    for u, w in edges:
+        if center[u] >= 0 and center[w] >= 0 and center[u] != center[w]:
+            boundary.add(u if center[u] > center[w] else w)
     inner = components(n, edges, live - boundary)
     if inner and 3 * len(inner[0]) > 2 * n:
         return inner[0][0], None

@@ -130,16 +130,16 @@ def test_separate_grid_report_and_certificate(tmp_path, capsys):
                "--json", str(rep), "--certificate", str(cert), "--debug")
     assert code == EXIT_SEPARATOR
     out = capsys.readouterr().out
-    assert "separator of size 382" in out
+    assert "separator of size 344" in out
 
     body = json.loads(rep.read_text())
     assert body["schema"] == "v2"
     s = body["stats"]
     assert (s["n"], s["m"], s["h"], s["ell"], s["delta"], s["seed"]) == (400, 760, 5, 2, 6, 0)
     assert body["outcome"]["kind"] == "separator"
-    assert body["outcome"]["separator_size"] == 382
+    assert body["outcome"]["separator_size"] == 344
     assert body["verification"]["ok"] is True
-    assert len(body["outcome"]["vertices"]) == 382
+    assert len(body["outcome"]["vertices"]) == 344
 
     payload = json.loads(cert.read_text())
     assert payload["type"] == "separator"
@@ -171,14 +171,16 @@ def test_separate_reports_are_byte_identical(tmp_path):
 
 # sha256 of (report, certificate) for the criterion-10 jobs.  The reports
 # were recorded again when the schema-v2 report replaced v1 (certificates
-# unchanged); a refactor must reproduce them exactly.
+# unchanged), and the grid and gnp pairs again when the decomposition's
+# boundary came to keep one end of each cut edge; a refactor must
+# reproduce them exactly.
 FROZEN_DIGESTS = [
     (["--gen", "grid:20,20", "--h", "5"],
-     "e62f154264cb825c65272de98a5025b01f1a22eba32ee9d459afcdac02a44682",
-     "4ba5b5866c7727826997d213856cd0f6c41d2e58b9bbfe9e13b3d6ffb39b41a8"),
+     "6ef49c1566d1963ad7d290307afc1f1ffe15bf0e5df881ea9acd9bf20ecb2cf2",
+     "011aa64c0c45e1bae37dae6a8449f567c192dab1fc7de8bf0ebce3ec59bac1e9"),
     (["--gen", "gnp:200,0.015", "--h", "5", "--seed", "3"],
-     "ceaef9edbfae05ca713da8961f74627a11b8ab70eb4b2f6031908a2f29e1d8df",
-     "eacd5d306518e6ba13c4dcf9ca5da0692aef105d88d21159d50ce0c8facc71b0"),
+     "3dbf847c5f5614995ec92ec1e88b71e2b0e5ba87fe26eca1a8b62195b83cc109",
+     "18cff57cac1c3774c0e0a2e74963ebcb238ac27379b7064c2d6911f9dc574348"),
     (["--gen", "complete:9", "--h", "4"],
      "38699e5b5a1b25da24e7f8af9c8a3ff1ce355a75880c04a7aa57a736a55591e1",
      "aa15305caf54161f51fddee99a921fd96731f41a8863bc35de19bfc188245295"),
@@ -282,7 +284,7 @@ def test_bench_rejects_an_ell_too_large_for_a_float(capsys):
     (["--h", "5", "--ell", str(10**24)],
      "b71c3139ce627fad0d21a243bce9b2c3bf4f0a03d449df25e9cb3a6504be9583"),
     (["--h", str(10**309), "--ell", "2"],
-     "24769341fad0526c9fa183897a679c736259179ee8af05af73050b052ebe0b7a"),
+     "3ae8c73548c75307fbcbcda3eb6c909bb5930214b7407a52691c198d668be04f"),
 ], ids=["large-ell", "large-h"])
 def test_separate_runs_a_large_ell_or_h_whose_delta_is_a_float(tmp_path, params, rep_sha):
     rep = tmp_path / "r.json"

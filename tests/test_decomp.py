@@ -55,7 +55,7 @@ def test_path10_frozen_partition():
     assert [(c, m.tolist()) for c, m in parts(res.center)] == [
         (0, [0, 1]), (4, [2, 3, 4, 5, 6]), (7, [7]), (9, [8, 9]),
     ]
-    assert res.boundary.ids().tolist() == [1, 2, 6, 7, 8]
+    assert res.boundary.ids().tolist() == [2, 7, 8]
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}{c[1]}")
@@ -141,11 +141,11 @@ def test_matches_heap_reference_on_tied_keys(family, params, step, monkeypatch):
 def test_boundary_is_exact(case, seed):
     g, live, delta, res = run(case, seed)
     center = res.center
+    # the larger-center end of each live edge between two parts
     want = set()
     for u, v in np_edges(g):
         if center[u] >= 0 and center[v] >= 0 and center[u] != center[v]:
-            want.add(u)
-            want.add(v)
+            want.add(u if center[u] > center[v] else v)
     assert set(res.boundary.ids().tolist()) == want
     # removing the boundary leaves no cross-part live edge
     rest = live.minus(res.boundary)
@@ -221,6 +221,29 @@ def test_components_after_cut_have_small_weak_diameter(seed, delta):
         for v in cset:
             d = bfs_dist(adj, [v])
             assert all(0 <= d[w] <= delta for w in cset)
+
+
+@given(st.sampled_from([("gnp", (30, 0.1)), ("grid", (6, 7)), ("cycle", (25,))]),
+       st.integers(0, 2**32 - 1), st.sampled_from([2.0, 4.0, 7.0, 12.0]),
+       st.lists(st.booleans(), min_size=42, max_size=42))
+def test_boundary_keeps_the_larger_center_end(case, seed, delta, keep):
+    family, params = case
+    g = gen(family, *params, seed=seed % 20)
+    live = VertexMask(np.array(keep[:g.n], dtype=bool))
+    res = ldd(g, live, delta, stream(seed, "ldd"))
+    center, got = res.center, set(res.boundary.ids().tolist())
+    adj = adjacency(g.n, np_edges(g))
+    # v is marked exactly when it is live with a live neighbor of smaller center
+    assert got == {v for v in live.ids().tolist()
+                   if any(0 <= center[w] < center[v] for w in adj[v])}
+    both = set()
+    for u, v in np_edges(g):
+        if center[u] >= 0 and center[v] >= 0 and center[u] != center[v]:
+            assert (u if center[u] > center[v] else v) in got
+            both.update((u, v))
+    assert got <= both
+    for comp in component_lists(*connected_components(g, live.minus(res.boundary))):
+        assert np.unique(center[comp]).size == 1
 
 
 def count_gathers(monkeypatch):

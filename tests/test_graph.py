@@ -189,6 +189,32 @@ def test_non_integer_ids_and_sizes_are_input_errors(call):
         call()
 
 
+# numpy reads a list with one dtype for all its entries, so a bool among
+# ints was read as 0 or 1: the first built edge (0, 1), the others {1, 3}
+@pytest.mark.parametrize("call", [
+    lambda: build_graph(3, [(0, True)]),
+    lambda: VertexMask.from_ids(5, [True, 3]),
+    lambda: VertexMask.from_ids(5, [3, np.True_]),
+    lambda: add_branch(new_model(9, 0), GRID3, [1, False]),
+], ids=["build", "mask", "mask-numpy-bool", "add-branch"])
+def test_a_bool_among_int_ids_is_an_input_error(call):
+    with pytest.raises(InputError, match="got bool values"):
+        call()
+
+
+# these said "got float64 values" and "got object values"
+@pytest.mark.parametrize("call", [
+    lambda: VertexMask.from_ids(5, [1, 2**63]),
+    lambda: VertexMask.from_ids(5, [2**70]),
+    lambda: VertexMask.from_ids(5, [-2**70, 1]),
+    lambda: VertexMask.from_ids(5, [np.uint64(2**63)]),
+    lambda: build_graph(3, [(0, 2**64)]),
+], ids=["past-int64", "object", "below-int64", "numpy-uint64", "build"])
+def test_an_id_past_int64_is_out_of_range(call):
+    with pytest.raises(InputError, match="vertex id out of range"):
+        call()
+
+
 def test_empty_ids_of_any_dtype_pass():
     assert build_graph(3, np.empty((0, 2))).m == 0
     assert VertexMask.from_ids(3, np.array([], dtype=str)).size == 0

@@ -164,19 +164,19 @@ def test_random_tree_center_shortcut():
 def test_path200_boundary_finish():
     out = balanced_separator(gen("path", 200), 4, ell=2, debug=True)
     assert isinstance(out, BalancedSeparator)
-    assert out.separator.size == 195
+    assert out.separator.size == 186
     assert out.stats["iterations"] == 1
     assert out.stats["step1_finished"] == 1
-    assert out.size_breakdown == {"x": 0, "step1_s": 195, "f_selector": 1}
+    assert out.size_breakdown == {"x": 0, "step1_s": 185, "f_selector": 1}
     assert out.verification.ok
 
 
 def test_grid20_frozen_run():
     out = balanced_separator(gen("grid", 20, 20), 5, debug=True)
-    assert out.separator.size == 382
+    assert out.separator.size == 344
     assert out.stats["iterations"] == 1
-    assert out.size_breakdown == {"x": 0, "step1_s": 381, "f_selector": 1}
-    assert out.verification.component_sizes[0] == 5
+    assert out.size_breakdown == {"x": 0, "step1_s": 343, "f_selector": 1}
+    assert out.verification.component_sizes[0] == 8
     assert sum(out.verification.component_sizes) + out.separator.size == 400
 
 
@@ -882,7 +882,7 @@ FROZEN_PATHS = [
     # takes that record and does not search again
     ("subdivided_clique9_2_h9",
      lambda: balanced_separator(gen("subdivided_clique", 9, 2), 9, seed=1),
-     "15c37857ea78b22f348f373b95270846d0cca933bd80cf6c8c5fc6545449b86b"),
+     "84b7520797194539d4975d2de52e51382827acbaea02f5eadb581f55cc90469e"),
     # a live update's first id falls outside the new live part, whose
     # center is a later id: live is that center's reach, and the record of
     # an earlier live part must not stand in for step 1's search
@@ -893,10 +893,13 @@ FROZEN_PATHS = [
     # so step 1 searches again rather than take the update's
     ("two_hub_tail", lambda: balanced_separator(two_hub_tail(), 9, ell=1),
      "305f723f19c113c513af0bbd3433c9617215e03cd879c7c6fd8e96c15ece9e7e"),
-    # a live update on more than EXACT_CENTER_LIMIT vertices does not search,
-    # and its smaller live part must still get step 1's search
+    # a live update on more than EXACT_CENTER_LIMIT vertices does not search;
+    # at seed 0 the next decomposition centres its smaller live part
     ("two_hub_wheel", lambda: balanced_separator(two_hub_wheel(), 5, ell=20),
-     "4671c279e667154a7acf6c9b520a290888068998ce36608283f980a345c2e7a7"),
+     "b6b255e829ecaabd149464a95fa4b4354c2aa8fbeda22ab2c5f6b3434face25b"),
+    # the same update, where that part must still get step 1's search
+    ("two_hub_wheel_searched", lambda: balanced_separator(two_hub_wheel(), 5, ell=20, seed=10),
+     "fa87ad21e6edf919552b33b7fa38d03a258a49e573ee91baa963d8d9b300d8c7"),
 ]
 
 
